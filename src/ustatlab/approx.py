@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import ValidationError
 
 PHI_DERIVATIVE_MAX = 12
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def normal_pdf(x):
@@ -30,9 +28,9 @@ def normal_pdf(x):
 
 
 def normal_cdf(x):
-    """Standard normal distribution function via the complementary
-    error function (accurate in both tails)."""
-    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    """Standard normal distribution function (``scipy.special.ndtr``,
+    accurate in both tails)."""
+    return special.ndtr(np.asarray(x, dtype=float))
 
 
 def hermite_he(m: int, x):

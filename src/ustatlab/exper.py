@@ -1,8 +1,11 @@
 """Monte Carlo experiment driver: ECDF rate studies and comparator checks.
 
-Every experiment draws replicate ``r`` from stream index ``r`` of the
-counter-based generator and evaluates replicates in fixed-size chunks, so
-reports are byte-identical for any worker count.
+Replicates are drawn and evaluated in fixed chunks of ``CHUNK_REPLICATES``.
+Chunk ``c`` at sample size ``n`` is one block of ``m * n`` draws from stream
+index ``c`` of the counter-based generator, reshaped to ``m`` rows of ``n``;
+replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  The chunk size does not
+depend on the worker count, so reports are byte-identical for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -215,8 +218,10 @@ def _row_jackknife_stats(
             np.add.at(sums, (ridx, np.broadcast_to(j, vals.shape)), vals)
             q[lo:hi] = sums / (n - 1)
     u = q.mean(axis=1)
-    dev = q - u[:, None]
-    var_hat = (n - 1) / (n - 2) ** 2 * np.sum(dev * dev, axis=1)
+    # q is a fresh array in every branch; reusing it for the squared
+    # deviations keeps the peak memory of concurrent chunks down
+    q -= u[:, None]
+    var_hat = (n - 1) / (n - 2) ** 2 * np.sum(np.square(q, out=q), axis=1)
     return u, var_hat
 
 
@@ -243,9 +248,8 @@ def _simulate_statistic(
 
     def work(bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
         lo, hi = bounds
-        rows = np.empty((hi - lo, n))
-        for r in range(lo, hi):
-            rows[r - lo] = model.sample(res.dist, n, seed, r)
+        chunk = lo // CHUNK_REPLICATES
+        rows = model.sample(res.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
         if estimator == "standardized":
             u = _row_u_values(kernel, rows)
             return math.sqrt(n) * (u - theta) / scale, 0

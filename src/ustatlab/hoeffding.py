@@ -61,7 +61,7 @@ DEFAULT_SUBSET_BUDGET = model.DEFAULT_SUBSET_BUDGET
 PLUGIN_DRAW_FACTOR = 4096
 
 # Stream indices reserved for internal draws so they never collide with
-# experiment replicate streams (which use small nonnegative integers).
+# experiment chunk streams (which use small nonnegative integers).
 STREAM_INNER = 1 << 40
 STREAM_THETA = (1 << 40) + 1
 STREAM_SIGMA = (1 << 40) + 2
@@ -725,14 +725,14 @@ def cross_moment_mc(
 
     This is the O(n^k)-per-replicate cross-check path for :func:`kappa`;
     unlike the aligned formula it also picks up repeated-index terms, e.g.
-    E[L^2 T] = 2 kappa_2 when the remainder is a pure order-2 sum.
+    E[L^2 T] = 2 kappa_2 when the remainder is a pure order-2 sum.  All
+    replicates are drawn as one ``(reps, n)`` block from stream
+    ``stream_base``.
     """
     if reps < 2:
         raise ValidationError("reps must be at least 2")
-    vals = np.empty(reps)
-    for r in range(reps):
-        x = model.sample(d.dist, d.n, seed, stream_base + r)
-        vals[r] = d.linear_part(x) ** p * d.remainder(x)
+    rows = model.sample(d.dist, reps * d.n, seed, stream_base).reshape(reps, d.n)
+    vals = np.array([d.linear_part(x) ** p * d.remainder(x) for x in rows])
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(reps))
 
 

@@ -7,6 +7,11 @@ Design notes
   keyed by ``(seed, stream)``, so the value of draw ``i`` in stream ``s``
   is a pure function of ``(seed, s, i)``.  Distinct streams never share
   state and regenerating any prefix of a stream reproduces it exactly.
+* A generator is built per block of draws, not per replicate.  Monte Carlo
+  experiments draw a whole chunk of replicates as one block from one
+  stream: stream ``c`` holds chunk ``c`` (see ``exper``), so chunk streams
+  are small integers.  Streams from ``1 << 40`` upward are reserved for the
+  inner draws and moment estimates of ``hoeffding``.
 * Built-in kernels are written so that evaluation is exactly (bit-for-bit)
   invariant under argument permutation.
 """

@@ -15,6 +15,13 @@ def test_normal_cdf_matches_scipy():
     np.testing.assert_allclose(approx.normal_cdf(x), stats.norm.cdf(x), atol=1e-14)
 
 
+def test_normal_cdf_matches_erfc_within_two_eps():
+    x = np.linspace(-40, 40, 200_001)
+    want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    gap = np.max(np.abs(approx.normal_cdf(x) - want))
+    assert gap <= 2.0 * np.finfo(float).eps
+
+
 def test_hermite_polynomials_hand_values():
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(approx.hermite_he(0, x), [1.0, 1.0, 1.0])

@@ -261,6 +261,66 @@ def test_rerun_is_deterministic():
     assert exper.json_text(a.to_json()) == exper.json_text(b.to_json())
 
 
+def test_studentized_reports_byte_identical_across_threads():
+    base = dict(
+        kernel="variance",
+        dist="exponential",
+        n_grid=(8, 16),
+        reps=9000,
+        seed=6,
+        estimator="studentized",
+    )
+    rep1 = exper.run_ecdf_experiment(exper.ExperimentConfig(**base, threads=1))
+    rep2 = exper.run_ecdf_experiment(exper.ExperimentConfig(**base, threads=2))
+    assert exper.rate_csv_text(rep1) == exper.rate_csv_text(rep2)
+    assert exper.json_text(rep1.to_json()) == exper.json_text(rep2.to_json())
+
+
+def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
+    # replicate c * CHUNK_REPLICATES + j is row j of one block drawn from
+    # stream c; the last chunk here is short
+    cfg = small_config(n_grid=(8,), reps=exper.CHUNK_REPLICATES + 37)
+    res = exper._resolve(cfg)
+    scored = []
+    row_u = exper._row_u_values
+
+    def capture(kernel, rows):
+        scored.append(rows.copy())
+        return row_u(kernel, rows)
+
+    monkeypatch.setattr(exper, "_row_u_values", capture)
+    values, dropped = exper._simulate_statistic(
+        res, 8, cfg.reps, cfg.seed, "standardized", 1
+    )
+    assert values.size == cfg.reps and dropped == 0
+    assert [rows.shape[0] for rows in scored] == [exper.CHUNK_REPLICATES, 37]
+    for c, rows in enumerate(scored):
+        m = rows.shape[0]
+        want = model.sample(res.dist, m * 8, cfg.seed, c).reshape(m, 8)
+        np.testing.assert_array_equal(rows, want)
+
+
+@pytest.mark.parametrize("estimator", ["standardized", "studentized"])
+def test_one_generator_per_chunk(monkeypatch, estimator):
+    cfg = small_config(
+        kernel="variance", n_grid=(8, 16), reps=9000, estimator=estimator
+    )
+    res = exper._resolve(cfg)
+    calls = []
+    make = model.stream_generator
+
+    def counting(seed, stream=0):
+        calls.append(stream)
+        return make(seed, stream)
+
+    monkeypatch.setattr(model, "stream_generator", counting)
+    for n in cfg.n_grid:
+        calls.clear()
+        exper._simulate_statistic(res, n, cfg.reps, cfg.seed, estimator, 2)
+        chunks = math.ceil(cfg.reps / exper.CHUNK_REPLICATES)
+        assert sorted(calls) == list(range(chunks))
+
+
 # ---------------------------------------------------------------------------
 # Quadratic comparator study
 # ---------------------------------------------------------------------------
