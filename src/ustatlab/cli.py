@@ -255,9 +255,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         atoms, probs, theta = oracle.exact_u_distribution(
             kernel, dist, args.n, budget=args.budget
         )
+        tuples, type_classes = oracle.enumeration_size(dist, args.n)
         payload = {
             "schema": exper.SCHEMA_VERSION,
             "config": config,
+            "tuples": tuples,
+            "type_classes": type_classes,
             "theta": theta,
             "u_atoms": [float(v) for v in atoms],
             "u_probs": [float(v) for v in probs],
@@ -265,7 +268,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit(payload, args.out, args.force)
         _summary(
             f"oracle kernel={args.kernel} dist={args.dist} n={args.n} "
-            f"atoms={atoms.size} (raw U law)"
+            f"tuples={tuples} type_classes={type_classes} atoms={atoms.size} (raw U law)"
         )
         return 0
     report = oracle.exact_distribution(
@@ -279,6 +282,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     _emit(payload, args.out, args.force)
     _summary(
         f"oracle kernel={args.kernel} dist={args.dist} n={args.n} "
+        f"tuples={report.tuples} type_classes={report.type_classes} "
         f"kappa1={report.kappa[0]!r} dist_phi={report.dist_phi!r}"
     )
     return 0
@@ -481,12 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_studentize)
 
-    p = sub.add_parser("oracle", help="exact law by full enumeration")
+    p = sub.add_parser("oracle", help="exact law by type-class enumeration")
     p.add_argument("--kernel", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_TUPLE_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=oracle.DEFAULT_TUPLE_BUDGET,
+        help="cap on the s^n outcome tuples (not the type classes evaluated)",
+    )
     p.add_argument(
         "--u-only",
         action="store_true",

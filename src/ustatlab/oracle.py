@@ -1,8 +1,11 @@
 """Exact finite-sample distribution of a standardized U-statistic.
 
-For a finite-support distribution and small n, every outcome tuple in
-``support^n`` is enumerated (mixed-radix order, vectorized in chunks), so
-the law of S and all cross moments between the linear part and the
+For a finite-support distribution with ``s`` atoms, U, S, L and every T_p
+are symmetric functions of the sample, so their joint law depends only on
+how often each atom occurs.  The oracle evaluates one sorted representative
+tuple per count vector (type class), ``C(n+s-1, s-1)`` of them, weighted by
+its multinomial probability, instead of walking all ``s^n`` outcome tuples.
+The law of S and all cross moments between the linear part and the
 degenerate component sums are exact up to rounding.  This is the ground
 truth used to validate the analytic moment formulas and every Monte Carlo
 estimator in the package.
@@ -12,7 +15,7 @@ Two independent evaluation routes are kept deliberately separate:
 * moment functionals (beta, gamma, kappa) come from ``support^p`` sums via
   the decomposition machinery;
 * ``e_tt_full``, ``cov_l_t`` and friends come from evaluating L and T on
-  every one of the ``support^n`` tuples.
+  whole samples of size n, one representative per type class.
 
 Their agreement is an end-to-end check of the decomposition algebra.
 """
@@ -49,6 +52,8 @@ class ExactReport:
     kernel_id: str
     dist_id: str
     n: int
+    tuples: int
+    type_classes: int
     alpha: float
     theta: float
     sigma_g: float
@@ -85,6 +90,8 @@ class ExactReport:
             "kernel": self.kernel_id,
             "dist": self.dist_id,
             "n": self.n,
+            "tuples": self.tuples,
+            "type_classes": self.type_classes,
             "alpha": self.alpha,
             "theta": self.theta,
             "sigma_g": self.sigma_g,
@@ -130,19 +137,55 @@ def _group_atoms(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     return sums / probs, probs
 
 
-def _enumerate_tuples(dist: FiniteDiscrete, n: int, budget: int):
-    """Yield (values, weights) chunks covering support^n in mixed-radix order."""
+def enumeration_size(dist: FiniteDiscrete, n: int) -> tuple[int, int]:
+    """``(tuples, type_classes)`` for samples of size ``n`` from ``dist``.
+
+    ``tuples`` counts the ``s^n`` ordered outcomes, ``type_classes`` the
+    ``C(n+s-1, s-1)`` count vectors that group them.
+    """
     s = dist.atoms.size
-    total = s**n
-    if total > budget:
-        raise BudgetError(f"{s}^{n} = {total} tuples exceeds budget {budget}")
-    chunk = max(1, min(total, 2_000_000 // max(n, 1)))
-    powers = s ** np.arange(n, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % s
-        yield dist.atoms[digits], dist.probs[digits].prod(axis=1)
+    return s**n, math.comb(n + s - 1, s - 1)
+
+
+def _type_classes(
+    dist: FiniteDiscrete, n: int, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sorted representative tuple per count vector, with its probability.
+
+    The budget counts the ``s^n`` tuples the classes stand for.
+    """
+    s = dist.atoms.size
+    tuples, classes = enumeration_size(dist, n)
+    if tuples > budget:
+        raise BudgetError(f"{s}^{n} = {tuples} tuples exceeds budget {budget}")
+    combos = itertools.combinations_with_replacement(range(s), n)
+    idx = np.fromiter(itertools.chain.from_iterable(combos), np.intp, classes * n)
+    idx = idx.reshape(classes, n)
+    # Extending a sorted prefix of length j by the r-th copy of an atom
+    # multiplies its multinomial coefficient by (j + 1) / r, which stays an
+    # integer; Python ints keep it exact at any n.
+    multinomial = np.ones(classes, dtype=object)
+    copy_no = np.ones(classes, dtype=np.int64)
+    for j in range(1, n):
+        copy_no = np.where(idx[:, j] == idx[:, j - 1], copy_no + 1, 1)
+        multinomial = multinomial * (j + 1) // copy_no
+    return dist.atoms[idx], multinomial.astype(float) * dist.probs[idx].prod(axis=1)
+
+
+def _u_rows(kernel: Kernel, vals: np.ndarray) -> np.ndarray:
+    """The U-statistic of each row of ``vals``."""
+    n = vals.shape[1]
+    u_rows = np.zeros(vals.shape[0])
+    for combo in itertools.combinations(range(n), kernel.order):
+        u_rows += model.kernel_values(kernel, [vals[:, c] for c in combo])
+    return u_rows / math.comb(n, kernel.order)
+
+
+def _check_inputs(kernel: Kernel, dist: FiniteDiscrete, n: int) -> None:
+    if not isinstance(dist, FiniteDiscrete):
+        raise ValidationError("exact enumeration requires finite support")
+    if n < kernel.order:
+        raise InsufficientSample("n must be >= kernel order")
 
 
 def exact_u_distribution(
@@ -155,27 +198,14 @@ def exact_u_distribution(
 
     No standardization is involved, so this stays well defined for
     degenerate configurations where :func:`exact_distribution` refuses.
+    ``budget`` caps the ``s^n`` outcome tuples, not the type classes that
+    are actually evaluated.
     """
-    if not isinstance(dist, FiniteDiscrete):
-        raise ValidationError("exact enumeration requires finite support")
-    k = kernel.order
-    if n < k:
-        raise InsufficientSample("n must be >= kernel order")
-    comb_nk = math.comb(n, k)
-    k_subsets = list(itertools.combinations(range(n), k))
-    u_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
-    theta_parts: list[float] = []
-    for vals, w in _enumerate_tuples(dist, n, budget):
-        u_rows = np.zeros(vals.shape[0])
-        for combo in k_subsets:
-            u_rows += model.kernel_values(kernel, [vals[:, c] for c in combo])
-        u_rows /= comb_nk
-        u_parts.append(u_rows)
-        w_parts.append(w)
-        theta_parts.append(float(np.dot(u_rows, w)))
-    u_atoms, u_probs = _group_atoms(np.concatenate(u_parts), np.concatenate(w_parts))
-    return u_atoms, u_probs, math.fsum(theta_parts)
+    _check_inputs(kernel, dist, n)
+    vals, w = _type_classes(dist, n, budget)
+    u_rows = _u_rows(kernel, vals)
+    u_atoms, u_probs = _group_atoms(u_rows, w)
+    return u_atoms, u_probs, float(np.dot(u_rows, w))
 
 
 def exact_distribution(
@@ -185,84 +215,36 @@ def exact_distribution(
     alpha: float = 2.0,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> ExactReport:
-    """Enumerate ``support^n`` and report the exact law of S with moments."""
-    if not isinstance(dist, FiniteDiscrete):
-        raise ValidationError("exact enumeration requires finite support")
-    k = kernel.order
-    if n < k:
-        raise InsufficientSample("n must be >= kernel order")
+    """Report the exact law of S with moments, one row per type class.
 
+    ``budget`` caps the ``s^n`` outcome tuples, not the type classes that
+    are actually evaluated.
+    """
+    _check_inputs(kernel, dist, n)
+    k = kernel.order
     d = hoeffding.decompose(kernel, dist, n, strategy="exact")
     proj = d.projection
     theta = d.theta
     sigma_g = d.sigma_g
     s_scale = math.sqrt(n) / (k * sigma_g)
-    comb_nk = math.comb(n, k)
-    subsets = {p: list(itertools.combinations(range(n), p)) for p in range(2, k + 1)}
-    k_subsets = list(itertools.combinations(range(n), k))
 
-    s_vals_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
-    acc: dict[str, list[float]] = {key: [] for key in (
-        "w", "s1", "s2", "l1", "l2", "t1", "t2", "lt",
-    )}
-    cross_acc: dict[tuple[int, int], list[float]] = {
-        (p, q): [] for p in range(2, k + 1) for q in range(p + 1, k + 1)
+    vals, w = _type_classes(dist, n, budget)
+    s_rows = s_scale * (_u_rows(kernel, vals) - theta)
+    l_rows = proj.g_values(vals.ravel()).reshape(vals.shape).sum(axis=1) * d.l_scale
+    t_p_rows = {
+        p: d.t_scale(p) * sum(
+            proj.component_values(p, [vals[:, c] for c in combo])
+            for combo in itertools.combinations(range(n), p)
+        )
+        for p in range(2, k + 1)
     }
-    lcross_acc: dict[int, list[float]] = {p: [] for p in range(2, k + 1)}
-    power_acc: dict[int, list[float]] = {p: [] for p in range(2, k + 1)}
+    t_rows = sum(t_p_rows.values(), np.zeros(w.size))
 
-    for vals, w in _enumerate_tuples(dist, n, budget):
-        rows = vals.shape[0]
-        u_rows = np.zeros(rows)
-        for combo in k_subsets:
-            u_rows += model.kernel_values(kernel, [vals[:, c] for c in combo])
-        u_rows /= comb_nk
-        s_rows = s_scale * (u_rows - theta)
+    def mean(x: np.ndarray) -> float:
+        return float(np.dot(x, w))
 
-        g_flat = proj.g_values(vals.ravel()).reshape(vals.shape)
-        l_rows = g_flat.sum(axis=1) * d.l_scale
-
-        t_p_rows: dict[int, np.ndarray] = {}
-        for p in range(2, k + 1):
-            tp = np.zeros(rows)
-            for combo in subsets[p]:
-                tp += proj.component_values(p, [vals[:, c] for c in combo])
-            t_p_rows[p] = tp * d.t_scale(p)
-        t_rows = sum(t_p_rows.values()) if t_p_rows else np.zeros(rows)
-
-        s_vals_parts.append(s_rows)
-        w_parts.append(w)
-        acc["w"].append(float(np.sum(w)))
-        acc["s1"].append(float(np.dot(s_rows, w)))
-        acc["s2"].append(float(np.dot(s_rows**2, w)))
-        acc["l1"].append(float(np.dot(l_rows, w)))
-        acc["l2"].append(float(np.dot(l_rows**2, w)))
-        acc["t1"].append(float(np.dot(t_rows, w)))
-        acc["t2"].append(float(np.dot(t_rows**2, w)))
-        acc["lt"].append(float(np.dot(l_rows * t_rows, w)))
-        for (p, q), parts in cross_acc.items():
-            parts.append(float(np.dot(t_p_rows[p] * t_p_rows[q], w)))
-        for p, parts in lcross_acc.items():
-            parts.append(float(np.dot(l_rows * t_p_rows[p], w)))
-        for p, parts in power_acc.items():
-            parts.append(float(np.dot(l_rows**p * t_rows, w)))
-
-    prob_total = math.fsum(acc["w"])
-    mean_s = math.fsum(acc["s1"])
-    var_s = math.fsum(acc["s2"]) - mean_s**2
-    mean_l = math.fsum(acc["l1"])
-    mean_t = math.fsum(acc["t1"])
-    e_tt_full = math.fsum(acc["t2"])
-    cov_l_t = math.fsum(acc["lt"]) - mean_l * mean_t
-    component_cross = {pq: math.fsum(parts) for pq, parts in cross_acc.items()}
-    linear_component_cross = {p: math.fsum(parts) for p, parts in lcross_acc.items()}
-    power_cross = {p: math.fsum(parts) for p, parts in power_acc.items()}
-
-    s_atoms, s_probs = _group_atoms(np.concatenate(s_vals_parts), np.concatenate(w_parts))
-    u_atoms = theta + s_atoms / s_scale
-    u_probs = s_probs
-
+    mean_s = mean(s_rows)
+    s_atoms, s_probs = _group_atoms(s_rows, w)
     summary = hoeffding.moment_summary(d, alpha=alpha)
     kappa_vec = summary.kappa
 
@@ -274,31 +256,27 @@ def exact_distribution(
     e_gg_eta: Optional[float] = None
     dist_edgeworth2: Optional[float] = None
     if k == 2:
-        e_gg_eta = hoeffding._tuple_expectation_exact(
-            dist,
-            2,
-            lambda cols: proj.g_values(cols[0])
-            * proj.g_values(cols[1])
-            * proj.component_values(2, cols),
-        )
+        e_gg_eta, e_g3, _ = hoeffding.order2_edgeworth_inputs(d)
         dist_edgeworth2 = step_function_distance(
-            s_atoms,
-            cum,
-            lambda x: edgeworth_cdf_order2(e_gg_eta, _e_g3(proj, dist), sigma_g, n, x),
+            s_atoms, cum, lambda x: edgeworth_cdf_order2(e_gg_eta, e_g3, sigma_g, n, x)
         )
-    e_g3 = _e_g3(proj, dist)
+    else:
+        e_g3 = float(np.dot(proj.g_values(dist.atoms) ** 3, dist.probs))
 
+    tuples, type_classes = enumeration_size(dist, n)
     return ExactReport(
         kernel_id=kernel.ident,
         dist_id=dist.ident,
         n=n,
+        tuples=tuples,
+        type_classes=type_classes,
         alpha=alpha,
         theta=theta,
         sigma_g=sigma_g,
         s_atoms=s_atoms,
         s_probs=s_probs,
-        u_atoms=u_atoms,
-        u_probs=u_probs,
+        u_atoms=theta + s_atoms / s_scale,
+        u_probs=s_probs,
         beta=summary.beta,
         gamma=summary.gamma,
         gamma_components=summary.gamma_components,
@@ -308,19 +286,18 @@ def exact_distribution(
         e_gg_eta=e_gg_eta,
         e_g3=e_g3,
         mean_s=mean_s,
-        var_s=var_s,
-        e_tt_full=e_tt_full,
-        cov_l_t=cov_l_t,
-        component_cross=component_cross,
-        linear_component_cross=linear_component_cross,
-        power_cross=power_cross,
-        prob_total=prob_total,
+        var_s=mean(s_rows**2) - mean_s**2,
+        e_tt_full=mean(t_rows**2),
+        cov_l_t=mean(l_rows * t_rows) - mean(l_rows) * mean(t_rows),
+        component_cross={
+            (p, q): mean(t_p_rows[p] * t_p_rows[q])
+            for p in range(2, k + 1)
+            for q in range(p + 1, k + 1)
+        },
+        linear_component_cross={p: mean(l_rows * tp) for p, tp in t_p_rows.items()},
+        power_cross={p: mean(l_rows**p * t_rows) for p in t_p_rows},
+        prob_total=float(np.sum(w)),
         dist_phi=dist_phi,
         dist_adjusted=dist_adjusted,
         dist_edgeworth2=dist_edgeworth2,
     )
-
-
-def _e_g3(proj: hoeffding.ProjectionSet, dist: FiniteDiscrete) -> float:
-    g = proj.g_values(dist.atoms)
-    return float(np.dot(g**3, dist.probs))

@@ -2,7 +2,7 @@
 
 Each test covers one acceptance item and prints a single pass/fail line
 (visible with pytest -s; the -v test names mirror the numbering).  The
-slow items drive full Monte Carlo experiments and take a few minutes
+slow items drive full Monte Carlo experiments and take about ten seconds
 combined; everything is seeded, so reruns are deterministic.
 """
 

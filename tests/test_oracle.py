@@ -1,5 +1,6 @@
 """Exact-enumeration oracle tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,123 @@ from ustatlab.errors import (
 
 def gini_bern_report(n, **kw):
     return oracle.exact_distribution(model.gini_kernel(), model.bernoulli(0.3), n, **kw)
+
+
+def tuple_walk(dist, n):
+    """All s^n outcome tuples in mixed-radix order, with their probabilities."""
+    s = dist.atoms.size
+    digits = (np.arange(s**n)[:, None] // s ** np.arange(n)) % s
+    return dist.atoms[digits], dist.probs[digits].prod(axis=1)
+
+
+def brute_force_laws(kernel, dist, n, decomposed=True):
+    """The oracle's laws and moments, recomputed from every outcome tuple."""
+    vals, w = tuple_walk(dist, n)
+    k = kernel.order
+
+    def subset_sum(f, p):
+        return sum(f([vals[:, c] for c in combo]) for combo in itertools.combinations(range(n), p))
+
+    u = subset_sum(lambda cols: model.kernel_values(kernel, cols), k) / math.comb(n, k)
+    out = {"u_law": oracle._group_atoms(u, w), "theta": float(np.dot(u, w))}
+    if not decomposed:
+        return out
+    d = hoeffding.decompose(kernel, dist, n, strategy="exact")
+    proj = d.projection
+    s = math.sqrt(n) / (k * d.sigma_g) * (u - d.theta)
+    lin = d.l_scale * subset_sum(lambda cols: proj.g_values(cols[0]), 1)
+    t = {
+        p: d.t_scale(p) * subset_sum(lambda cols, p=p: proj.component_values(p, cols), p)
+        for p in range(2, k + 1)
+    }
+    t_all = sum(t.values(), np.zeros(w.size))
+
+    def mean(x):
+        return float(np.dot(x, w))
+
+    out.update(
+        s_law=oracle._group_atoms(s, w),
+        prob_total=float(w.sum()),
+        mean_s=mean(s),
+        var_s=mean(s**2) - mean(s) ** 2,
+        e_tt_full=mean(t_all**2),
+        cov_l_t=mean(lin * t_all) - mean(lin) * mean(t_all),
+        component_cross={
+            (p, q): mean(t[p] * t[q]) for p in t for q in t if q > p
+        },
+        linear_component_cross={p: mean(lin * t[p]) for p in t},
+        power_cross={p: mean(lin**p * t_all) for p in t},
+    )
+    return out
+
+
+def _assert_law(atoms, probs, want):
+    np.testing.assert_allclose(atoms, want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probs, want[1], rtol=0, atol=1e-12)
+
+
+ORDER3_PRODUCT = model.symmetrize(lambda a, b, c: a * b * c, order=3)
+
+
+@pytest.mark.parametrize(
+    "kernel, dist_id, n",
+    [
+        (model.variance_kernel(), "bernoulli:0.3", 6),
+        (model.variance_kernel(), "uniform-atoms:-1,0,1", 6),
+        (model.gini_kernel(), "bernoulli:0.3", 6),
+        (model.gini_kernel(), "uniform-atoms:-1,0,1", 6),
+        (ORDER3_PRODUCT, "bernoulli:0.3", 5),
+    ],
+    ids=["variance-bern", "variance-3atoms", "gini-bern", "gini-3atoms", "order3-bern"],
+)
+def test_type_classes_match_tuple_walk(kernel, dist_id, n):
+    dist = model.distribution_preset(dist_id)
+    rep = oracle.exact_distribution(kernel, dist, n)
+    want = brute_force_laws(kernel, dist, n)
+    for field in ("prob_total", "mean_s", "var_s", "e_tt_full", "cov_l_t"):
+        assert getattr(rep, field) == pytest.approx(want[field], abs=1e-12), field
+    for field in ("component_cross", "linear_component_cross", "power_cross"):
+        got = getattr(rep, field)
+        assert got.keys() == want[field].keys()
+        for key, value in want[field].items():
+            assert got[key] == pytest.approx(value, abs=1e-12), (field, key)
+    _assert_law(rep.s_atoms, rep.s_probs, want["s_law"])
+    _assert_law(rep.u_atoms, rep.u_probs, want["u_law"])
+    u_atoms, u_probs, theta = oracle.exact_u_distribution(kernel, dist, n)
+    _assert_law(u_atoms, u_probs, want["u_law"])
+    assert theta == pytest.approx(want["theta"], abs=1e-12)
+    assert (rep.tuples, rep.type_classes) == (
+        dist.atoms.size**n,
+        math.comb(n + dist.atoms.size - 1, n),
+    )
+
+
+def test_u_law_matches_tuple_walk_on_degenerate_config():
+    kernel, dist = model.variance_kernel(), model.bernoulli(0.5)
+    u_atoms, u_probs, theta = oracle.exact_u_distribution(kernel, dist, 4)
+    want = brute_force_laws(kernel, dist, 4, decomposed=False)
+    _assert_law(u_atoms, u_probs, want["u_law"])
+    assert theta == pytest.approx(want["theta"], abs=1e-12)
+
+
+def test_oracle_evaluates_one_row_per_type_class(monkeypatch):
+    cells = []
+    kernel_values = model.kernel_values
+
+    def counting(kernel, columns):
+        out = kernel_values(kernel, columns)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(model, "kernel_values", counting)
+    kernel, dist = model.variance_kernel(), model.distribution_preset("uniform-atoms:-1,0,1")
+    oracle.exact_u_distribution(kernel, dist, 12)
+    # one call per pair of sample positions, each over the C(14, 2) classes
+    assert cells == [math.comb(14, 2)] * math.comb(12, 2)
+    cells.clear()
+    oracle.exact_distribution(kernel, dist, 12)
+    # the whole report, projections included, costs fewer cells than 3^12
+    assert sum(cells) < 3**12
 
 
 def test_u_distribution_bernoulli_half_hand_enumeration():
