@@ -16,7 +16,7 @@ import os
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -128,10 +128,9 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             raise ConfigError("studentized estimator needs an order-2 kernel")
         if cfg.n_grid[0] < 3:
             raise ConfigError("studentized estimator needs n >= 3")
-    decs = {
-        n: hoeffding.decompose(kernel, dist, n, seed=cfg.seed) for n in cfg.n_grid
-    }
-    d0 = decs[cfg.n_grid[0]]
+    # the projection and its moment integrals are n-free, so every n shares one
+    d0 = hoeffding.decompose(kernel, dist, cfg.n_grid[0], seed=cfg.seed)
+    decs = {n: replace(d0, n=n) for n in cfg.n_grid}
     return _Resolved(kernel, dist, d0.theta, d0.sigma_g, decs)
 
 
@@ -538,21 +537,6 @@ def _bisect_increasing(
     return 0.5 * (lo + hi)
 
 
-def _bisect_decreasing(
-    fn: Callable[[np.ndarray], np.ndarray],
-    target: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    iters: int = 100,
-) -> np.ndarray:
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        above = fn(mid) > target
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def perturbed_normal_cdf(x, eps: float, a: float) -> np.ndarray:
     """Distribution function of Z - eps(|Z|^(-a) - E|Z|^(-a)), Z standard normal.
 
@@ -586,8 +570,9 @@ def perturbed_normal_cdf(x, eps: float, a: float) -> np.ndarray:
         xb = x[below]
         lo1 = np.minimum(xb - shift, z_star) - 1.0
         z1 = _bisect_increasing(w_neg, xb, lo1, np.full_like(xb, z_star))
-        z2 = _bisect_decreasing(
-            w_neg, xb, np.full_like(xb, z_star), np.full_like(xb, -1e-280)
+        # w_neg decreases on (z_star, 0); its negation is exact and increasing
+        z2 = _bisect_increasing(
+            lambda z: -w_neg(z), -xb, np.full_like(xb, z_star), np.full_like(xb, -1e-280)
         )
         neg_mass = approx.normal_cdf(z1) + 0.5 - approx.normal_cdf(z2)
     else:

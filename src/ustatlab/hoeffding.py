@@ -29,6 +29,12 @@ Three evaluation strategies are supported: exact summation over finite
 support, closed forms for kernels whose degenerate part is a scaled product
 ``coef * (x - mu)(y - mu)``, and nested Monte Carlo with common random
 numbers for the inner conditional expectations.
+
+The projection does not depend on n.  It computes each raw integral
+(E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its
+Monte Carlo standard error, and the functionals above only scale those
+integrals to a sample size; decompositions that differ only in n can share
+one projection.  Standard errors are reported by :func:`moment_summary`.
 """
 
 from __future__ import annotations
@@ -66,6 +72,19 @@ STREAM_INNER = 1 << 40
 STREAM_THETA = (1 << 40) + 1
 STREAM_SIGMA = (1 << 40) + 2
 STREAM_MOMENT_BASE = 1 << 41
+
+# Monte Carlo moment integrals by kind: (fixed, per_order).  The order-p
+# integral draws its columns from streams STREAM_MOMENT_BASE + fixed +
+# per_order * p + j for j < p (one multinomial from the first of them on
+# finite support).  "g3" reads column 0 of "gg_eta"'s stream, so the two
+# Edgeworth inputs are not independent; separating them changes their draws.
+_MOMENT_STREAMS = {
+    "abs_g": (0, 0),
+    "abs_t": (0, 16),
+    "aligned": (0, 64),
+    "gg_eta": (256, 0),
+    "g3": (256, 0),
+}
 
 _CHUNK_CELLS = 4_000_000
 
@@ -217,6 +236,7 @@ class ProjectionSet:
         self.inner_reps = int(inner_reps)
         self.seed = int(seed)
         self.forms: Optional[SeparableForms] = None
+        self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
         k = kernel.order
         if strategy == "analytic":
             forms = separable_forms(kernel, dist)
@@ -229,12 +249,9 @@ class ProjectionSet:
             self.var_g = forms.var_g
             self.var_h = forms.var_h
         elif strategy == "exact":
-            self._tail = dist.atoms
-            self._tail_probs = dist.probs
-            self.theta = self._exact_mean_over(k, lambda cols: model.kernel_values(kernel, cols))
-            g2 = self._exact_mean_over(1, lambda cols: np.square(self._g_exact(cols[0])))
-            h2 = self._exact_mean_over(k, lambda cols: np.square(model.kernel_values(kernel, cols)))
-            self.var_g = g2
+            self.theta, _ = self._expect(k, lambda cols: model.kernel_values(kernel, cols))
+            self.var_g, _ = self._expect(1, lambda cols: np.square(self.g_values(cols[0])))
+            h2, _ = self._expect(k, lambda cols: np.square(model.kernel_values(kernel, cols)))
             self.var_h = h2 - self.theta**2
         elif isinstance(dist, FiniteDiscrete):
             if self.inner_reps < 2:
@@ -285,20 +302,84 @@ class ProjectionSet:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _g_exact(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel.order
-        if k == 1:
-            return model.kernel_values(self.kernel, [x]) - self.theta
-        grid = [g.ravel() for g in np.meshgrid(*([self._tail] * (k - 1)), indexing="ij")]
-        w = np.prod(
-            np.meshgrid(*([self._tail_probs] * (k - 1)), indexing="ij"), axis=0
-        ).ravel()
-        return _weighted_marginal(self.kernel, [x], grid, w) - self.theta
+    def _expect(
+        self, p: int, f: Callable[[list[np.ndarray]], np.ndarray], stream: int = 0
+    ) -> tuple[float, Optional[float]]:
+        """E f over p independent draws, with its SE (None on exact support).
 
-    def _exact_mean_over(self, p: int, f: Callable[[list[np.ndarray]], np.ndarray]) -> float:
-        cols = [g.ravel() for g in np.meshgrid(*([self._tail] * p), indexing="ij")]
-        w = np.prod(np.meshgrid(*([self._tail_probs] * p), indexing="ij"), axis=0).ravel()
-        return float(np.dot(np.asarray(f(cols), dtype=float), w))
+        Monte Carlo uses ``inner_reps`` draws from the streams starting at
+        ``STREAM_MOMENT_BASE + stream``.
+        """
+        dist = self.dist
+        if self.strategy == "exact":
+            cols, w = _atom_grid(dist, p)
+            return float(np.dot(np.asarray(f(cols), dtype=float), w)), None
+        m = self.inner_reps
+        if isinstance(dist, FiniteDiscrete):
+            # The multinomial cell counts carry the same information as m raw
+            # tuples, at O(atoms^p) evaluation cost instead of O(m).
+            cols, w = _atom_grid(dist, p)
+            gen = model.stream_generator(self.seed, STREAM_MOMENT_BASE + stream)
+            mean, _, se = _count_stats(gen.multinomial(m, w), f(cols))
+            return mean, se
+        cols = [
+            model.sample(dist, m, self.seed, STREAM_MOMENT_BASE + stream + j)
+            for j in range(p)
+        ]
+        vals = np.asarray(f(cols), dtype=float)
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
+
+    def moment(
+        self, kind: str, p: int, exponent: float = 1.0
+    ) -> tuple[float, Optional[float]]:
+        """One n-free moment integral and its Monte Carlo SE (else None).
+
+        ``kind`` is ``"abs_g"`` (E|g|^exponent, p = 1), ``"abs_t"``
+        (E|t_p|^exponent), ``"aligned"`` (E[g(x_1)..g(x_p) t_p]), or one of
+        the order-2 Edgeworth inputs ``"gg_eta"`` (E[g g t_2]) and ``"g3"``
+        (E g^3).  Each integral is computed once per projection; callers
+        scale it to a sample size.
+        """
+        key = (kind, p, exponent)
+        if key not in self._moments:
+            self._moments[key] = self._integrate(kind, p, exponent)
+        return self._moments[key]
+
+    def _integrate(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
+        forms = self.forms
+        if forms is not None:
+            if kind == "abs_g":
+                val = model.expectation(
+                    self.dist, lambda x: np.abs(self.g_values(x)) ** exponent
+                )
+            elif kind == "abs_t":
+                abs_centered = model.expectation(
+                    self.dist, lambda x: np.abs(x - forms.mu) ** exponent
+                )
+                val = abs(forms.t2_coef) ** exponent * abs_centered**2
+            elif kind == "g3":
+                val = forms.e_g3
+            else:  # "aligned" or "gg_eta": E[g g t_2] for order-2 kernels
+                val = forms.t2_coef * forms.e_g_centered**2
+            return val, None
+
+        def integrand(cols: list[np.ndarray]) -> np.ndarray:
+            if kind == "abs_g":
+                return np.abs(self.g_values(cols[0])) ** exponent
+            if kind == "g3":
+                return self.g_values(cols[0]) ** 3
+            if kind == "gg_eta":
+                g1, g2 = self.g_values(cols[0]), self.g_values(cols[1])
+                return g1 * g2 * self.component_values(2, cols)
+            t = self.component_values(p, cols)
+            if kind == "abs_t":
+                return t * t if exponent == 2.0 else np.abs(t) ** exponent
+            for c in cols:
+                t = t * self.g_values(c)
+            return t
+
+        fixed, per_order = _MOMENT_STREAMS[kind]
+        return self._expect(p, integrand, fixed + per_order * p)
 
     def marginal_values(self, p: int, cols: Sequence[np.ndarray]) -> np.ndarray:
         """h_p on parallel argument columns."""
@@ -317,13 +398,9 @@ class ProjectionSet:
             assert forms is not None and k == 2 and p == 1
             return forms.g_fn(cols[0]) + forms.theta
         if self.strategy == "exact":
-            tail = k - p
-            grid = [g.ravel() for g in np.meshgrid(*([self._tail] * tail), indexing="ij")]
-            w = np.prod(
-                np.meshgrid(*([self._tail_probs] * tail), indexing="ij"), axis=0
-            ).ravel()
-            return _weighted_marginal(self.kernel, cols, grid, w)
-        grid, w = self._pool_for_tail(k - p)
+            grid, w = _atom_grid(self.dist, k - p)
+        else:
+            grid, w = self._pool_for_tail(k - p)
         return _weighted_marginal(self.kernel, cols, grid, w)
 
     def _pool_for_tail(self, tail: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -333,9 +410,7 @@ class ProjectionSet:
             freq = self._pool_freq
             while freq.ndim > tail:
                 freq = freq.sum(axis=-1)
-            cols = [
-                g.ravel() for g in np.meshgrid(*([dist.atoms] * tail), indexing="ij")
-            ]
+            cols, _ = _atom_grid(dist, tail)
             return cols, freq.ravel()
         grid = [self._inner[:, j] for j in range(tail)]
         return grid, np.full(self.inner_reps, 1.0 / self.inner_reps)
@@ -376,16 +451,6 @@ class ProjectionSet:
     def component(self, p: int, points: Sequence[float]) -> float:
         pts = [np.asarray([float(v)]) for v in points]
         return float(self.component_values(p, pts)[0])
-
-
-def marginal_kernel(proj: ProjectionSet, p: int, points: Sequence[float]) -> float:
-    """h_p at one point tuple."""
-    return proj.marginal(p, points)
-
-
-def degenerate_component(proj: ProjectionSet, p: int, points: Sequence[float]) -> float:
-    """t_p at one point tuple."""
-    return proj.component(p, points)
 
 
 # ---------------------------------------------------------------------------
@@ -502,59 +567,26 @@ def decompose(
 # Moment functionals
 # ---------------------------------------------------------------------------
 
-def _tuple_expectation_exact(
-    dist: FiniteDiscrete, p: int, f: Callable[[list[np.ndarray]], np.ndarray]
-) -> float:
-    cols = [g.ravel() for g in np.meshgrid(*([dist.atoms] * p), indexing="ij")]
-    w = np.prod(np.meshgrid(*([dist.probs] * p), indexing="ij"), axis=0).ravel()
-    return float(np.dot(np.asarray(f(cols), dtype=float), w))
+def _scaled(
+    raw: tuple[float, Optional[float]], scale: Callable[[float], float]
+) -> tuple[float, Optional[float]]:
+    """Apply one n-dependent scale to a raw integral and to its SE."""
+    val, se = raw
+    return scale(val), None if se is None else scale(se)
 
 
-def _tuple_expectation_mc(
-    d: DecomposedStatistic,
-    p: int,
-    f: Callable[[list[np.ndarray]], np.ndarray],
-    stream_offset: int,
-) -> tuple[float, float]:
-    proj = d.projection
-    m = proj.inner_reps
-    if isinstance(proj.dist, FiniteDiscrete):
-        # The multinomial cell counts carry the same information as m raw
-        # tuples, at O(atoms^p) evaluation cost instead of O(m).
-        cols, w = _atom_grid(proj.dist, p)
-        gen = model.stream_generator(proj.seed, STREAM_MOMENT_BASE + stream_offset)
-        counts = gen.multinomial(m, w)
-        mean, _, se = _count_stats(counts, np.asarray(f(cols), dtype=float))
-        return mean, se
-    cols = [
-        model.sample(proj.dist, m, proj.seed, STREAM_MOMENT_BASE + stream_offset + j)
-        for j in range(p)
-    ]
-    vals = np.asarray(f(cols), dtype=float)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
-
-
-def _abs_g_moment(d: DecomposedStatistic, q: float) -> tuple[float, Optional[float]]:
-    """E|g(X)|^q under the decomposition's strategy."""
-    proj = d.projection
-    if proj.strategy == "exact":
-        dist = proj.dist
-        assert isinstance(dist, FiniteDiscrete)
-        g = proj.g_values(dist.atoms)
-        return float(np.dot(np.abs(g) ** q, dist.probs)), None
-    if proj.strategy == "analytic":
-        val = model.expectation(proj.dist, lambda x: np.abs(proj.g_values(x)) ** q)
-        return val, None
-    est, se = _tuple_expectation_mc(d, 1, lambda cols: np.abs(proj.g_values(cols[0])) ** q, 0)
-    return est, se
+def _linear_moment(d: DecomposedStatistic, q: float) -> tuple[float, Optional[float]]:
+    if q < 0:
+        raise ValidationError("q must be nonnegative")
+    return _scaled(
+        d.projection.moment("abs_g", 1, q),
+        lambda v: d.n ** (1.0 - q / 2.0) * v / d.sigma_g**q,
+    )
 
 
 def scaled_linear_moment(d: DecomposedStatistic, q: float) -> float:
     """n E|L_1|^q, the q-th absolute moment of one linear term times n."""
-    if q < 0:
-        raise ValidationError("q must be nonnegative")
-    val, _ = _abs_g_moment(d, q)
-    return d.n ** (1.0 - q / 2.0) * val / d.sigma_g**q
+    return _linear_moment(d, q)[0]
 
 
 def beta(d: DecomposedStatistic) -> float:
@@ -562,38 +594,15 @@ def beta(d: DecomposedStatistic) -> float:
     return scaled_linear_moment(d, 3.0)
 
 
-def beta_se(d: DecomposedStatistic) -> Optional[float]:
-    """MC standard error of :func:`beta`, None on deterministic strategies."""
-    _, se = _abs_g_moment(d, 3.0)
-    if se is None:
-        return None
-    return d.n ** (-0.5) * se / d.sigma_g**3
-
-
-def _abs_component_moment(
-    d: DecomposedStatistic, p: int, alpha: float
-) -> tuple[float, Optional[float]]:
-    """E|t_p|^alpha on independent argument tuples."""
-    proj = d.projection
-
-    def powered(cols: list[np.ndarray]) -> np.ndarray:
-        t = proj.component_values(p, cols)
-        if alpha == 2.0:
-            return t * t
-        return np.abs(t) ** alpha
-
-    if proj.strategy == "exact":
-        dist = proj.dist
-        assert isinstance(dist, FiniteDiscrete)
-        return _tuple_expectation_exact(dist, p, powered), None
-    if proj.strategy == "analytic":
-        forms = proj.forms
-        assert forms is not None and p == 2
-        abs_centered = model.expectation(
-            proj.dist, lambda x: np.abs(x - forms.mu) ** alpha
-        )
-        return abs(forms.t2_coef) ** alpha * abs_centered**2, None
-    return _tuple_expectation_mc(d, p, powered, 16 * p)
+def _gamma_terms(d: DecomposedStatistic, alpha: float) -> list[tuple[float, Optional[float]]]:
+    """(C(n,p) E|T_(1..p)|^alpha, its SE) for p = 1..k."""
+    if not 1.0 <= alpha <= 2.0:
+        raise ValidationError("alpha must lie in [1, 2]")
+    out: list[tuple[float, Optional[float]]] = [(0.0, 0.0)]
+    for p in range(2, d.order + 1):
+        scale = math.comb(d.n, p) * d.t_scale(p) ** alpha
+        out.append(_scaled(d.projection.moment("abs_t", p, alpha), lambda v: scale * v))
+    return out
 
 
 def gamma_components(d: DecomposedStatistic, alpha: float = 2.0) -> tuple[float, ...]:
@@ -602,25 +611,7 @@ def gamma_components(d: DecomposedStatistic, alpha: float = 2.0) -> tuple[float,
     The order-1 entry is identically zero: the decomposition routes the
     whole order-1 component into the linear part.
     """
-    if not 1.0 <= alpha <= 2.0:
-        raise ValidationError("alpha must lie in [1, 2]")
-    out = [0.0]
-    for p in range(2, d.order + 1):
-        val, _ = _abs_component_moment(d, p, alpha)
-        scale = math.comb(d.n, p) * d.t_scale(p) ** alpha
-        out.append(scale * val)
-    return tuple(out)
-
-
-def gamma_components_se(d: DecomposedStatistic, alpha: float = 2.0) -> Optional[tuple[float, ...]]:
-    if d.projection.strategy != "monte-carlo":
-        return None
-    out = [0.0]
-    for p in range(2, d.order + 1):
-        _, se = _abs_component_moment(d, p, alpha)
-        scale = math.comb(d.n, p) * d.t_scale(p) ** alpha
-        out.append(scale * (se or 0.0))
-    return tuple(out)
+    return tuple(val for val, _ in _gamma_terms(d, alpha))
 
 
 def gamma_alpha(d: DecomposedStatistic, alpha: float) -> float:
@@ -633,50 +624,22 @@ def gamma_var(d: DecomposedStatistic) -> float:
     return gamma_alpha(d, 2.0)
 
 
+def _kappa(d: DecomposedStatistic, p: int) -> tuple[float, Optional[float]]:
+    if not 1 <= p <= d.order:
+        raise ValidationError(f"p must lie in [1, {d.order}]")
+    if p == 1:
+        return 0.0, None
+    factor = math.comb(d.n, p) * d.l_scale**p * d.t_scale(p)
+    return _scaled(d.projection.moment("aligned", p), lambda v: factor * v)
+
+
 def kappa(d: DecomposedStatistic, p: int) -> float:
     """Aligned cross moment kappa_p = C(n,p) E[L_1..L_p T_(1..p)].
 
     kappa_1 vanishes identically for decomposed statistics (the remainder
     carries no order-1 component) and is returned as exact zero.
     """
-    if not 1 <= p <= d.order:
-        raise ValidationError(f"p must lie in [1, {d.order}]")
-    if p == 1:
-        return 0.0
-    proj = d.projection
-
-    def aligned(cols: list[np.ndarray]) -> np.ndarray:
-        prod = proj.component_values(p, cols)
-        for c in cols:
-            prod = prod * proj.g_values(c)
-        return prod
-
-    if proj.strategy == "analytic":
-        forms = proj.forms
-        assert forms is not None and p == 2
-        raw = forms.t2_coef * forms.e_g_centered**2
-    elif proj.strategy == "exact":
-        dist = proj.dist
-        assert isinstance(dist, FiniteDiscrete)
-        raw = _tuple_expectation_exact(dist, p, aligned)
-    else:
-        raw, _ = _tuple_expectation_mc(d, p, aligned, 64 * p)
-    return math.comb(d.n, p) * d.l_scale**p * d.t_scale(p) * raw
-
-
-def kappa_se(d: DecomposedStatistic, p: int) -> Optional[float]:
-    if d.projection.strategy != "monte-carlo" or p == 1:
-        return None
-    proj = d.projection
-
-    def aligned(cols: list[np.ndarray]) -> np.ndarray:
-        prod = proj.component_values(p, cols)
-        for c in cols:
-            prod = prod * proj.g_values(c)
-        return prod
-
-    _, se = _tuple_expectation_mc(d, p, aligned, 64 * p)
-    return math.comb(d.n, p) * d.l_scale**p * d.t_scale(p) * (se or 0.0)
+    return _kappa(d, p)[0]
 
 
 def kappa_vector(d: DecomposedStatistic) -> tuple[float, ...]:
@@ -688,33 +651,8 @@ def order2_edgeworth_inputs(d: DecomposedStatistic) -> tuple[float, float, float
     """(E[g1 g2 t2], E[g^3], sigma_g) for order-2 Edgeworth comparators."""
     if d.order != 2:
         raise ValidationError("Edgeworth comparator inputs need an order-2 kernel")
-    proj = d.projection
-    if proj.strategy == "analytic":
-        forms = proj.forms
-        assert forms is not None
-        return forms.t2_coef * forms.e_g_centered**2, forms.e_g3, d.sigma_g
-    if proj.strategy == "exact":
-        dist = proj.dist
-        assert isinstance(dist, FiniteDiscrete)
-        e_gg_eta = _tuple_expectation_exact(
-            dist,
-            2,
-            lambda cols: proj.g_values(cols[0])
-            * proj.g_values(cols[1])
-            * proj.component_values(2, cols),
-        )
-        g = proj.g_values(dist.atoms)
-        return e_gg_eta, float(np.dot(g**3, dist.probs)), d.sigma_g
-
-    def aligned(cols: list[np.ndarray]) -> np.ndarray:
-        return (
-            proj.g_values(cols[0])
-            * proj.g_values(cols[1])
-            * proj.component_values(2, cols)
-        )
-
-    e_gg_eta, _ = _tuple_expectation_mc(d, 2, aligned, 256)
-    e_g3, _ = _tuple_expectation_mc(d, 1, lambda cols: proj.g_values(cols[0]) ** 3, 256)
+    e_gg_eta, _ = d.projection.moment("gg_eta", 2)
+    e_g3, _ = d.projection.moment("g3", 1)
     return e_gg_eta, e_g3, d.sigma_g
 
 
@@ -781,41 +719,37 @@ class MomentSummary:
 
 
 def moment_summary(d: DecomposedStatistic, alpha: float = 2.0) -> MomentSummary:
-    """Compute beta, gamma, gamma^(alpha), and the kappa vector."""
-    comps2 = gamma_components(d, 2.0)
-    comps_a = gamma_components(d, alpha) if alpha != 2.0 else comps2
-    kap = kappa_vector(d)
-    method = d.projection.strategy
-    if method != "monte-carlo":
-        return MomentSummary(
-            n=d.n,
-            kernel_order=d.order,
-            alpha=alpha,
-            beta=beta(d),
-            gamma=float(sum(comps2)),
-            gamma_components=comps2,
-            gamma_alpha=float(sum(comps_a)),
-            gamma_alpha_components=comps_a,
-            kappa=kap,
-            method=method,
+    """Compute beta, gamma, gamma^(alpha), and the kappa vector.
+
+    Under the monte-carlo strategy the summary also carries their standard
+    errors, scaled from the same integrals as the estimates.
+    """
+    b, b_se = _linear_moment(d, 3.0)
+    terms2 = _gamma_terms(d, 2.0)
+    terms_a = _gamma_terms(d, alpha)
+    kap = [_kappa(d, p) for p in range(1, d.order + 1)]
+    ses: dict = {}
+    if d.projection.strategy == "monte-carlo":
+        ses = dict(
+            beta_se=b_se,
+            gamma_se=float(math.sqrt(sum(se * se for _, se in terms2))),
+            gamma_alpha_se=float(math.sqrt(sum(se * se for _, se in terms_a))),
+            kappa_se=tuple(se for _, se in kap),
         )
-    se2 = gamma_components_se(d, 2.0) or ()
-    se_a = gamma_components_se(d, alpha) or () if alpha != 2.0 else se2
+    comps2 = tuple(val for val, _ in terms2)
+    comps_a = tuple(val for val, _ in terms_a)
     return MomentSummary(
         n=d.n,
         kernel_order=d.order,
         alpha=alpha,
-        beta=beta(d),
+        beta=b,
         gamma=float(sum(comps2)),
         gamma_components=comps2,
         gamma_alpha=float(sum(comps_a)),
         gamma_alpha_components=comps_a,
-        kappa=kap,
-        method=method,
-        beta_se=beta_se(d),
-        gamma_se=float(math.sqrt(sum(s * s for s in se2))),
-        gamma_alpha_se=float(math.sqrt(sum(s * s for s in se_a))),
-        kappa_se=tuple(kappa_se(d, p) for p in range(1, d.order + 1)),
+        kappa=tuple(val for val, _ in kap),
+        method=d.projection.strategy,
+        **ses,
     )
 
 

@@ -93,10 +93,10 @@ def test_acceptance_02_oracle_orthogonality_and_mc_coverage():
             mc = hoeffding.decompose(
                 kernel, dist, n, strategy="monte-carlo", seed=seed
             )
-            b_se = hoeffding.beta_se(mc)
-            k_se = hoeffding.kappa_se(mc, 2)
-            g_se = hoeffding.gamma_components_se(mc, 2.0)
-            g_tot_se = math.sqrt(sum(s * s for s in g_se))
+            summary = hoeffding.moment_summary(mc)
+            b_se = summary.beta_se
+            k_se = summary.kappa_se[1]
+            g_tot_se = summary.gamma_se
             run_ok &= abs(hoeffding.beta(mc) - b_ref) <= 4.0 * b_se
             run_ok &= abs(hoeffding.gamma_var(mc) - g_ref) <= 4.0 * g_tot_se
             run_ok &= abs(hoeffding.kappa(mc, 2) - k_ref) <= 4.0 * k_se

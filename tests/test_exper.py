@@ -321,6 +321,42 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
         assert sorted(calls) == list(range(chunks))
 
 
+def test_experiment_shares_one_projection_across_n(monkeypatch):
+    projections, cells, streams = [], [], []
+    kernel_values, sample = model.kernel_values, model.sample
+
+    class SmallProjection(hoeffding.ProjectionSet):
+        def __init__(self, *args, **kw):
+            projections.append(self)
+            super().__init__(*args, **{**kw, "inner_reps": 200})
+
+    def counting_kernel(kernel, columns):
+        out = kernel_values(kernel, columns)
+        cells.append(out.size)
+        return out
+
+    def counting_sample(dist, n, seed, stream=0):
+        streams.append(stream)
+        return sample(dist, n, seed, stream)
+
+    monkeypatch.setattr(hoeffding, "ProjectionSet", SmallProjection)
+    monkeypatch.setattr(model, "kernel_values", counting_kernel)
+    monkeypatch.setattr(model, "sample", counting_sample)
+    adjusted = exper.TargetSpec("adjusted")
+    exper.run_ecdf_experiment(small_config(kernel="gini", dist="uniform", target=adjusted))
+    assert len(projections) == 1
+    # the kappa_2 integral draws its two columns from these streams
+    kappa2 = hoeffding.STREAM_MOMENT_BASE + 128
+    assert streams.count(kappa2) == streams.count(kappa2 + 1) == 1
+    grid_cells = sum(cells)
+    cells.clear()
+    exper.run_ecdf_experiment(
+        small_config(kernel="gini", dist="uniform", target=adjusted, n_grid=(8,))
+    )
+    # no kernel cell depends on n: three sample sizes cost what one does
+    assert grid_cells == sum(cells)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic comparator study
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Decomposition and moment-functional tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,12 +74,12 @@ def test_degenerate_component_is_conditionally_centered():
 
 
 def test_marginal_full_order_is_centered_kernel():
-    # the order-k marginal is the kernel itself; helper wrappers agree
+    # the order-k marginal is the kernel itself; the point accessors agree
     d = variance_normal(8)
     pts = [1.5, -0.5]
     want = model.eval_kernel(d.kernel, pts)
-    assert hoeffding.marginal_kernel(d.projection, 2, pts) == pytest.approx(want)
-    t2 = hoeffding.degenerate_component(d.projection, 2, pts)
+    assert d.projection.marginal(2, pts) == pytest.approx(want)
+    t2 = d.projection.component(2, pts)
     g = d.projection.g_values(np.array(pts))
     assert t2 == pytest.approx(want - d.theta - g.sum(), abs=1e-12)
 
@@ -226,17 +227,18 @@ def test_cross_moment_identity_for_pure_order2_remainder():
 def test_exact_and_mc_strategies_agree():
     exact = gini_bern(8)
     mc = gini_bern(8, strategy="monte-carlo", inner_reps=40_000, seed=11)
-    assert hoeffding.beta_se(exact) is None
-    b_se = hoeffding.beta_se(mc)
+    assert hoeffding.moment_summary(exact).beta_se is None
+    summary = hoeffding.moment_summary(mc)
+    b_se = summary.beta_se
     assert b_se is not None and b_se > 0.0
     assert abs(hoeffding.beta(mc) - hoeffding.beta(exact)) < 4.0 * b_se
-    k_se = hoeffding.kappa_se(mc, 2)
+    k_se = summary.kappa_se[1]
     assert k_se is not None and k_se > 0.0
     assert abs(hoeffding.kappa(mc, 2) - hoeffding.kappa(exact, 2)) < 4.0 * k_se
-    g_se = hoeffding.gamma_components_se(mc, 2.0)
+    g_se = summary.gamma_se
     assert g_se is not None
     diff = hoeffding.gamma_var(mc) - hoeffding.gamma_var(exact)
-    assert abs(diff) < 4.0 * math.sqrt(sum(s * s for s in g_se))
+    assert abs(diff) < 4.0 * g_se
 
 
 def test_moment_summary_round_trip():
@@ -255,6 +257,30 @@ def test_moment_summary_round_trip():
     assert payload_mc["method"] == "monte-carlo"
     assert payload_mc["beta_se"] > 0.0
     assert len(payload_mc["kappa_se"]) == 2
+
+
+@pytest.mark.parametrize(
+    "dist, columns",
+    [("uniform", (0, 32, 33, 128, 129)), ("bernoulli:0.3", (0, 32, 128))],
+)
+def test_moment_summary_integrates_each_moment_once(monkeypatch, dist, columns):
+    d = hoeffding.decompose(
+        model.gini_kernel(), model.distribution_preset(dist), 16,
+        strategy="monte-carlo", inner_reps=200, seed=1,
+    )
+    streams = []
+    make = model.stream_generator
+
+    def counting(seed, stream=0):
+        streams.append(stream)
+        return make(seed, stream)
+
+    monkeypatch.setattr(model, "stream_generator", counting)
+    hoeffding.moment_summary(d)
+    # beta, gamma and kappa_2 draw once each, SEs included
+    assert sorted(streams) == [hoeffding.STREAM_MOMENT_BASE + c for c in columns]
+    hoeffding.moment_summary(dataclasses.replace(d, n=64))
+    assert len(streams) == len(columns)
 
 
 @pytest.mark.parametrize(
