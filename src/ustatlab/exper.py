@@ -36,7 +36,6 @@ SCHEMA_VERSION = "v1"
 CHUNK_REPLICATES = 4096
 DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256)
 DEFAULT_REPS = 200_000
-_PAIR_CELL_BUDGET = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +139,7 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
 
 def _row_u_values(kernel: model.Kernel, rows: np.ndarray) -> np.ndarray:
     """U-statistic of ``kernel`` for every row of ``rows``."""
-    n = rows.shape[1]
-    base = kernel.ident.split(":", 1)[0]
-    if base == "variance":
-        return rows.var(axis=1, ddof=1)
-    if base == "gini":
-        srt = np.sort(rows, axis=1)
-        coef = 2.0 * np.arange(1, n + 1) - n - 1
-        return srt @ coef * (2.0 / (n * (n - 1)))
-    if base == "product":
-        s1 = rows.sum(axis=1)
-        s2 = np.square(rows).sum(axis=1)
-        return (s1 * s1 - s2) / (n * (n - 1))
-    if base == "quadratic":
-        eps = float(kernel.params["eps"])
-        s1 = rows.sum(axis=1)
-        s2 = np.square(rows).sum(axis=1)
-        return s1 / n + eps * (s1 * s1 - s2) / (n * (n - 1))
-    if kernel.order != 2:
-        return np.array([model.u_statistic(kernel, row) for row in rows])
-    i, j = np.triu_indices(n, k=1)
-    out = np.empty(rows.shape[0])
-    step = max(1, _PAIR_CELL_BUDGET // max(1, i.size))
-    for lo in range(0, rows.shape[0], step):
-        hi = min(lo + step, rows.shape[0])
-        vals = np.asarray(kernel.fn(rows[lo:hi, i], rows[lo:hi, j]), dtype=float)
-        out[lo:hi] = vals.mean(axis=1)
-    return out
+    return kernel.rows.u(rows)
 
 
 def _row_jackknife_stats(
@@ -174,51 +147,15 @@ def _row_jackknife_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(U-statistic, jackknife variance of the linear scale) per row.
 
-    Order-2 kernels only.  The variance estimate set is built from the
-    leave-one-out means, which are order-invariant, so closed forms may
-    evaluate them on sorted rows.
+    Order-2 kernels only.  The variance estimate is built from the
+    leave-one-out means, which ``kernel.rows.loo`` returns as a fresh array.
     """
     n = rows.shape[1]
     if n < 3:
         raise InsufficientSample("jackknife variance needs n >= 3")
-    base = kernel.ident.split(":", 1)[0]
-    if base == "variance":
-        s1 = rows.sum(axis=1, keepdims=True)
-        s2 = np.square(rows).sum(axis=1, keepdims=True)
-        full = 0.5 * (n * np.square(rows) - 2.0 * rows * s1 + s2)
-        q = full / (n - 1)
-    elif base == "gini":
-        srt = np.sort(rows, axis=1)
-        pre = np.cumsum(srt, axis=1)
-        s1 = pre[:, -1:]
-        idx = np.arange(1, n + 1)
-        q = (srt * (2.0 * idx - n) + s1 - 2.0 * pre) / (n - 1)
-    elif base == "product":
-        s1 = rows.sum(axis=1, keepdims=True)
-        q = (rows * s1 - np.square(rows)) / (n - 1)
-    elif base == "quadratic":
-        eps = float(kernel.params["eps"])
-        s1 = rows.sum(axis=1, keepdims=True)
-        full = 0.5 * (n * rows + s1) + eps * rows * s1
-        diag = rows + eps * np.square(rows)
-        q = (full - diag) / (n - 1)
-    else:
-        if kernel.order != 2:
-            raise ValidationError("jackknife fast path needs an order-2 kernel")
-        i, j = np.triu_indices(n, k=1)
-        q = np.empty_like(rows)
-        step = max(1, _PAIR_CELL_BUDGET // max(1, i.size))
-        for lo in range(0, rows.shape[0], step):
-            hi = min(lo + step, rows.shape[0])
-            vals = np.asarray(kernel.fn(rows[lo:hi, i], rows[lo:hi, j]), dtype=float)
-            sums = np.zeros((hi - lo, n))
-            ridx = np.broadcast_to(np.arange(hi - lo)[:, None], vals.shape)
-            np.add.at(sums, (ridx, np.broadcast_to(i, vals.shape)), vals)
-            np.add.at(sums, (ridx, np.broadcast_to(j, vals.shape)), vals)
-            q[lo:hi] = sums / (n - 1)
+    q = kernel.rows.loo(rows)
     u = q.mean(axis=1)
-    # q is a fresh array in every branch; reusing it for the squared
-    # deviations keeps the peak memory of concurrent chunks down
+    # q is fresh, so reusing it for the squared deviations cuts peak memory
     q -= u[:, None]
     var_hat = (n - 1) / (n - 2) ** 2 * np.sum(np.square(q, out=q), axis=1)
     return u, var_hat

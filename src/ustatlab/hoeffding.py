@@ -26,9 +26,9 @@ Moment functionals of the split:
   non-aligned term in E[L_1..L_p T]).
 
 Three evaluation strategies are supported: exact summation over finite
-support, closed forms for kernels whose degenerate part is a scaled product
-``coef * (x - mu)(y - mu)``, and nested Monte Carlo with common random
-numbers for the inner conditional expectations.
+support, closed forms for kernels that declare ``Kernel.quad_coefs`` (their
+degenerate part is ``c * (x - mu)(y - mu)``; the name never selects them),
+and nested Monte Carlo with common random numbers for the inner expectations.
 
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its
@@ -108,54 +108,39 @@ class SeparableForms:
 
 
 def separable_forms(kernel: Kernel, dist: Distribution) -> Optional[SeparableForms]:
-    """Return closed forms when the kernel family supports them, else None."""
-    if kernel.order != 2:
+    """Closed forms from the kernel's ``quad_coefs``, or None without them.
+
+    For h = a(x+y) + b(x^2+y^2) + c*x*y and z = x - mu, the projection is
+    g = lin*z + b(z^2 - s2) with lin = a + (2b+c)*mu, and t_2 = c*z*w, so
+    every moment is a polynomial in the central moments s2, m3, .., m6.
+    """
+    if kernel.quad_coefs is None:
         return None
-    base = kernel.ident.split(":", 1)[0]
-    if base not in ("variance", "product", "quadratic"):
-        return None
+    a, b, c = kernel.quad_coefs
     mu = model.mean(dist)
     s2 = model.variance(dist)
     m3 = model.central_moment(dist, 3)
     m4 = model.central_moment(dist, 4)
-    if base == "variance":
-        m6 = model.central_moment(dist, 6)
-        return SeparableForms(
-            theta=s2,
-            mu=mu,
-            g_fn=lambda x: 0.5 * (np.square(x - mu) - s2),
-            t2_coef=-1.0,
-            var_g=0.25 * (m4 - s2 * s2),
-            var_h=0.5 * m4 + 0.5 * s2 * s2,
-            e_g3=0.125 * (m6 - 3.0 * s2 * m4 + 2.0 * s2**3),
-            e_g_centered=0.5 * m3,
-        )
-    if base == "product":
-        raw2 = s2 + mu * mu
-        return SeparableForms(
-            theta=mu * mu,
-            mu=mu,
-            g_fn=lambda x: mu * (x - mu),
-            t2_coef=1.0,
-            var_g=mu * mu * s2,
-            var_h=raw2 * raw2 - mu**4,
-            e_g3=mu**3 * m3,
-            e_g_centered=mu * s2,
-        )
-    eps = kernel.params["eps"]
-    c1 = 0.5 + eps * mu
-    raw2 = s2 + mu * mu
-    theta = mu + eps * mu * mu
-    var_h = 0.5 * (raw2 + mu * mu) + 2.0 * eps * mu * raw2 + eps * eps * raw2 * raw2 - theta * theta
+    m5 = model.central_moment(dist, 5)
+    m6 = model.central_moment(dist, 6)
+    sq = 2.0 * b + c
+    lin = a + sq * mu
+    var_g = lin * lin * s2 + 2.0 * lin * b * m3 + b * b * (m4 - s2 * s2)
     return SeparableForms(
-        theta=theta,
+        theta=2.0 * a * mu + sq * mu * mu + 2.0 * b * s2,
         mu=mu,
-        g_fn=lambda x: c1 * (x - mu),
-        t2_coef=eps,
-        var_g=c1 * c1 * s2,
-        var_h=var_h,
-        e_g3=c1**3 * m3,
-        e_g_centered=c1 * s2,
+        g_fn=lambda x: lin * (x - mu) + b * (np.square(x - mu) - s2),
+        t2_coef=c,
+        var_g=var_g,
+        # Hoeffding's orthogonality: var h = 2 var g + var t_2
+        var_h=2.0 * var_g + c * c * s2 * s2,
+        e_g3=(
+            lin**3 * m3
+            + 3.0 * lin * lin * b * (m4 - s2 * s2)
+            + 3.0 * lin * b * b * (m5 - 2.0 * s2 * m3)
+            + b**3 * (m6 - 3.0 * s2 * m4 + 2.0 * s2**3)
+        ),
+        e_g_centered=lin * s2 + b * m3,
     )
 
 
@@ -219,13 +204,13 @@ class ProjectionSet:
             raise ValidationError(
                 f"decomposition supports kernel order <= {MAX_DECOMPOSE_ORDER}"
             )
+        forms = None
         if strategy == "auto":
             if isinstance(dist, FiniteDiscrete):
                 strategy = "exact"
-            elif separable_forms(kernel, dist) is not None:
-                strategy = "analytic"
             else:
-                strategy = "monte-carlo"
+                forms = separable_forms(kernel, dist)
+                strategy = "monte-carlo" if forms is None else "analytic"
         if strategy not in ("exact", "analytic", "monte-carlo"):
             raise ValidationError(f"unknown strategy {strategy!r}")
         if strategy == "exact" and not isinstance(dist, FiniteDiscrete):
@@ -239,7 +224,7 @@ class ProjectionSet:
         self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
         k = kernel.order
         if strategy == "analytic":
-            forms = separable_forms(kernel, dist)
+            forms = forms or separable_forms(kernel, dist)
             if forms is None:
                 raise ValidationError(
                     f"no analytic forms for kernel {kernel.ident!r} under {dist.ident!r}"

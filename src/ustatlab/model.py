@@ -14,6 +14,9 @@ Design notes
   inner draws and moment estimates of ``hoeffding``.
 * Built-in kernels are written so that evaluation is exactly (bit-for-bit)
   invariant under argument permutation.
+* Kernel closed forms (``Kernel.quad_coefs`` and ``Kernel.rows``) are set
+  only by the preset constructors, never inferred from ``ident``; other
+  kernels take the exact or Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -271,22 +274,42 @@ def distribution_preset(ident: str) -> Distribution:
 # Kernels
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RowForms:
+    """Closed forms over the rows of an ``(m, n)`` block of samples.
+
+    ``u(rows)`` returns the U-statistic of each row.  ``loo(rows)`` returns
+    a fresh ``(m, n)`` array of the leave-one-out means: entry i of a row is
+    the mean of h(x_i, x_j) over j != i, in any order within the row.
+    """
+
+    u: Callable[[np.ndarray], np.ndarray]
+    loo: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Symmetric kernel of ``order`` scalar arguments.
 
     ``fn`` must accept ``order`` numpy-broadcastable arguments.  ``params``
-    carries named kernel parameters (used by analytic projections).
+    carries named kernel parameters; nothing dispatches on them or on
+    ``ident``.  ``quad_coefs = (a, b, c)`` states that an order-2 kernel is
+    h = a(x+y) + b(x^2+y^2) + c*x*y, and ``rows`` holds its per-row closed
+    forms; both stay None unless a preset constructor knows them.
     """
 
     ident: str
     order: int
     fn: Callable[..., np.ndarray]
     params: dict[str, float] = field(default_factory=dict)
+    quad_coefs: Optional[tuple[float, float, float]] = None
+    rows: Optional[RowForms] = None
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValidationError("kernel order must be at least 1")
+        if self.quad_coefs is not None and self.order != 2:
+            raise ValidationError("quad_coefs describe order-2 kernels only")
 
 
 def eval_kernel(kernel: Kernel, points: Sequence[float]) -> float:
@@ -324,17 +347,55 @@ def _product_fn(x, y):
 
 def variance_kernel() -> Kernel:
     """h(x, y) = (x - y)^2 / 2; its U-statistic is the sample variance."""
-    return Kernel("variance", 2, _variance_fn)
+
+    def u(rows):
+        return rows.var(axis=1, ddof=1)
+
+    def loo(rows):
+        n = rows.shape[1]
+        s1 = rows.sum(axis=1, keepdims=True)
+        s2 = np.square(rows).sum(axis=1, keepdims=True)
+        full = 0.5 * (n * np.square(rows) - 2.0 * rows * s1 + s2)
+        return full / (n - 1)
+
+    return Kernel("variance", 2, _variance_fn, quad_coefs=(0.0, 0.5, -1.0), rows=RowForms(u, loo))
 
 
 def gini_kernel() -> Kernel:
     """h(x, y) = |x - y|, the mean absolute difference kernel."""
-    return Kernel("gini", 2, _gini_fn)
+
+    def u(rows):
+        n = rows.shape[1]
+        srt = np.sort(rows, axis=1)
+        coef = 2.0 * np.arange(1, n + 1) - n - 1
+        return srt @ coef * (2.0 / (n * (n - 1)))
+
+    def loo(rows):
+        n = rows.shape[1]
+        srt = np.sort(rows, axis=1)
+        pre = np.cumsum(srt, axis=1)
+        s1 = pre[:, -1:]
+        idx = np.arange(1, n + 1)
+        return (srt * (2.0 * idx - n) + s1 - 2.0 * pre) / (n - 1)
+
+    return Kernel("gini", 2, _gini_fn, rows=RowForms(u, loo))
 
 
 def product_kernel() -> Kernel:
     """h(x, y) = x * y; fully degenerate under centered distributions."""
-    return Kernel("product", 2, _product_fn)
+
+    def u(rows):
+        n = rows.shape[1]
+        s1 = rows.sum(axis=1)
+        s2 = np.square(rows).sum(axis=1)
+        return (s1 * s1 - s2) / (n * (n - 1))
+
+    def loo(rows):
+        n = rows.shape[1]
+        s1 = rows.sum(axis=1, keepdims=True)
+        return (rows * s1 - np.square(rows)) / (n - 1)
+
+    return Kernel("product", 2, _product_fn, quad_coefs=(0.0, 0.0, 1.0), rows=RowForms(u, loo))
 
 
 def quadratic_kernel(eps: float) -> Kernel:
@@ -350,7 +411,23 @@ def quadratic_kernel(eps: float) -> Kernel:
     def fn(x, y):
         return 0.5 * (x + y) + eps * (x * y)
 
-    return Kernel(f"quadratic:{eps:g}", 2, fn, params={"eps": float(eps)})
+    def u(rows):
+        n = rows.shape[1]
+        s1 = rows.sum(axis=1)
+        s2 = np.square(rows).sum(axis=1)
+        return s1 / n + eps * (s1 * s1 - s2) / (n * (n - 1))
+
+    def loo(rows):
+        n = rows.shape[1]
+        s1 = rows.sum(axis=1, keepdims=True)
+        full = 0.5 * (n * rows + s1) + eps * rows * s1
+        diag = rows + eps * np.square(rows)
+        return (full - diag) / (n - 1)
+
+    return Kernel(
+        f"quadratic:{eps:g}", 2, fn, params={"eps": float(eps)},
+        quad_coefs=(0.5, 0.0, float(eps)), rows=RowForms(u, loo),
+    )
 
 
 def kernel_preset(ident: str) -> Kernel:

@@ -45,24 +45,6 @@ def test_row_u_fast_paths_match_reference(ident):
     np.testing.assert_allclose(fast, want, rtol=1e-12, atol=1e-13)
 
 
-def test_row_u_generic_order2_path():
-    kernel = model.symmetrize(lambda x, y: np.cos(x - y), order=2)
-    rng = np.random.default_rng(1)
-    rows = rng.normal(size=(25, 6))
-    fast = exper._row_u_values(kernel, rows)
-    want = np.array([model.u_statistic(kernel, row) for row in rows])
-    np.testing.assert_allclose(fast, want, rtol=1e-12)
-
-
-def test_row_u_order3_fallback():
-    kernel = model.symmetrize(lambda a, b, c: a * b * c, order=3)
-    rng = np.random.default_rng(2)
-    rows = rng.normal(size=(10, 6))
-    fast = exper._row_u_values(kernel, rows)
-    want = np.array([model.u_statistic(kernel, row) for row in rows])
-    np.testing.assert_allclose(fast, want, rtol=1e-11)
-
-
 @pytest.mark.parametrize(
     "ident", ["variance", "gini", "product", "quadratic:0.3"]
 )
@@ -76,20 +58,6 @@ def test_row_jackknife_fast_paths_match_reference(ident):
         assert var_hat[r] == pytest.approx(
             studentize.jackknife_variance(kernel, rows[r]), rel=1e-10
         )
-
-
-def test_row_jackknife_generic_path():
-    kernel = model.symmetrize(lambda x, y: np.abs(x - y) ** 1.5, order=2)
-    rng = np.random.default_rng(4)
-    rows = rng.normal(size=(12, 7))
-    u, var_hat = exper._row_jackknife_stats(kernel, rows)
-    for r in range(rows.shape[0]):
-        assert var_hat[r] == pytest.approx(
-            studentize.jackknife_variance(kernel, rows[r]), rel=1e-10
-        )
-    assert u == pytest.approx(
-        [model.u_statistic(kernel, row) for row in rows], rel=1e-11
-    )
 
 
 def test_row_jackknife_needs_three_points():

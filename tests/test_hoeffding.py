@@ -314,6 +314,91 @@ def test_inequality_item_b2_is_tight():
 
 
 # ---------------------------------------------------------------------------
+# Closed forms come from the kernel's fields, not its name
+# ---------------------------------------------------------------------------
+
+def _mc_decompose(kernel, dist_ident):
+    return hoeffding.decompose(
+        kernel, model.distribution_preset(dist_ident), 10, inner_reps=2000, seed=5
+    )
+
+
+def test_kernel_named_like_a_preset_is_not_treated_as_one():
+    # E h = E[XY] + 1 = 2 under the unit exponential; the product preset's
+    # closed forms would give theta = 1
+    shifted = model.Kernel("product", 2, lambda x, y: x * y + 1.0)
+    d = _mc_decompose(shifted, "exponential")
+    assert d.projection.strategy == "monte-carlo"
+    assert abs(d.theta - 2.0) < 5.0 * d.projection.theta_se
+    # a hand-built "quadratic" has no eps parameter to look up
+    d = _mc_decompose(model.Kernel("quadratic", 2, lambda x, y: 0.5 * (x + y)), "normal")
+    assert d.projection.strategy == "monte-carlo"
+    assert abs(d.theta) < 5.0 * d.projection.theta_se
+    # E|X - Y|^2 = 2 var X = 2, not the variance preset's theta of 1
+    sq = model.symmetrize(lambda x, y: np.abs(x - y) ** 2, 2, ident="variance")
+    d = _mc_decompose(sq, "exponential")
+    assert d.projection.strategy == "monte-carlo"
+    assert abs(d.theta - 2.0) < 5.0 * d.projection.theta_se
+
+
+def _quad_kernel(a, b, c):
+    def fn(x, y):
+        return a * (x + y) + b * (x * x + y * y) + c * (x * y)
+
+    return model.Kernel("hand-quadratic", 2, fn, quad_coefs=(a, b, c))
+
+
+@pytest.mark.parametrize("dist_ident", ["bernoulli:0.3", "uniform-atoms:-1,0,2.5"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        model.variance_kernel(),
+        model.product_kernel(),
+        model.quadratic_kernel(0.5),
+        # both lin and b nonzero, so the lin*b cross terms (and m5) count
+        _quad_kernel(0.3, 0.2, -0.5),
+    ],
+    ids=["variance", "product", "quadratic:0.5", "hand-quadratic"],
+)
+def test_analytic_forms_match_exact_enumeration(kernel, dist_ident):
+    dist = model.distribution_preset(dist_ident)
+    ana = hoeffding.decompose(kernel, dist, 9, strategy="analytic")
+    ex = hoeffding.decompose(kernel, dist, 9, strategy="exact")
+    assert ana.projection.strategy == "analytic"
+    for attr in ("theta", "var_g", "var_h"):
+        assert getattr(ana.projection, attr) == pytest.approx(
+            getattr(ex.projection, attr), abs=1e-12
+        )
+    for alpha in (2.0, 1.8):
+        s_ana = hoeffding.moment_summary(ana, alpha)
+        s_ex = hoeffding.moment_summary(ex, alpha)
+        for f in dataclasses.fields(s_ana):
+            if f.name == "method":
+                continue
+            want = getattr(s_ex, f.name)
+            assert getattr(s_ana, f.name) == (
+                want if want is None else pytest.approx(want, abs=1e-12)
+            ), f.name
+    assert hoeffding.order2_edgeworth_inputs(ana) == pytest.approx(
+        hoeffding.order2_edgeworth_inputs(ex), abs=1e-12
+    )
+
+
+def test_auto_strategy_derives_closed_forms_once(monkeypatch):
+    calls = []
+    derive = hoeffding.separable_forms
+
+    def counted(kernel, dist):
+        calls.append(kernel.ident)
+        return derive(kernel, dist)
+
+    monkeypatch.setattr(hoeffding, "separable_forms", counted)
+    d = variance_normal(10)
+    assert d.projection.strategy == "analytic"
+    assert calls == ["variance"]
+
+
+# ---------------------------------------------------------------------------
 # Degeneracy and validation
 # ---------------------------------------------------------------------------
 

@@ -195,6 +195,21 @@ def test_kernel_preset_parsing():
         model.kernel_preset("quadratic:not-a-number")
 
 
+def test_closed_forms_are_set_only_by_presets():
+    assert model.variance_kernel().quad_coefs == (0.0, 0.5, -1.0)
+    assert model.product_kernel().quad_coefs == (0.0, 0.0, 1.0)
+    assert model.kernel_preset("quadratic:0.25").quad_coefs == (0.5, 0.0, 0.25)
+    assert model.gini_kernel().quad_coefs is None
+    for ident in ("variance", "gini", "product", "quadratic:0.25"):
+        assert model.kernel_preset(ident).rows is not None
+    hand = model.Kernel("variance", 2, lambda x, y: 0.5 * (x - y) ** 2)
+    sym = model.symmetrize(lambda x, y: x * y, 2, ident="product")
+    for k in (hand, sym):
+        assert k.quad_coefs is None and k.rows is None
+    with pytest.raises(ValidationError):
+        model.Kernel("cubic", 3, lambda a, b, c: a * b * c, quad_coefs=(0.0, 0.0, 1.0))
+
+
 def test_symmetrize_produces_symmetric_kernel():
     k = model.symmetrize(lambda x, y: x * x * y, order=2)
     assert model.eval_kernel(k, (2.0, 3.0)) == model.eval_kernel(k, (3.0, 2.0))
