@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import approx, exper, hoeffding, model, oracle, studentize
-from .errors import ConfigError, UStatError
+from .errors import ConfigError, IncompatibleOptions, UStatError
 
 THREADS_ENV_VAR = "USTATLAB_THREADS"
 
@@ -375,14 +375,16 @@ def _add_projection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--strategy",
         default="auto",
-        choices=["auto", "exact", "analytic", "monte-carlo"],
-        help="projection strategy",
+        choices=["auto", *hoeffding.STRATEGIES],
+        help="projection strategy: exact (finite support), analytic (closed "
+        "forms), quadrature (Gauss-Legendre rule on the quantile scale of a "
+        "continuous law) or monte-carlo; auto picks the first that applies",
     )
     p.add_argument(
         "--inner-reps",
         type=int,
         default=hoeffding.DEFAULT_INNER_REPS,
-        help="inner sample size for the monte-carlo strategy",
+        help="inner sample size; used only by the monte-carlo strategy",
     )
     p.add_argument("--seed", type=int, default=0)
 
@@ -413,7 +415,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         "--target",
         default="phi",
         choices=["phi", "adjusted", "edgeworth2"],
-        help="reference law for distances",
+        help="reference law for distances (phi only with the studentized estimator)",
     )
     p.add_argument(
         "--order", type=int, default=None, help="adjusted-target correction order"
@@ -556,6 +558,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except IncompatibleOptions as exc:
+        parser.error(str(exc))
     except (UStatError, FileExistsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

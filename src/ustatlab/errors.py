@@ -44,5 +44,9 @@ class ConfigError(ValidationError):
     """Invalid experiment configuration."""
 
 
+class IncompatibleOptions(ConfigError):
+    """Options that are valid alone but not together; the CLI exits 2."""
+
+
 class FitError(UStatError):
     """Too few usable points for a least-squares rate fit."""

@@ -26,6 +26,7 @@ from . import approx, hoeffding, model
 from .errors import (
     ConfigError,
     FitError,
+    IncompatibleOptions,
     InsufficientSample,
     PresetError,
     ValidationError,
@@ -86,6 +87,11 @@ class ExperimentConfig:
             raise ConfigError("reps must be at least 1000")
         if self.estimator not in ("standardized", "studentized"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.estimator == "studentized" and self.target.kind != "phi":
+            # the adjusted and Edgeworth laws expand the standardized statistic
+            raise IncompatibleOptions(
+                f"the studentized estimator has no {self.target.kind} target; use phi"
+            )
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 

@@ -25,20 +25,34 @@ Moment functionals of the split:
   between the linear part and the order-p component (degeneracy kills every
   non-aligned term in E[L_1..L_p T]).
 
-Three evaluation strategies are supported: exact summation over finite
-support, closed forms for kernels that declare ``Kernel.quad_coefs`` (their
-degenerate part is ``c * (x - mu)(y - mu)``; the name never selects them),
-and nested Monte Carlo with common random numbers for the inner expectations.
+Four evaluation strategies are supported:
+
+* ``exact``: weighted sums over the atoms of a finite law;
+* ``analytic``: closed forms for kernels that declare ``Kernel.quad_coefs``
+  (their degenerate part is ``c * (x - mu)(y - mu)``; the name never
+  selects them);
+* ``quadrature``: for continuous laws with a quantile function Q, the
+  ``QUADRATURE_NODES``-point Gauss-Legendre rule on the quantile scale, i.e.
+  the nodes Q((u_i + 1)/2) with weights w_i/2, used exactly like atoms;
+* ``monte-carlo``: nested Monte Carlo with common random numbers for the
+  inner expectations.
+
+``exact`` and ``quadrature`` share one code path: the kernel is evaluated
+once on the product grid of the nodes, and theta, g, t_p and every moment
+integral are weighted sums over tables built from that grid.
 
 The projection does not depend on n.  It computes each raw integral
-(E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its
-Monte Carlo standard error, and the functionals above only scale those
-integrals to a sample size; decompositions that differ only in n can share
-one projection.  Standard errors are reported by :func:`moment_summary`.
+(E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
+bar: the Monte Carlo standard error, or for quadrature the gap
+|Q_N - Q_(N/2)| to the same rule at half the nodes.  The functionals above
+only scale those integrals to a sample size; decompositions that differ only
+in n can share one projection.  Error bars are reported by
+:func:`moment_summary`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,6 +101,13 @@ _MOMENT_STREAMS = {
 }
 
 _CHUNK_CELLS = 4_000_000
+
+# Gauss-Legendre nodes of the quadrature strategy.  The same rule at half as
+# many nodes gives each integral's reported error |Q_N - Q_(N/2)|.  The
+# kernel is tabulated on the N^k node grid, which must fit one chunk of cells.
+QUADRATURE_NODES = 1024
+
+STRATEGIES = ("exact", "analytic", "quadrature", "monte-carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +169,98 @@ def separable_forms(kernel: Kernel, dist: Distribution) -> Optional[SeparableFor
 # Projection strategies
 # ---------------------------------------------------------------------------
 
-def _atom_grid(dist: FiniteDiscrete, p: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Product grid over atoms^p as ravelled columns plus cell weights."""
-    cols = [g.ravel() for g in np.meshgrid(*([dist.atoms] * p), indexing="ij")]
-    w = np.prod(np.meshgrid(*([dist.probs] * p), indexing="ij"), axis=0).ravel()
+def _node_grid(
+    points: np.ndarray, weights: np.ndarray, p: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Product grid over points^p as ravelled columns plus cell weights."""
+    cols = [g.ravel() for g in np.meshgrid(*([points] * p), indexing="ij")]
+    w = np.prod(np.meshgrid(*([weights] * p), indexing="ij"), axis=0).ravel()
     return cols, w
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule moved to (0, 1), as read-only arrays."""
+    from numpy.polynomial.legendre import leggauss
+
+    u, w = leggauss(m)
+    nodes, weights = (u + 1.0) / 2.0, w / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _quadrature_nodes(dist: Continuous, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m Gauss-Legendre nodes on the quantile scale and their weights."""
+    u, w = _gauss_legendre(m)
+    return np.asarray(dist.ppf(u), dtype=float), w
+
+
+def _inclusion_exclusion(
+    out: np.ndarray, p: int, term: Callable[[tuple[int, ...]], np.ndarray | float]
+) -> np.ndarray:
+    """``out`` plus the sum over B of (-1)^(p-|B|) term(B), B a subset of range(p).
+
+    With ``term(B)`` = h_|B| on the arguments B this is t_p.
+    """
+    for size in range(p + 1):
+        sign = 1.0 if (p - size) % 2 == 0 else -1.0
+        for subset in itertools.combinations(range(p), size):
+            out = out + sign * term(subset)
+    return out
+
+
+def _contract(table: np.ndarray, v: np.ndarray) -> float:
+    """Sum of ``table`` weighted by ``v`` along every axis."""
+    while table.ndim:
+        table = table @ v
+    return float(table)
+
+
+class _NodeTables:
+    """Hoeffding tables of one kernel on one weighted node set.
+
+    The kernel is evaluated once on the k-fold product grid of the nodes.
+    Each marginal h_p is that grid contracted with the weights along its
+    last k - p axes, and t_p follows from them by inclusion-exclusion on the
+    p-fold grid, so every moment integral is a weighted sum over one table.
+    """
+
+    def __init__(self, kernel: Kernel, points: np.ndarray, weights: np.ndarray) -> None:
+        k = kernel.order
+        s = points.size
+        # broadcasting puts the nodes on axis i of the (s,)*k grid
+        axes = [points.reshape((s,) + (1,) * (k - 1 - i)) for i in range(k)]
+        h = np.broadcast_to(model.kernel_values(kernel, axes), (s,) * k)
+        marg = [h]
+        for _ in range(k):
+            marg.append(marg[-1] @ weights)
+        marg.reverse()  # marg[p] is h_p on the p-fold grid
+        self.w = weights
+        self.theta = float(marg[0])
+        self.g = marg[1] - self.theta
+        self.var_g = _contract(np.square(self.g), weights)
+        self.var_h = _contract(np.square(h), weights) - self.theta**2
+        # h_|B| placed on the axes B of the p-fold grid
+        self.t = {
+            p: _inclusion_exclusion(
+                np.zeros((s,) * p),
+                p,
+                lambda b, p=p: marg[len(b)].reshape([s if i in b else 1 for i in range(p)]),
+            )
+            for p in range(2, k + 1)
+        }
+
+    def moment(self, kind: str, p: int, exponent: float) -> float:
+        if kind == "abs_g":
+            return _contract(np.abs(self.g) ** exponent, self.w)
+        if kind == "g3":
+            return _contract(self.g**3, self.w)
+        t = self.t[p]
+        if kind == "abs_t":
+            return _contract(np.abs(t) ** exponent, self.w)
+        # "aligned" and "gg_eta": E[g(x_1)..g(x_p) t_p]
+        return _contract(t, self.w * self.g)
 
 
 def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
@@ -184,12 +292,21 @@ def _weighted_marginal(
     return out
 
 
+def _fits_quadrature(kernel: Kernel) -> bool:
+    return QUADRATURE_NODES**kernel.order <= _CHUNK_CELLS
+
+
 class ProjectionSet:
     """Marginal kernels h_p and degenerate components t_p for one pair.
 
     ``strategy`` is one of ``"exact"`` (finite support), ``"analytic"``
-    (separable closed forms), or ``"monte-carlo"`` (nested integration with
-    ``inner_reps`` common-random-number draws shared by every evaluation).
+    (separable closed forms), ``"quadrature"`` (a Gauss-Legendre rule on the
+    quantile scale of a continuous law with a ``ppf``), or ``"monte-carlo"``
+    (nested integration with ``inner_reps`` common-random-number draws
+    shared by every evaluation).  ``"auto"`` picks the first that applies,
+    in that order; quadrature applies to kernels whose node grid of
+    ``QUADRATURE_NODES**order`` cells fits the cell budget, which every
+    order-2 kernel does.  ``inner_reps`` matters only for Monte Carlo.
     """
 
     def __init__(
@@ -200,7 +317,8 @@ class ProjectionSet:
         inner_reps: int = DEFAULT_INNER_REPS,
         seed: int = 0,
     ) -> None:
-        if kernel.order > MAX_DECOMPOSE_ORDER:
+        k = kernel.order
+        if k > MAX_DECOMPOSE_ORDER:
             raise ValidationError(
                 f"decomposition supports kernel order <= {MAX_DECOMPOSE_ORDER}"
             )
@@ -210,11 +328,26 @@ class ProjectionSet:
                 strategy = "exact"
             else:
                 forms = separable_forms(kernel, dist)
-                strategy = "monte-carlo" if forms is None else "analytic"
-        if strategy not in ("exact", "analytic", "monte-carlo"):
+                if forms is not None:
+                    strategy = "analytic"
+                elif dist.ppf is not None and _fits_quadrature(kernel):
+                    strategy = "quadrature"
+                else:
+                    strategy = "monte-carlo"
+        if strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {strategy!r}")
         if strategy == "exact" and not isinstance(dist, FiniteDiscrete):
             raise ValidationError("exact strategy requires finite support")
+        if strategy == "quadrature":
+            if isinstance(dist, FiniteDiscrete) or dist.ppf is None:
+                raise ValidationError(
+                    "quadrature strategy requires a continuous law with a ppf"
+                )
+            if not _fits_quadrature(kernel):
+                raise BudgetError(
+                    f"quadrature grid of {QUADRATURE_NODES}^{k} cells exceeds "
+                    f"budget {_CHUNK_CELLS}"
+                )
         self.kernel = kernel
         self.dist = dist
         self.strategy = strategy
@@ -222,7 +355,12 @@ class ProjectionSet:
         self.seed = int(seed)
         self.forms: Optional[SeparableForms] = None
         self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
-        k = kernel.order
+        # node-set strategies: the tables of each rule, finest first, and the
+        # finest (points, weights) for marginals at arbitrary points
+        self._tables: list[_NodeTables] = []
+        self._nodes: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # Monte Carlo moment columns and h_1 on them, by stream index
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if strategy == "analytic":
             forms = forms or separable_forms(kernel, dist)
             if forms is None:
@@ -233,24 +371,33 @@ class ProjectionSet:
             self.theta = forms.theta
             self.var_g = forms.var_g
             self.var_h = forms.var_h
-        elif strategy == "exact":
-            self.theta, _ = self._expect(k, lambda cols: model.kernel_values(kernel, cols))
-            self.var_g, _ = self._expect(1, lambda cols: np.square(self.g_values(cols[0])))
-            h2, _ = self._expect(k, lambda cols: np.square(model.kernel_values(kernel, cols)))
-            self.var_h = h2 - self.theta**2
+        elif strategy in ("exact", "quadrature"):
+            if strategy == "exact":
+                node_sets = [(dist.atoms, dist.probs)]
+            else:
+                node_sets = [
+                    _quadrature_nodes(dist, m)
+                    for m in (QUADRATURE_NODES, QUADRATURE_NODES // 2)
+                ]
+            self._nodes = node_sets[0]
+            self._tables = [_NodeTables(kernel, *nodes) for nodes in node_sets]
+            fine = self._tables[0]
+            self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h
+            if strategy == "quadrature":
+                self.theta_se = abs(fine.theta - self._tables[1].theta)
         elif isinstance(dist, FiniteDiscrete):
             if self.inner_reps < 2:
                 raise ValidationError("monte-carlo strategy needs inner_reps >= 2")
             m_plug = self.inner_reps * PLUGIN_DRAW_FACTOR
             tail_max = max(1, k - 1)
-            _, pool_w = _atom_grid(dist, tail_max)
+            _, pool_w = _node_grid(dist.atoms, dist.probs, tail_max)
             pool_counts = model.stream_generator(seed, STREAM_INNER).multinomial(
                 m_plug, pool_w
             )
             self._pool_freq = pool_counts.astype(float).reshape(
                 (dist.atoms.size,) * tail_max
             ) / m_plug
-            grid_k, w_k = _atom_grid(dist, k)
+            grid_k, w_k = _node_grid(dist.atoms, dist.probs, k)
             theta_counts = model.stream_generator(seed, STREAM_THETA).multinomial(
                 m_plug, w_k
             )
@@ -287,43 +434,17 @@ class ProjectionSet:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _expect(
-        self, p: int, f: Callable[[list[np.ndarray]], np.ndarray], stream: int = 0
-    ) -> tuple[float, Optional[float]]:
-        """E f over p independent draws, with its SE (None on exact support).
-
-        Monte Carlo uses ``inner_reps`` draws from the streams starting at
-        ``STREAM_MOMENT_BASE + stream``.
-        """
-        dist = self.dist
-        if self.strategy == "exact":
-            cols, w = _atom_grid(dist, p)
-            return float(np.dot(np.asarray(f(cols), dtype=float), w)), None
-        m = self.inner_reps
-        if isinstance(dist, FiniteDiscrete):
-            # The multinomial cell counts carry the same information as m raw
-            # tuples, at O(atoms^p) evaluation cost instead of O(m).
-            cols, w = _atom_grid(dist, p)
-            gen = model.stream_generator(self.seed, STREAM_MOMENT_BASE + stream)
-            mean, _, se = _count_stats(gen.multinomial(m, w), f(cols))
-            return mean, se
-        cols = [
-            model.sample(dist, m, self.seed, STREAM_MOMENT_BASE + stream + j)
-            for j in range(p)
-        ]
-        vals = np.asarray(f(cols), dtype=float)
-        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(m))
-
     def moment(
         self, kind: str, p: int, exponent: float = 1.0
     ) -> tuple[float, Optional[float]]:
-        """One n-free moment integral and its Monte Carlo SE (else None).
+        """One n-free moment integral and its error bar (None when exact).
 
         ``kind`` is ``"abs_g"`` (E|g|^exponent, p = 1), ``"abs_t"``
         (E|t_p|^exponent), ``"aligned"`` (E[g(x_1)..g(x_p) t_p]), or one of
         the order-2 Edgeworth inputs ``"gg_eta"`` (E[g g t_2]) and ``"g3"``
-        (E g^3).  Each integral is computed once per projection; callers
-        scale it to a sample size.
+        (E g^3).  The error bar is the Monte Carlo SE, or |Q_N - Q_(N/2)|
+        under quadrature.  Each integral is computed once per projection;
+        callers scale it to a sample size.
         """
         key = (kind, p, exponent)
         if key not in self._moments:
@@ -345,26 +466,65 @@ class ProjectionSet:
             elif kind == "g3":
                 val = forms.e_g3
             else:  # "aligned" or "gg_eta": E[g g t_2] for order-2 kernels
-                val = forms.t2_coef * forms.e_g_centered**2
+                # adding 0.0 turns an exact -0.0 into 0.0
+                val = forms.t2_coef * forms.e_g_centered**2 + 0.0
             return val, None
+        if self._tables:
+            vals = [tables.moment(kind, p, exponent) for tables in self._tables]
+            return vals[0], abs(vals[0] - vals[1]) if len(vals) > 1 else None
+        return self._monte_carlo(kind, p, exponent)
 
-        def integrand(cols: list[np.ndarray]) -> np.ndarray:
-            if kind == "abs_g":
-                return np.abs(self.g_values(cols[0])) ** exponent
-            if kind == "g3":
-                return self.g_values(cols[0]) ** 3
-            if kind == "gg_eta":
-                g1, g2 = self.g_values(cols[0]), self.g_values(cols[1])
-                return g1 * g2 * self.component_values(2, cols)
-            t = self.component_values(p, cols)
-            if kind == "abs_t":
-                return t * t if exponent == 2.0 else np.abs(t) ** exponent
-            for c in cols:
-                t = t * self.g_values(c)
-            return t
+    def _monte_carlo(self, kind: str, p: int, exponent: float) -> tuple[float, float]:
+        """Monte Carlo estimate and SE over ``inner_reps`` draws.
 
+        The draws come from the streams starting at ``STREAM_MOMENT_BASE``
+        plus the kind's offset in ``_MOMENT_STREAMS``.
+        """
         fixed, per_order = _MOMENT_STREAMS[kind]
-        return self._expect(p, integrand, fixed + per_order * p)
+        stream = STREAM_MOMENT_BASE + fixed + per_order * p
+        dist = self.dist
+        if isinstance(dist, FiniteDiscrete):
+            # The multinomial cell counts carry the same information as m raw
+            # tuples, at O(atoms^p) evaluation cost instead of O(m).
+            cols, w = _node_grid(dist.atoms, dist.probs, p)
+            counts = model.stream_generator(self.seed, stream).multinomial(
+                self.inner_reps, w
+            )
+            h1s = [self.marginal_values(1, [c]) for c in cols]
+            mean, _, se = _count_stats(counts, self._integrand(kind, exponent, cols, h1s))
+            return mean, se
+        cols, h1s = zip(*(self._column(stream + j) for j in range(p)))
+        vals = self._integrand(kind, exponent, cols, h1s)
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(self.inner_reps))
+
+    def _column(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
+        """One Monte Carlo moment column and h_1 on it, each made once."""
+        if stream not in self._columns:
+            x = model.sample(self.dist, self.inner_reps, self.seed, stream)
+            self._columns[stream] = (x, self.marginal_values(1, [x]))
+        return self._columns[stream]
+
+    def _integrand(
+        self,
+        kind: str,
+        exponent: float,
+        cols: Sequence[np.ndarray],
+        h1s: Sequence[np.ndarray],
+    ) -> np.ndarray:
+        """The integrand of ``kind`` on parallel columns, given h_1 on each."""
+        g = [h1 - self.theta for h1 in h1s]
+        if kind == "abs_g":
+            return np.abs(g[0]) ** exponent
+        if kind == "g3":
+            return g[0] ** 3
+        t = self._component(len(cols), cols, h1s)
+        if kind == "gg_eta":
+            return g[0] * g[1] * t
+        if kind == "abs_t":
+            return t * t if exponent == 2.0 else np.abs(t) ** exponent
+        for gc in g:
+            t = t * gc
+        return t
 
     def marginal_values(self, p: int, cols: Sequence[np.ndarray]) -> np.ndarray:
         """h_p on parallel argument columns."""
@@ -382,8 +542,8 @@ class ProjectionSet:
             forms = self.forms
             assert forms is not None and k == 2 and p == 1
             return forms.g_fn(cols[0]) + forms.theta
-        if self.strategy == "exact":
-            grid, w = _atom_grid(self.dist, k - p)
+        if self._nodes is not None:
+            grid, w = _node_grid(*self._nodes, k - p)
         else:
             grid, w = self._pool_for_tail(k - p)
         return _weighted_marginal(self.kernel, cols, grid, w)
@@ -395,7 +555,7 @@ class ProjectionSet:
             freq = self._pool_freq
             while freq.ndim > tail:
                 freq = freq.sum(axis=-1)
-            cols, _ = _atom_grid(dist, tail)
+            cols, _ = _node_grid(dist.atoms, dist.probs, tail)
             return cols, freq.ravel()
         grid = [self._inner[:, j] for j in range(tail)]
         return grid, np.full(self.inner_reps, 1.0 / self.inner_reps)
@@ -425,13 +585,21 @@ class ProjectionSet:
             forms = self.forms
             assert forms is not None
             return forms.t2_coef * (cols[0] - forms.mu) * (cols[1] - forms.mu)
-        out = np.zeros(cols[0].size)
-        for size in range(0, p + 1):
-            sign = 1.0 if (p - size) % 2 == 0 else -1.0
-            for subset in itertools.combinations(range(p), size):
-                vals = self.marginal_values(size, [cols[i] for i in subset])
-                out = out + sign * (vals if size > 0 else float(vals[0]))
-        return out
+        return self._component(p, cols, [self.marginal_values(1, [c]) for c in cols])
+
+    def _component(
+        self, p: int, cols: Sequence[np.ndarray], h1s: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """t_p on parallel columns, given h_1 on each column."""
+
+        def term(subset: tuple[int, ...]):
+            if not subset:
+                return self.theta
+            if len(subset) == 1:
+                return h1s[subset[0]]
+            return self.marginal_values(len(subset), [cols[i] for i in subset])
+
+        return _inclusion_exclusion(np.zeros(cols[0].size), p, term)
 
     def component(self, p: int, points: Sequence[float]) -> float:
         pts = [np.asarray([float(v)]) for v in points]
@@ -555,7 +723,7 @@ def decompose(
 def _scaled(
     raw: tuple[float, Optional[float]], scale: Callable[[float], float]
 ) -> tuple[float, Optional[float]]:
-    """Apply one n-dependent scale to a raw integral and to its SE."""
+    """Apply one n-dependent scale to a raw integral and to its error bar."""
     val, se = raw
     return scale(val), None if se is None else scale(se)
 
@@ -580,7 +748,7 @@ def beta(d: DecomposedStatistic) -> float:
 
 
 def _gamma_terms(d: DecomposedStatistic, alpha: float) -> list[tuple[float, Optional[float]]]:
-    """(C(n,p) E|T_(1..p)|^alpha, its SE) for p = 1..k."""
+    """(C(n,p) E|T_(1..p)|^alpha, its error bar) for p = 1..k."""
     if not 1.0 <= alpha <= 2.0:
         raise ValidationError("alpha must lie in [1, 2]")
     out: list[tuple[float, Optional[float]]] = [(0.0, 0.0)]
@@ -695,7 +863,7 @@ class MomentSummary:
             "kappa": list(self.kappa),
             "method": self.method,
         }
-        if self.method == "monte-carlo":
+        if self.beta_se is not None:
             out["beta_se"] = self.beta_se
             out["gamma_se"] = self.gamma_se
             out["gamma_alpha_se"] = self.gamma_alpha_se
@@ -706,15 +874,16 @@ class MomentSummary:
 def moment_summary(d: DecomposedStatistic, alpha: float = 2.0) -> MomentSummary:
     """Compute beta, gamma, gamma^(alpha), and the kappa vector.
 
-    Under the monte-carlo strategy the summary also carries their standard
-    errors, scaled from the same integrals as the estimates.
+    Under the monte-carlo and quadrature strategies the summary also carries
+    their error bars (Monte Carlo SEs, or |Q_N - Q_(N/2)|), scaled from the
+    same integrals as the estimates.
     """
     b, b_se = _linear_moment(d, 3.0)
     terms2 = _gamma_terms(d, 2.0)
     terms_a = _gamma_terms(d, alpha)
     kap = [_kappa(d, p) for p in range(1, d.order + 1)]
     ses: dict = {}
-    if d.projection.strategy == "monte-carlo":
+    if b_se is not None:
         ses = dict(
             beta_se=b_se,
             gamma_se=float(math.sqrt(sum(se * se for _, se in terms2))),

@@ -16,7 +16,7 @@ Design notes
   invariant under argument permutation.
 * Kernel closed forms (``Kernel.quad_coefs`` and ``Kernel.rows``) are set
   only by the preset constructors, never inferred from ``ident``; other
-  kernels take the exact or Monte Carlo paths.
+  kernels take the exact, quadrature or Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import (
     ArityError,
@@ -91,7 +91,8 @@ class Continuous:
     ``central_moments[p]`` stores the p-th central moment for p up to 6;
     ``abs_moment_fn`` is a closed form for ``E|X|^r`` when one is known.
     Anything missing falls back to adaptive quadrature of ``pdf`` over
-    ``support``.
+    ``support``.  ``ppf`` is the quantile function on (0, 1) when one is
+    known; the quadrature projection in ``hoeffding`` needs it.
     """
 
     ident: str
@@ -102,6 +103,7 @@ class Continuous:
     var: float
     central_moments: dict[int, float] = field(default_factory=dict)
     abs_moment_fn: Optional[Callable[[float], float]] = None
+    ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 Distribution = FiniteDiscrete | Continuous
@@ -199,6 +201,7 @@ def _make_normal() -> Continuous:
         var=1.0,
         central_moments={2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0},
         abs_moment_fn=gaussian_abs_moment,
+        ppf=special.ndtri,
     )
 
 
@@ -213,6 +216,7 @@ def _make_exponential() -> Continuous:
         var=1.0,
         central_moments={2: 1.0, 3: 2.0, 4: 9.0, 5: 44.0, 6: 265.0},
         abs_moment_fn=lambda r: math.gamma(r + 1.0),
+        ppf=lambda u: -np.log1p(-u),
     )
 
 
@@ -226,6 +230,7 @@ def _make_uniform01() -> Continuous:
         var=1.0 / 12.0,
         central_moments={2: 1.0 / 12.0, 3: 0.0, 4: 1.0 / 80.0, 5: 0.0, 6: 1.0 / 448.0},
         abs_moment_fn=lambda r: 1.0 / (r + 1.0),
+        ppf=lambda u: np.asarray(u, dtype=float),
     )
 
 

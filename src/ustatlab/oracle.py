@@ -261,7 +261,7 @@ def exact_distribution(
             s_atoms, cum, lambda x: edgeworth_cdf_order2(e_gg_eta, e_g3, sigma_g, n, x)
         )
     else:
-        e_g3 = float(np.dot(proj.g_values(dist.atoms) ** 3, dist.probs))
+        e_g3, _ = proj.moment("g3", 1)
 
     tuples, type_classes = enumeration_size(dist, n)
     return ExactReport(

@@ -152,6 +152,18 @@ def test_simulate_rejects_sample_size_below_kernel_order(capsys):
     assert "n must be >= kernel order" in err
 
 
+@pytest.mark.parametrize("target", ["adjusted", "edgeworth2"])
+def test_simulate_studentized_with_corrected_target_is_usage_error(capsys, target):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--kernel", "variance", "--dist", "exponential",
+                  "--n", "8", "--reps", "2000", "--estimator", "studentized",
+                  "--target", target])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "studentized estimator has no" in captured.err
+
+
 def test_simulate_requires_kernel_and_dist_or_preset(capsys):
     rc, out, err = run_cli(capsys, ["simulate", "--n", "8", "--reps", "2000"])
     assert rc == 1
@@ -282,6 +294,17 @@ def test_moments_with_inequalities_passes_on_exact_config(capsys):
     )
     assert moments["beta"] == hoeffding.beta(d)
     assert moments["gamma"] == hoeffding.gamma_var(d)
+
+
+@pytest.mark.parametrize("sub", ["decompose", "moments"])
+def test_analytic_zero_kappa_is_positive_zero(capsys, sub):
+    # E[g(X)(X - mu)] = 0 for variance/normal, so kappa_2 is an exact zero
+    payload, _ = run_json(capsys, [
+        sub, "--kernel", "variance", "--dist", "normal", "--n", "10",
+    ])
+    kappa = payload["kappa"] if sub == "decompose" else payload["moments"]["kappa"]
+    assert kappa == [0.0, 0.0]
+    assert [math.copysign(1.0, v) for v in kappa] == [1.0, 1.0]
 
 
 def test_decompose_degenerate_kernel_is_runtime_error(capsys):

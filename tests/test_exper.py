@@ -104,6 +104,14 @@ def test_resolve_errors():
         exper._resolve(small_config(n_grid=(2, 8), estimator="studentized"))
 
 
+@pytest.mark.parametrize("kind", ["adjusted", "edgeworth2"])
+def test_studentized_estimator_refuses_corrected_targets(kind):
+    # both corrected laws expand the standardized statistic, not the studentized one
+    with pytest.raises(ConfigError, match="studentized"):
+        small_config(estimator="studentized", target=exper.TargetSpec(kind))
+    assert small_config(estimator="standardized", target=exper.TargetSpec(kind))
+
+
 # ---------------------------------------------------------------------------
 # Rate fits
 # ---------------------------------------------------------------------------
@@ -292,11 +300,12 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
 def test_experiment_shares_one_projection_across_n(monkeypatch):
     projections, cells, streams = [], [], []
     kernel_values, sample = model.kernel_values, model.sample
+    override = {"strategy": "monte-carlo", "inner_reps": 200}
 
     class SmallProjection(hoeffding.ProjectionSet):
         def __init__(self, *args, **kw):
             projections.append(self)
-            super().__init__(*args, **{**kw, "inner_reps": 200})
+            super().__init__(*args, **{**kw, **override})
 
     def counting_kernel(kernel, columns):
         out = kernel_values(kernel, columns)
@@ -323,6 +332,30 @@ def test_experiment_shares_one_projection_across_n(monkeypatch):
     )
     # no kernel cell depends on n: three sample sizes cost what one does
     assert grid_cells == sum(cells)
+
+    # the same under auto, which picks quadrature for gini/uniform
+    override.clear()
+    projections.clear()
+    cells.clear()
+    exper.run_ecdf_experiment(small_config(kernel="gini", dist="uniform", target=adjusted))
+    assert [p.strategy for p in projections] == ["quadrature"]
+    grid_cells = sum(cells)
+    # the kernel is tabulated once at each of the two rules
+    nodes = hoeffding.QUADRATURE_NODES
+    assert grid_cells == nodes**2 + (nodes // 2) ** 2
+    cells.clear()
+    exper.run_ecdf_experiment(
+        small_config(kernel="gini", dist="uniform", target=adjusted, n_grid=(8,))
+    )
+    assert grid_cells == sum(cells)
+
+
+def test_gini_uniform_rate_with_quadrature_centering():
+    # Monte Carlo centering (theta off by 4e-3) made this slope +0.47; the
+    # quadrature theta is off by 3e-7, far below what 50k replicates resolve
+    cfg = exper.ExperimentConfig("gini", "uniform", (16, 64, 256, 1024), 50_000, seed=0)
+    report = exper.run_ecdf_experiment(cfg)
+    assert -0.65 <= report.slope <= -0.35
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,34 @@ def test_moment_summary_integrates_each_moment_once(monkeypatch, dist, columns):
     assert len(streams) == len(columns)
 
 
+def test_monte_carlo_moments_draw_and_project_each_column_once(monkeypatch):
+    d = hoeffding.decompose(
+        model.gini_kernel(), model.distribution_preset("exponential"), 16,
+        strategy="monte-carlo", inner_reps=500, seed=1,
+    )
+    streams, projected = [], []
+    make, marginal = model.stream_generator, hoeffding._weighted_marginal
+
+    def counting(seed, stream=0):
+        streams.append(stream)
+        return make(seed, stream)
+
+    def counting_marginal(kernel, cols, tail_cols, weights):
+        projected.append(cols[0].size)
+        return marginal(kernel, cols, tail_cols, weights)
+
+    monkeypatch.setattr(model, "stream_generator", counting)
+    monkeypatch.setattr(hoeffding, "_weighted_marginal", counting_marginal)
+    hoeffding.moment_summary(d, alpha=1.7)
+    hoeffding.moment_inequalities(d, alpha=1.7)
+    # E|g|^q for three q, E|t_2|^alpha for two alpha and kappa_2 share the
+    # columns 0, 32, 33, 128 and 129: each is drawn once and g is evaluated
+    # on it once
+    columns = [hoeffding.STREAM_MOMENT_BASE + c for c in (0, 32, 33, 128, 129)]
+    assert sorted(streams) == columns
+    assert projected == [500] * len(columns)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -319,7 +347,8 @@ def test_inequality_item_b2_is_tight():
 
 def _mc_decompose(kernel, dist_ident):
     return hoeffding.decompose(
-        kernel, model.distribution_preset(dist_ident), 10, inner_reps=2000, seed=5
+        kernel, model.distribution_preset(dist_ident), 10,
+        strategy="monte-carlo", inner_reps=2000, seed=5,
     )
 
 
@@ -396,6 +425,87 @@ def test_auto_strategy_derives_closed_forms_once(monkeypatch):
     d = variance_normal(10)
     assert d.projection.strategy == "analytic"
     assert calls == ["variance"]
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre quadrature on the quantile scale
+# ---------------------------------------------------------------------------
+
+def gini_continuous(dist_ident, n=16):
+    return hoeffding.decompose(
+        model.gini_kernel(), model.distribution_preset(dist_ident), n
+    )
+
+
+@pytest.mark.parametrize(
+    "dist_ident, theta",
+    [("uniform", 1.0 / 3.0), ("exponential", 1.0), ("normal", 2.0 / math.sqrt(math.pi))],
+)
+def test_quadrature_theta_within_reported_error(dist_ident, theta):
+    d = gini_continuous(dist_ident)
+    proj = d.projection
+    assert proj.strategy == "quadrature"
+    assert 0.0 < abs(d.theta - theta) <= proj.theta_se < 1e-5
+
+
+def test_quadrature_error_covers_gini_exponential_moments():
+    # g(x) = x - 2 + 2 exp(-x): var g = 1/3, E g^3 = 5/6, E[g g t_2] = -1/9
+    proj = gini_continuous("exponential").projection
+    for kind, p, exponent, want in [
+        ("abs_g", 1, 2.0, 1.0 / 3.0),
+        ("g3", 1, 1.0, 5.0 / 6.0),
+        ("gg_eta", 2, 1.0, -1.0 / 9.0),
+    ]:
+        val, err = proj.moment(kind, p, exponent)
+        assert abs(val - want) <= err, kind
+    assert abs(proj.var_g - 1.0 / 3.0) <= proj.moment("abs_g", 1, 2.0)[1]
+
+
+def test_quadrature_projection_matches_closed_form_and_reconstructs():
+    # under the uniform law E|x - Y| = x^2 - x + 1/2, so g = x^2 - x + 1/6
+    d = gini_continuous("uniform", n=10)
+    x = model.sample(d.dist, 10, 4)
+    np.testing.assert_allclose(d.projection.g_values(x), x * x - x + 1.0 / 6.0, atol=1e-5)
+    assert d.value(x) == pytest.approx(d.value_via_parts(x), abs=1e-12)
+    s = hoeffding.moment_summary(d)
+    payload = s.to_json()
+    assert payload["method"] == "quadrature"
+    assert payload["kappa_se"][0] is None
+    assert all(payload[k] > 0.0 for k in ("beta_se", "gamma_se", "gamma_alpha_se"))
+    assert payload["kappa_se"][1] > 0.0
+
+
+def test_quadrature_cell_budget(monkeypatch):
+    cells = []
+    kernel_values = model.kernel_values
+
+    def counting(kernel, columns):
+        out = kernel_values(kernel, columns)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(model, "kernel_values", counting)
+    d = gini_continuous("exponential")
+    hoeffding.moment_summary(d)
+    hoeffding.order2_edgeworth_inputs(d)
+    nodes = hoeffding.QUADRATURE_NODES
+    assert sum(cells) <= 2 * (nodes**2 + (nodes // 2) ** 2)
+
+
+def test_auto_falls_back_to_monte_carlo_without_quadrature():
+    no_ppf = dataclasses.replace(model.distribution_preset("exponential"), ppf=None)
+    d = hoeffding.decompose(model.gini_kernel(), no_ppf, 8, inner_reps=200)
+    assert d.projection.strategy == "monte-carlo"
+    order3 = model.symmetrize(lambda a, b, c: np.abs(a - b) * c, order=3)
+    normal = model.distribution_preset("normal")
+    proj = hoeffding.ProjectionSet(order3, normal, inner_reps=50)
+    assert proj.strategy == "monte-carlo"
+    with pytest.raises(BudgetError):
+        hoeffding.ProjectionSet(order3, normal, strategy="quadrature")
+    with pytest.raises(ValidationError):
+        hoeffding.ProjectionSet(model.gini_kernel(), no_ppf, strategy="quadrature")
+    with pytest.raises(ValidationError):
+        gini_bern(6, strategy="quadrature")
 
 
 # ---------------------------------------------------------------------------

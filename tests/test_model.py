@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ustatlab import model
 from ustatlab.errors import (
@@ -119,6 +120,19 @@ def test_continuous_moment_tables_match_quadrature():
             mu = d.mean
             quad = model.expectation(d, lambda x: (x - mu) ** p)
             assert table == pytest.approx(quad, abs=1e-9), (ident, p)
+
+
+@pytest.mark.parametrize("ident", ["normal", "exponential", "uniform"])
+def test_continuous_presets_carry_their_quantile_function(ident):
+    dist = model.distribution_preset(ident)
+    u = np.array([1e-9, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+    x = dist.ppf(u)
+    lo, hi = dist.support
+    cdf = [integrate.quad(dist.pdf, lo, float(v), limit=200)[0] for v in x]
+    np.testing.assert_allclose(cdf, u, atol=1e-9)
+    # a hand-built law has no quantile function unless it is given one
+    hand = model.Continuous("hand", dist.sampler, dist.pdf, dist.support, dist.mean, dist.var)
+    assert hand.ppf is None
 
 
 def test_exponential_abs_moment_closed_form():
