@@ -16,7 +16,7 @@ from .approx import (
     adjusted_density,
     dkw_bound,
     dkw_se,
-    edgeworth_cdf_order2,
+    edgeworth2,
     kolmogorov_distance,
     normal_cdf,
     select_correction_order,
@@ -93,7 +93,7 @@ __all__ = [
     "distribution_preset",
     "dkw_bound",
     "dkw_se",
-    "edgeworth_cdf_order2",
+    "edgeworth2",
     "exact_distribution",
     "exact_u_distribution",
     "exper",

@@ -130,24 +130,19 @@ def select_correction_order(alpha: float, k: int) -> int:
     return max(0, min(k, p))
 
 
-def edgeworth_cdf_order2(
-    e_gg_eta: float,
-    e_g3: float,
-    sigma_g: float,
-    n: int,
-    x,
-):
+def edgeworth2(e_gg_eta: float, e_g3: float, sigma_g: float, n: int) -> AdjustedNormal:
     """Order-2 Edgeworth expansion for a standardized order-2 U-statistic.
 
     ``e_gg_eta`` is ``E[g(X1) g(X2) eta(X1, X2)]`` and ``e_g3`` is
-    ``E[g(X1)^3]`` for linear projection g and degenerate part eta.
+    ``E[g(X1)^3]`` for linear projection g and degenerate part eta.  The
+    expansion is the adjusted law with ``kappa = (0, c)``.
     """
     if sigma_g <= 0.0:
         raise ValidationError("sigma_g must be positive")
     if n < 2:
         raise ValidationError("n must be at least 2")
     coeff = (e_gg_eta / (2.0 * sigma_g**3) + e_g3 / (6.0 * sigma_g**3)) / math.sqrt(n)
-    return normal_cdf(x) - coeff * phi_derivative(3, x)
+    return AdjustedNormal((0.0, coeff))
 
 
 # ---------------------------------------------------------------------------

@@ -532,7 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_example1)
 
-    p = sub.add_parser("cf-check", help="characteristic function envelope check")
+    scoring = (
+        "Scores the standardized statistic against the adjusted law of order "
+        "--order or --target-alpha; --estimator studentized and --target "
+        "edgeworth2 are usage errors."
+    )
+    p = sub.add_parser(
+        "cf-check",
+        help="characteristic function envelope check",
+        description=f"Characteristic function envelope check.  {scoring}",
+    )
     _add_experiment_flags(p)
     p.add_argument(
         "--t-grid", type=_floats, default=None, help="transform arguments, |t| <= 6"
@@ -540,7 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_cf_check)
 
-    p = sub.add_parser("smooth-check", help="smooth-function expectation check")
+    p = sub.add_parser(
+        "smooth-check",
+        help="smooth-function expectation check",
+        description=f"Smooth-function expectation check.  {scoring}",
+    )
     _add_experiment_flags(p)
     p.add_argument(
         "--function",

@@ -18,7 +18,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -114,16 +114,8 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    kernel: model.Kernel
-    dist: model.Distribution
-    theta: float
-    sigma_g: float
-    decompositions: dict[int, hoeffding.DecomposedStatistic]
-
-
-def _resolve(cfg: ExperimentConfig) -> _Resolved:
+def _resolve(cfg: ExperimentConfig) -> dict[int, hoeffding.DecomposedStatistic]:
+    """The decomposition at each n of the grid, all sharing one projection."""
     kernel = model.kernel_preset(cfg.kernel)
     dist = model.distribution_preset(cfg.dist)
     if cfg.n_grid[0] < kernel.order:
@@ -135,8 +127,7 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             raise ConfigError("studentized estimator needs n >= 3")
     # the projection and its moment integrals are n-free, so every n shares one
     d0 = hoeffding.decompose(kernel, dist, cfg.n_grid[0], seed=cfg.seed)
-    decs = {n: replace(d0, n=n) for n in cfg.n_grid}
-    return _Resolved(kernel, dist, d0.theta, d0.sigma_g, decs)
+    return {n: replace(d0, n=n) for n in cfg.n_grid}
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +166,20 @@ def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
 
 
 def _simulate_statistic(
-    res: _Resolved,
-    n: int,
+    d: hoeffding.DecomposedStatistic,
     reps: int,
     seed: int,
     estimator: str,
     threads: int,
 ) -> tuple[np.ndarray, int]:
-    """All replicate values of the (possibly studentized) statistic at one n."""
-    kernel = res.kernel
-    k = kernel.order
-    theta = res.theta
-    scale = k * res.sigma_g
+    """All replicate values of the (possibly studentized) statistic at ``d.n``."""
+    kernel, n, theta = d.kernel, d.n, d.theta
+    scale = kernel.order * d.sigma_g
 
     def work(bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
         lo, hi = bounds
         chunk = lo // CHUNK_REPLICATES
-        rows = model.sample(res.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
+        rows = model.sample(d.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
         if estimator == "standardized":
             u = _row_u_values(kernel, rows)
             return math.sqrt(n) * (u - theta) / scale, 0
@@ -228,24 +216,50 @@ def _adjusted_order(cfg: ExperimentConfig, k: int) -> int:
     return approx.select_correction_order(cfg.target.alpha, k)
 
 
-def _target_cdf(
-    res: _Resolved, cfg: ExperimentConfig, n: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]:
-    d = res.decompositions[n]
-    kap = hoeffding.kappa_vector(d)
+def _adjusted(
+    d: hoeffding.DecomposedStatistic, cfg: ExperimentConfig
+) -> approx.AdjustedNormal:
+    """The adjusted law at ``d.n``, truncated to the configured order."""
+    return approx.AdjustedNormal(hoeffding.kappa_vector(d)[: _adjusted_order(cfg, d.order)])
+
+
+def _target(
+    d: hoeffding.DecomposedStatistic, cfg: ExperimentConfig
+) -> approx.AdjustedNormal:
+    """The reference law of ``cfg.target`` at ``d.n``."""
     kind = cfg.target.kind
     if kind == "phi":
-        return approx.normal_cdf, kap
+        return approx.AdjustedNormal()
     if kind == "adjusted":
-        p = _adjusted_order(cfg, d.order)
-        if p == 0:
-            return approx.normal_cdf, kap
-        adj = approx.AdjustedNormal(kap[:p])
-        return (lambda x: approx.adjusted_cdf(adj, x)), kap
+        return _adjusted(d, cfg)
     e_gg_eta, e_g3, sigma_g = hoeffding.order2_edgeworth_inputs(d)
-    return (
-        lambda x: approx.edgeworth_cdf_order2(e_gg_eta, e_g3, sigma_g, n, x)
-    ), kap
+    return approx.edgeworth2(e_gg_eta, e_g3, sigma_g, d.n)
+
+
+def _adjusted_only(cfg: ExperimentConfig, command: str) -> None:
+    """Refuse the options ``command`` would ignore."""
+    if cfg.estimator == "studentized" or cfg.target.kind == "edgeworth2":
+        raise IncompatibleOptions(
+            f"{command} scores the standardized statistic against the adjusted "
+            "law; it takes neither --estimator studentized nor --target edgeworth2"
+        )
+
+
+def _replicates(
+    cfg: ExperimentConfig,
+    law: Callable[[hoeffding.DecomposedStatistic, ExperimentConfig], approx.AdjustedNormal],
+) -> Iterator[tuple[hoeffding.DecomposedStatistic, approx.AdjustedNormal, np.ndarray, int]]:
+    """``(d, target, values, dropped)`` at each n of the grid, in order.
+
+    The target ``law(d, cfg)`` is built before the replicates are drawn, so
+    a target the configuration cannot have fails without sampling.
+    """
+    for d in _resolve(cfg).values():
+        target = law(d, cfg)
+        values, dropped = _simulate_statistic(
+            d, cfg.reps, cfg.seed, cfg.estimator, cfg.threads
+        )
+        yield d, target, values, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +336,14 @@ def fit_rate(
 
 
 def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
-    res = _resolve(cfg)
     rows = []
     kappa_by_n: dict[int, tuple[float, ...]] = {}
-    for n in cfg.n_grid:
-        cdf, kap = _target_cdf(res, cfg, n)
-        kappa_by_n[n] = kap
-        values, dropped = _simulate_statistic(
-            res, n, cfg.reps, cfg.seed, cfg.estimator, cfg.threads
+    for d, target, values, dropped in _replicates(cfg, _target):
+        kappa_by_n[d.n] = hoeffding.kappa_vector(d)
+        distance = approx.kolmogorov_distance(
+            values, lambda x: approx.adjusted_cdf(target, x)
         )
-        distance = approx.kolmogorov_distance(values, cdf)
-        rows.append(RateRow(n, distance, approx.dkw_se(values.size), dropped))
+        rows.append(RateRow(d.n, distance, approx.dkw_se(values.size), dropped))
     slope = intercept = r_squared = None
     usable = [r for r in rows if r.distance > 0.0]
     if len(usable) >= 3:
@@ -341,8 +352,8 @@ def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
         )
     return RateReport(
         cfg,
-        res.theta,
-        res.sigma_g,
+        d.theta,
+        d.sigma_g,
         tuple(rows),
         kappa_by_n,
         slope,
@@ -407,8 +418,7 @@ def quadratic_counterexample(
     kernel = model.quadratic_kernel(eps)
     dist = model.distribution_preset("normal")
     d = hoeffding.decompose(kernel, dist, n)
-    res = _Resolved(kernel, dist, d.theta, d.sigma_g, {n: d})
-    values, _ = _simulate_statistic(res, n, reps, seed, "standardized", threads)
+    values, _ = _simulate_statistic(d, reps, seed, "standardized", threads)
     values = np.sort(values)
     kap = hoeffding.kappa_vector(d)
     adj = approx.AdjustedNormal(kap)
@@ -683,26 +693,18 @@ def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
     sup-norms of orders 2 through k + 4.
     """
     f = smooth_test_function(f_ident)
-    res = _resolve(cfg)
-    k = res.kernel.order
-    deriv_const = math.fsum(f.deriv_norm(m) for m in range(2, k + 5))
+    _adjusted_only(cfg, "smooth-check")
     rows = []
-    for n in cfg.n_grid:
-        d = res.decompositions[n]
-        kap = hoeffding.kappa_vector(d)
-        p = _adjusted_order(cfg, k)
-        adj = approx.AdjustedNormal(kap[:p])
+    for d, adj, values, _ in _replicates(cfg, _adjusted):
         target = approx.integrate_against_density(
             lambda u: float(f.fn(np.asarray([u]))[0]), adj
-        )
-        values, _ = _simulate_statistic(
-            res, n, cfg.reps, cfg.seed, cfg.estimator, cfg.threads
         )
         fvals = np.asarray(f.fn(values), dtype=float)
         lhs = abs(float(fvals.mean()) - target)
         scale = hoeffding.beta(d) + hoeffding.gamma_var(d)
         se = float(fvals.std(ddof=1) / math.sqrt(fvals.size))
-        rows.append(SmoothRow(n, lhs, scale, lhs / scale, se))
+        rows.append(SmoothRow(d.n, lhs, scale, lhs / scale, se))
+    deriv_const = math.fsum(f.deriv_norm(m) for m in range(2, d.order + 5))
     return SmoothReport(cfg, f.ident, deriv_const, tuple(rows))
 
 
@@ -772,27 +774,18 @@ def char_function_check(
         raise ConfigError("t_grid must be nonempty")
     if any(abs(t) > 6.0 for t in t_grid):
         raise ConfigError("t_grid entries must satisfy |t| <= 6")
-    res = _resolve(cfg)
-    k = res.kernel.order
+    _adjusted_only(cfg, "cf-check")
     rows = []
     max_ratio_by_n: dict[int, float] = {}
     max_ratio_se_by_n: dict[int, float] = {}
     beta_by_n: dict[int, float] = {}
     gamma_by_n: dict[int, float] = {}
     kappa_by_n: dict[int, tuple[float, ...]] = {}
-    for n in cfg.n_grid:
-        d = res.decompositions[n]
-        kap = hoeffding.kappa_vector(d)
-        kappa_by_n[n] = kap
-        p = _adjusted_order(cfg, k)
-        adj = approx.AdjustedNormal(kap[:p])
-        beta_n = hoeffding.beta(d)
-        gamma_n = hoeffding.gamma_var(d)
-        beta_by_n[n] = beta_n
-        gamma_by_n[n] = gamma_n
-        values, _ = _simulate_statistic(
-            res, n, cfg.reps, cfg.seed, cfg.estimator, cfg.threads
-        )
+    for d, adj, values, _ in _replicates(cfg, _adjusted):
+        n, k = d.n, d.order
+        kappa_by_n[n] = hoeffding.kappa_vector(d)
+        beta_by_n[n] = beta_n = hoeffding.beta(d)
+        gamma_by_n[n] = gamma_n = hoeffding.gamma_var(d)
         m = values.size
         best_ratio = 0.0
         best_se = 0.0

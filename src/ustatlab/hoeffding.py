@@ -90,13 +90,12 @@ STREAM_MOMENT_BASE = 1 << 41
 # Monte Carlo moment integrals by kind: (fixed, per_order).  The order-p
 # integral draws its columns from streams STREAM_MOMENT_BASE + fixed +
 # per_order * p + j for j < p (one multinomial from the first of them on
-# finite support).  "g3" reads column 0 of "gg_eta"'s stream, so the two
-# Edgeworth inputs are not independent; separating them changes their draws.
+# finite support).  The order-2 Edgeworth input E[g g t_2] is the "aligned"
+# integral at p = 2, so it shares kappa_2's columns; "g3" owns its stream.
 _MOMENT_STREAMS = {
     "abs_g": (0, 0),
     "abs_t": (0, 16),
     "aligned": (0, 64),
-    "gg_eta": (256, 0),
     "g3": (256, 0),
 }
 
@@ -259,7 +258,7 @@ class _NodeTables:
         t = self.t[p]
         if kind == "abs_t":
             return _contract(np.abs(t) ** exponent, self.w)
-        # "aligned" and "gg_eta": E[g(x_1)..g(x_p) t_p]
+        # "aligned": E[g(x_1)..g(x_p) t_p]
         return _contract(t, self.w * self.g)
 
 
@@ -440,9 +439,9 @@ class ProjectionSet:
         """One n-free moment integral and its error bar (None when exact).
 
         ``kind`` is ``"abs_g"`` (E|g|^exponent, p = 1), ``"abs_t"``
-        (E|t_p|^exponent), ``"aligned"`` (E[g(x_1)..g(x_p) t_p]), or one of
-        the order-2 Edgeworth inputs ``"gg_eta"`` (E[g g t_2]) and ``"g3"``
-        (E g^3).  The error bar is the Monte Carlo SE, or |Q_N - Q_(N/2)|
+        (E|t_p|^exponent), ``"aligned"`` (E[g(x_1)..g(x_p) t_p], at p = 2 also
+        the order-2 Edgeworth input E[g g t_2]) or ``"g3"`` (E g^3, p = 1).
+        The error bar is the Monte Carlo SE, or |Q_N - Q_(N/2)|
         under quadrature.  Each integral is computed once per projection;
         callers scale it to a sample size.
         """
@@ -465,7 +464,7 @@ class ProjectionSet:
                 val = abs(forms.t2_coef) ** exponent * abs_centered**2
             elif kind == "g3":
                 val = forms.e_g3
-            else:  # "aligned" or "gg_eta": E[g g t_2] for order-2 kernels
+            else:  # "aligned": E[g g t_2] for order-2 kernels
                 # adding 0.0 turns an exact -0.0 into 0.0
                 val = forms.t2_coef * forms.e_g_centered**2 + 0.0
             return val, None
@@ -518,8 +517,6 @@ class ProjectionSet:
         if kind == "g3":
             return g[0] ** 3
         t = self._component(len(cols), cols, h1s)
-        if kind == "gg_eta":
-            return g[0] * g[1] * t
         if kind == "abs_t":
             return t * t if exponent == 2.0 else np.abs(t) ** exponent
         for gc in g:
@@ -804,7 +801,7 @@ def order2_edgeworth_inputs(d: DecomposedStatistic) -> tuple[float, float, float
     """(E[g1 g2 t2], E[g^3], sigma_g) for order-2 Edgeworth comparators."""
     if d.order != 2:
         raise ValidationError("Edgeworth comparator inputs need an order-2 kernel")
-    e_gg_eta, _ = d.projection.moment("gg_eta", 2)
+    e_gg_eta, _ = d.projection.moment("aligned", 2)
     e_g3, _ = d.projection.moment("g3", 1)
     return e_gg_eta, e_g3, d.sigma_g
 

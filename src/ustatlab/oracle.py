@@ -22,6 +22,7 @@ Their agreement is an end-to-end check of the decomposition algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,13 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hoeffding, model
-from .approx import (
-    AdjustedNormal,
-    adjusted_cdf,
-    edgeworth_cdf_order2,
-    normal_cdf,
-    step_function_distance,
-)
+from .approx import AdjustedNormal, adjusted_cdf, edgeworth2, step_function_distance
 from .errors import BudgetError, InsufficientSample, ValidationError
 from .model import FiniteDiscrete, Kernel
 
@@ -172,13 +167,14 @@ def _type_classes(
     return dist.atoms[idx], multinomial.astype(float) * dist.probs[idx].prod(axis=1)
 
 
-def _u_rows(kernel: Kernel, vals: np.ndarray) -> np.ndarray:
-    """The U-statistic of each row of ``vals``."""
-    n = vals.shape[1]
-    u_rows = np.zeros(vals.shape[0])
-    for combo in itertools.combinations(range(n), kernel.order):
-        u_rows += model.kernel_values(kernel, [vals[:, c] for c in combo])
-    return u_rows / math.comb(n, kernel.order)
+def _subset_sum(
+    f: Callable[[list[np.ndarray]], np.ndarray], vals: np.ndarray, p: int
+) -> np.ndarray:
+    """Sum of ``f`` over every p-subset of the columns, for each row of ``vals``."""
+    out = np.zeros(vals.shape[0])
+    for combo in itertools.combinations(range(vals.shape[1]), p):
+        out += f([vals[:, c] for c in combo])
+    return out
 
 
 def _check_inputs(kernel: Kernel, dist: FiniteDiscrete, n: int) -> None:
@@ -203,7 +199,9 @@ def exact_u_distribution(
     """
     _check_inputs(kernel, dist, n)
     vals, w = _type_classes(dist, n, budget)
-    u_rows = _u_rows(kernel, vals)
+    k = kernel.order
+    u_rows = _subset_sum(functools.partial(model.kernel_values, kernel), vals, k)
+    u_rows /= math.comb(n, k)
     u_atoms, u_probs = _group_atoms(u_rows, w)
     return u_atoms, u_probs, float(np.dot(u_rows, w))
 
@@ -229,13 +227,11 @@ def exact_distribution(
     s_scale = math.sqrt(n) / (k * sigma_g)
 
     vals, w = _type_classes(dist, n, budget)
-    s_rows = s_scale * (_u_rows(kernel, vals) - theta)
+    u_sum = _subset_sum(functools.partial(model.kernel_values, kernel), vals, k)
+    s_rows = s_scale * (u_sum / math.comb(n, k) - theta)
     l_rows = proj.g_values(vals.ravel()).reshape(vals.shape).sum(axis=1) * d.l_scale
     t_p_rows = {
-        p: d.t_scale(p) * sum(
-            proj.component_values(p, [vals[:, c] for c in combo])
-            for combo in itertools.combinations(range(n), p)
-        )
+        p: d.t_scale(p) * _subset_sum(functools.partial(proj.component_values, p), vals, p)
         for p in range(2, k + 1)
     }
     t_rows = sum(t_p_rows.values(), np.zeros(w.size))
@@ -248,20 +244,18 @@ def exact_distribution(
     summary = hoeffding.moment_summary(d, alpha=alpha)
     kappa_vec = summary.kappa
 
-    cum = np.cumsum(s_probs)
-    dist_phi = step_function_distance(s_atoms, cum, normal_cdf)
-    adj = AdjustedNormal(kappa=kappa_vec)
-    dist_adjusted = step_function_distance(s_atoms, cum, lambda x: adjusted_cdf(adj, x))
-
+    laws = {"phi": AdjustedNormal(), "adjusted": AdjustedNormal(kappa_vec)}
     e_gg_eta: Optional[float] = None
-    dist_edgeworth2: Optional[float] = None
     if k == 2:
         e_gg_eta, e_g3, _ = hoeffding.order2_edgeworth_inputs(d)
-        dist_edgeworth2 = step_function_distance(
-            s_atoms, cum, lambda x: edgeworth_cdf_order2(e_gg_eta, e_g3, sigma_g, n, x)
-        )
+        laws["edgeworth2"] = edgeworth2(e_gg_eta, e_g3, sigma_g, n)
     else:
         e_g3, _ = proj.moment("g3", 1)
+    cum = np.cumsum(s_probs)
+    dists = {
+        name: step_function_distance(s_atoms, cum, lambda x, law=law: adjusted_cdf(law, x))
+        for name, law in laws.items()
+    }
 
     tuples, type_classes = enumeration_size(dist, n)
     return ExactReport(
@@ -297,7 +291,7 @@ def exact_distribution(
         linear_component_cross={p: mean(l_rows * tp) for p, tp in t_p_rows.items()},
         power_cross={p: mean(l_rows**p * t_rows) for p in t_p_rows},
         prob_total=float(np.sum(w)),
-        dist_phi=dist_phi,
-        dist_adjusted=dist_adjusted,
-        dist_edgeworth2=dist_edgeworth2,
+        dist_phi=dists["phi"],
+        dist_adjusted=dists["adjusted"],
+        dist_edgeworth2=dists.get("edgeworth2"),
     )

@@ -149,22 +149,22 @@ def test_select_correction_order_validation():
 
 def test_edgeworth_order2_frozen_value():
     # exponential(1) variance kernel inputs, n = 100, x = 0
-    val = approx.edgeworth_cdf_order2(
-        e_gg_eta=-1.0, e_g3=30.0, sigma_g=math.sqrt(2.0), n=100, x=0.0
+    val = approx.adjusted_cdf(
+        approx.edgeworth2(e_gg_eta=-1.0, e_g3=30.0, sigma_g=math.sqrt(2.0), n=100), 0.0
     )
     assert float(val) == pytest.approx(0.5634713281491226, abs=1e-12)
 
 
 def test_edgeworth_order2_zero_skew_is_normal():
     x = np.linspace(-3, 3, 7)
-    val = approx.edgeworth_cdf_order2(e_gg_eta=0.0, e_g3=0.0, sigma_g=1.0, n=50, x=x)
+    val = approx.adjusted_cdf(approx.edgeworth2(e_gg_eta=0.0, e_g3=0.0, sigma_g=1.0, n=50), x)
     np.testing.assert_allclose(val, approx.normal_cdf(x), atol=1e-15)
 
 
 def test_edgeworth_correction_shrinks_like_inverse_sqrt_n():
     x = 0.7
-    d1 = approx.edgeworth_cdf_order2(1.0, 2.0, 1.5, 100, x) - approx.normal_cdf(x)
-    d2 = approx.edgeworth_cdf_order2(1.0, 2.0, 1.5, 400, x) - approx.normal_cdf(x)
+    d1 = approx.adjusted_cdf(approx.edgeworth2(1.0, 2.0, 1.5, 100), x) - approx.normal_cdf(x)
+    d2 = approx.adjusted_cdf(approx.edgeworth2(1.0, 2.0, 1.5, 400), x) - approx.normal_cdf(x)
     assert float(d1 / d2) == pytest.approx(2.0, rel=1e-12)
 
 

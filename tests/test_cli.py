@@ -164,6 +164,21 @@ def test_simulate_studentized_with_corrected_target_is_usage_error(capsys, targe
     assert "studentized estimator has no" in captured.err
 
 
+@pytest.mark.parametrize("command", ["cf-check", "smooth-check"])
+@pytest.mark.parametrize(
+    "option",
+    [["--estimator", "studentized"], ["--target", "edgeworth2"]],
+    ids=["studentized", "edgeworth2"],
+)
+def test_adjusted_law_checks_refuse_ignored_options(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--kernel", "variance", "--dist", "exponential",
+                  "--n-grid", "8,16", "--reps", "1000", *option])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command} scores" in captured.err
+
 def test_simulate_requires_kernel_and_dist_or_preset(capsys):
     rc, out, err = run_cli(capsys, ["simulate", "--n", "8", "--reps", "2000"])
     assert rc == 1

@@ -11,6 +11,7 @@ from ustatlab import approx, exper, hoeffding, model, studentize
 from ustatlab.errors import (
     ConfigError,
     FitError,
+    IncompatibleOptions,
     InsufficientSample,
     PresetError,
     ValidationError,
@@ -112,6 +113,33 @@ def test_studentized_estimator_refuses_corrected_targets(kind):
     assert small_config(estimator="standardized", target=exper.TargetSpec(kind))
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda cfg: exper.char_function_check(cfg, (1.0,)),
+        lambda cfg: exper.smooth_function_check(cfg, "cos"),
+    ],
+    ids=["cf", "smooth"],
+)
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"estimator": "studentized"},
+        {"target": exper.TargetSpec("edgeworth2")},
+    ],
+    ids=["studentized", "edgeworth2"],
+)
+def test_adjusted_law_checks_refuse_ignored_options(monkeypatch, check, options):
+    # both checks score the standardized statistic against the adjusted law
+    def no_sampling(*args, **kw):
+        raise AssertionError("replicates drawn before the refusal")
+
+    monkeypatch.setattr(model, "sample", no_sampling)
+    cfg = small_config(kernel="variance", dist="exponential", **options)
+    with pytest.raises(IncompatibleOptions):
+        check(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Rate fits
 # ---------------------------------------------------------------------------
@@ -199,11 +227,13 @@ def test_studentized_estimator_small():
 
 def test_adjusted_target_uses_selected_order():
     cfg = small_config(target=exper.TargetSpec(kind="adjusted", alpha=1.4))
-    res = exper._resolve(cfg)
+    d = exper._resolve(cfg)[16]
     # alpha = 1.4 selects order 0, so the adjusted target collapses to phi
-    cdf, _ = exper._target_cdf(res, cfg, 16)
+    target = exper._target(d, cfg)
     x = np.linspace(-2, 2, 9)
-    np.testing.assert_allclose(cdf(x), approx.normal_cdf(x), atol=1e-15)
+    np.testing.assert_allclose(
+        approx.adjusted_cdf(target, x), approx.normal_cdf(x), atol=1e-15
+    )
     with pytest.raises(ConfigError):
         exper._adjusted_order(small_config(target=exper.TargetSpec(order=3)), 2)
 
@@ -256,7 +286,7 @@ def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
     # replicate c * CHUNK_REPLICATES + j is row j of one block drawn from
     # stream c; the last chunk here is short
     cfg = small_config(n_grid=(8,), reps=exper.CHUNK_REPLICATES + 37)
-    res = exper._resolve(cfg)
+    d = exper._resolve(cfg)[8]
     scored = []
     row_u = exper._row_u_values
 
@@ -266,13 +296,13 @@ def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
 
     monkeypatch.setattr(exper, "_row_u_values", capture)
     values, dropped = exper._simulate_statistic(
-        res, 8, cfg.reps, cfg.seed, "standardized", 1
+        d, cfg.reps, cfg.seed, "standardized", 1
     )
     assert values.size == cfg.reps and dropped == 0
     assert [rows.shape[0] for rows in scored] == [exper.CHUNK_REPLICATES, 37]
     for c, rows in enumerate(scored):
         m = rows.shape[0]
-        want = model.sample(res.dist, m * 8, cfg.seed, c).reshape(m, 8)
+        want = model.sample(d.dist, m * 8, cfg.seed, c).reshape(m, 8)
         np.testing.assert_array_equal(rows, want)
 
 
@@ -281,7 +311,7 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
     cfg = small_config(
         kernel="variance", n_grid=(8, 16), reps=9000, estimator=estimator
     )
-    res = exper._resolve(cfg)
+    decs = exper._resolve(cfg)
     calls = []
     make = model.stream_generator
 
@@ -292,7 +322,7 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
     monkeypatch.setattr(model, "stream_generator", counting)
     for n in cfg.n_grid:
         calls.clear()
-        exper._simulate_statistic(res, n, cfg.reps, cfg.seed, estimator, 2)
+        exper._simulate_statistic(decs[n], cfg.reps, cfg.seed, estimator, 2)
         chunks = math.ceil(cfg.reps / exper.CHUNK_REPLICATES)
         assert sorted(calls) == list(range(chunks))
 
@@ -501,7 +531,7 @@ def test_smooth_check_constant_function_has_zero_gap():
 def test_smooth_check_cos_rows():
     report = exper.smooth_function_check(small_config(n_grid=(16,)), "cos")
     row = report.rows[0]
-    d16 = exper._resolve(small_config()).decompositions[16]
+    d16 = exper._resolve(small_config())[16]
     assert row.scale == pytest.approx(
         hoeffding.beta(d16) + 2.0 * 0.25 / 15.0, rel=1e-10
     )

@@ -197,6 +197,25 @@ def test_order2_edgeworth_inputs_analytic():
     assert sigma_g == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
+def test_edgeworth_inputs_reuse_the_aligned_integral(monkeypatch):
+    d = hoeffding.decompose(
+        model.gini_kernel(), model.distribution_preset("exponential"), 16,
+        strategy="monte-carlo", inner_reps=200, seed=1,
+    )
+    hoeffding.kappa_vector(d)
+    streams = []
+    make = model.stream_generator
+
+    def counting(seed, stream=0):
+        streams.append(stream)
+        return make(seed, stream)
+
+    monkeypatch.setattr(model, "stream_generator", counting)
+    e_gg_eta, _, _ = hoeffding.order2_edgeworth_inputs(d)
+    # E[g g t_2] is kappa_2's integral; only E g^3 draws a new column
+    assert streams == [hoeffding.STREAM_MOMENT_BASE + 256]
+    assert e_gg_eta == d.projection.moment("aligned", 2)[0]
+
 def test_order2_edgeworth_inputs_exact_matches_manual():
     d = gini_bern(8)
     e_gg_eta, e_g3, sigma_g = hoeffding.order2_edgeworth_inputs(d)
@@ -454,7 +473,7 @@ def test_quadrature_error_covers_gini_exponential_moments():
     for kind, p, exponent, want in [
         ("abs_g", 1, 2.0, 1.0 / 3.0),
         ("g3", 1, 1.0, 5.0 / 6.0),
-        ("gg_eta", 2, 1.0, -1.0 / 9.0),
+        ("aligned", 2, 1.0, -1.0 / 9.0),
     ]:
         val, err = proj.moment(kind, p, exponent)
         assert abs(val - want) <= err, kind
