@@ -418,13 +418,17 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         help="reference law for distances (phi only with the studentized estimator)",
     )
     p.add_argument(
-        "--order", type=int, default=None, help="adjusted-target correction order"
+        "--order",
+        type=int,
+        default=None,
+        help="correction order of the adjusted law (simulate: --target adjusted only)",
     )
     p.add_argument(
         "--target-alpha",
         type=float,
         default=None,
-        help="moment exponent used to select the correction order",
+        help="moment exponent that selects the adjusted law's correction order "
+        "(simulate: --target adjusted only)",
     )
     p.add_argument(
         "--threads",

@@ -226,8 +226,16 @@ def _adjusted(
 def _target(
     d: hoeffding.DecomposedStatistic, cfg: ExperimentConfig
 ) -> approx.AdjustedNormal:
-    """The reference law of ``cfg.target`` at ``d.n``."""
+    """The reference law of ``cfg.target`` at ``d.n``.
+
+    ``order`` and ``alpha`` shape only the adjusted law; the other targets
+    refuse them rather than ignore them.
+    """
     kind = cfg.target.kind
+    if kind != "adjusted" and (cfg.target.order, cfg.target.alpha) != (None, None):
+        raise IncompatibleOptions(
+            f"--order and --target-alpha set the adjusted target; {kind} takes neither"
+        )
     if kind == "phi":
         return approx.AdjustedNormal()
     if kind == "adjusted":

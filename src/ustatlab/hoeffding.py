@@ -88,10 +88,11 @@ STREAM_SIGMA = (1 << 40) + 2
 STREAM_MOMENT_BASE = 1 << 41
 
 # Monte Carlo moment integrals by kind: (fixed, per_order).  The order-p
-# integral draws its columns from streams STREAM_MOMENT_BASE + fixed +
-# per_order * p + j for j < p (one multinomial from the first of them on
-# finite support).  The order-2 Edgeworth input E[g g t_2] is the "aligned"
-# integral at p = 2, so it shares kappa_2's columns; "g3" owns its stream.
+# integral draws its p-tuples with ``ProjectionSet._draw`` from stream
+# STREAM_MOMENT_BASE + fixed + per_order * p (column j from that stream + j on
+# continuous laws, one multinomial from it on finite support).  The order-2
+# Edgeworth input E[g g t_2] is the "aligned" integral at p = 2, so it shares
+# kappa_2's tuples; "g3" owns its stream.
 _MOMENT_STREAMS = {
     "abs_g": (0, 0),
     "abs_t": (0, 16),
@@ -263,7 +264,7 @@ class _NodeTables:
 
 
 def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
-    """Mean, ddof=1 variance, and SE of the mean from multinomial cell counts."""
+    """Mean, ddof=1 variance, and SE of the mean of values drawn ``counts`` times."""
     m = int(counts.sum())
     vals = np.asarray(vals, dtype=float)
     mean = float(np.dot(counts, vals) / m)
@@ -306,6 +307,9 @@ class ProjectionSet:
     in that order; quadrature applies to kernels whose node grid of
     ``QUADRATURE_NODES**order`` cells fits the cell budget, which every
     order-2 kernel does.  ``inner_reps`` matters only for Monte Carlo.
+
+    Monte Carlo draws every tuple set (the inner pool, theta, var g, each
+    moment integral) with ``_draw`` and scores it with ``_count_stats``.
     """
 
     def __init__(
@@ -358,8 +362,8 @@ class ProjectionSet:
         # finest (points, weights) for marginals at arbitrary points
         self._tables: list[_NodeTables] = []
         self._nodes: Optional[tuple[np.ndarray, np.ndarray]] = None
-        # Monte Carlo moment columns and h_1 on them, by stream index
-        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Monte Carlo moment tuple sets (columns, counts, h_1s) by (stream, p)
+        self._draws: dict[tuple[int, int], tuple] = {}
         if strategy == "analytic":
             forms = forms or separable_forms(kernel, dist)
             if forms is None:
@@ -384,52 +388,21 @@ class ProjectionSet:
             self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h
             if strategy == "quadrature":
                 self.theta_se = abs(fine.theta - self._tables[1].theta)
-        elif isinstance(dist, FiniteDiscrete):
-            if self.inner_reps < 2:
-                raise ValidationError("monte-carlo strategy needs inner_reps >= 2")
-            m_plug = self.inner_reps * PLUGIN_DRAW_FACTOR
-            tail_max = max(1, k - 1)
-            _, pool_w = _node_grid(dist.atoms, dist.probs, tail_max)
-            pool_counts = model.stream_generator(seed, STREAM_INNER).multinomial(
-                m_plug, pool_w
-            )
-            self._pool_freq = pool_counts.astype(float).reshape(
-                (dist.atoms.size,) * tail_max
-            ) / m_plug
-            grid_k, w_k = _node_grid(dist.atoms, dist.probs, k)
-            theta_counts = model.stream_generator(seed, STREAM_THETA).multinomial(
-                m_plug, w_k
-            )
-            h_vals = model.kernel_values(kernel, grid_k)
-            self.theta, var_h, self.theta_se = _count_stats(theta_counts, h_vals)
-            sigma_counts = model.stream_generator(seed, STREAM_SIGMA).multinomial(
-                m_plug, dist.probs
-            )
-            g_vals = self.g_values(dist.atoms)
-            _, self.var_g, _ = _count_stats(sigma_counts, g_vals)
-            self.var_h = var_h
         else:
             if self.inner_reps < 2:
                 raise ValidationError("monte-carlo strategy needs inner_reps >= 2")
-            self._inner = np.column_stack(
-                [
-                    model.sample(dist, self.inner_reps, self.seed, STREAM_INNER + j)
-                    for j in range(max(1, k - 1))
-                ]
+            m = self.inner_reps
+            if isinstance(dist, FiniteDiscrete):
+                m *= PLUGIN_DRAW_FACTOR
+            # the inner pool: tuples of the k - 1 tail arguments, weighted
+            cols, counts = self._draw(STREAM_INNER, max(1, k - 1), m)
+            self._pool = (cols, counts / m)
+            cols, counts = self._draw(STREAM_THETA, k, m)
+            self.theta, self.var_h, self.theta_se = _count_stats(
+                counts, model.kernel_values(kernel, cols)
             )
-            theta_draws = model.kernel_values(
-                kernel,
-                [
-                    model.sample(dist, self.inner_reps, self.seed, STREAM_THETA + j)
-                    for j in range(k)
-                ],
-            )
-            self.theta = float(np.mean(theta_draws))
-            self.theta_se = float(np.std(theta_draws, ddof=1) / math.sqrt(self.inner_reps))
-            sigma_x = model.sample(dist, self.inner_reps, self.seed, STREAM_SIGMA)
-            g_draws = self.g_values(sigma_x)
-            self.var_g = float(np.var(g_draws, ddof=1))
-            self.var_h = float(np.var(theta_draws, ddof=1))
+            cols, counts = self._draw(STREAM_SIGMA, 1, m)
+            _, self.var_g, _ = _count_stats(counts, self.g_values(cols[0]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -477,31 +450,31 @@ class ProjectionSet:
         """Monte Carlo estimate and SE over ``inner_reps`` draws.
 
         The draws come from the streams starting at ``STREAM_MOMENT_BASE``
-        plus the kind's offset in ``_MOMENT_STREAMS``.
+        plus the kind's offset in ``_MOMENT_STREAMS``; each tuple set and
+        h_1 on its columns are made once and shared by every exponent.
         """
         fixed, per_order = _MOMENT_STREAMS[kind]
-        stream = STREAM_MOMENT_BASE + fixed + per_order * p
+        key = (STREAM_MOMENT_BASE + fixed + per_order * p, p)
+        if key not in self._draws:
+            cols, counts = self._draw(*key, self.inner_reps)
+            self._draws[key] = (cols, counts, [self.marginal_values(1, [c]) for c in cols])
+        cols, counts, h1s = self._draws[key]
+        mean, _, se = _count_stats(counts, self._integrand(kind, exponent, cols, h1s))
+        return mean, se
+
+    def _draw(self, stream: int, p: int, m: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """m sampled p-tuples as parallel columns and a count per tuple.
+
+        On finite support the columns are the atoms^p grid and the counts one
+        multinomial of m from ``stream``: the same information as m raw
+        tuples at O(atoms^p) evaluation cost.  Otherwise column j holds m
+        draws from stream ``stream + j`` and every count is 1.
+        """
         dist = self.dist
         if isinstance(dist, FiniteDiscrete):
-            # The multinomial cell counts carry the same information as m raw
-            # tuples, at O(atoms^p) evaluation cost instead of O(m).
             cols, w = _node_grid(dist.atoms, dist.probs, p)
-            counts = model.stream_generator(self.seed, stream).multinomial(
-                self.inner_reps, w
-            )
-            h1s = [self.marginal_values(1, [c]) for c in cols]
-            mean, _, se = _count_stats(counts, self._integrand(kind, exponent, cols, h1s))
-            return mean, se
-        cols, h1s = zip(*(self._column(stream + j) for j in range(p)))
-        vals = self._integrand(kind, exponent, cols, h1s)
-        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(self.inner_reps))
-
-    def _column(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
-        """One Monte Carlo moment column and h_1 on it, each made once."""
-        if stream not in self._columns:
-            x = model.sample(self.dist, self.inner_reps, self.seed, stream)
-            self._columns[stream] = (x, self.marginal_values(1, [x]))
-        return self._columns[stream]
+            return cols, model.stream_generator(self.seed, stream).multinomial(m, w)
+        return [model.sample(dist, m, self.seed, stream + j) for j in range(p)], np.ones(m)
 
     def _integrand(
         self,
@@ -541,21 +514,9 @@ class ProjectionSet:
             return forms.g_fn(cols[0]) + forms.theta
         if self._nodes is not None:
             grid, w = _node_grid(*self._nodes, k - p)
-        else:
-            grid, w = self._pool_for_tail(k - p)
-        return _weighted_marginal(self.kernel, cols, grid, w)
-
-    def _pool_for_tail(self, tail: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """Inner integration pool for a tail of ``tail`` arguments."""
-        dist = self.dist
-        if isinstance(dist, FiniteDiscrete):
-            freq = self._pool_freq
-            while freq.ndim > tail:
-                freq = freq.sum(axis=-1)
-            cols, _ = _node_grid(dist.atoms, dist.probs, tail)
-            return cols, freq.ravel()
-        grid = [self._inner[:, j] for j in range(tail)]
-        return grid, np.full(self.inner_reps, 1.0 / self.inner_reps)
+        else:  # the inner pool's tuples, read up to the tail's length
+            grid, w = self._pool
+        return _weighted_marginal(self.kernel, cols, grid[: k - p], w)
 
     def marginal(self, p: int, points: Sequence[float]) -> float:
         pts = [np.asarray([float(v)]) for v in points]

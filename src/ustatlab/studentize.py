@@ -47,10 +47,10 @@ def _leave_one_out_means(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, flo
     return q, u
 
 
-def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:
-    """Jackknife estimate of the squared projection scale sigma_g^2."""
+def _jackknife(kernel: Kernel, data: np.ndarray) -> tuple[int, float, float]:
+    """(n, U_n, sigma_hat^2) of a validated sample."""
     if kernel.order != 2:
-        raise ValidationError("jackknife variance is defined for order-2 kernels")
+        raise ValidationError("the jackknife variance is defined for order-2 kernels")
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValidationError("sample must be a 1-d array")
@@ -58,25 +58,21 @@ def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:
         raise ValidationError("sample values must be finite")
     n = x.size
     if n < 3:
-        raise InsufficientSample("jackknife variance needs n >= 3")
+        raise InsufficientSample("the jackknife variance needs n >= 3")
     q, u = _leave_one_out_means(kernel, x)
-    return float((n - 1) / (n - 2) ** 2 * np.sum((q - u) ** 2))
+    return n, u, float((n - 1) / (n - 2) ** 2 * np.sum((q - u) ** 2))
+
+
+def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:
+    """Jackknife estimate of the squared projection scale sigma_g^2."""
+    return _jackknife(kernel, data)[2]
 
 
 def studentized_ustat(kernel: Kernel, data: np.ndarray, theta: float) -> StudentizedStat:
     """sqrt(n) (U_n - theta) / (2 sigma_hat) with the jackknife scale."""
-    if kernel.order != 2:
-        raise ValidationError("studentization is defined for order-2 kernels")
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("sample must be a 1-d array")
-    if not np.all(np.isfinite(x)) or not math.isfinite(theta):
-        raise ValidationError("inputs must be finite")
-    n = x.size
-    if n < 3:
-        raise InsufficientSample("studentization needs n >= 3")
-    q, u = _leave_one_out_means(kernel, x)
-    var_hat = float((n - 1) / (n - 2) ** 2 * np.sum((q - u) ** 2))
+    if not math.isfinite(theta):
+        raise ValidationError("theta must be finite")
+    n, u, var_hat = _jackknife(kernel, data)
     if var_hat == 0.0:
         raise ZeroVarianceEstimate("jackknife variance estimate is exactly zero")
     sigma_hat = math.sqrt(var_hat)

@@ -179,6 +179,22 @@ def test_adjusted_law_checks_refuse_ignored_options(capsys, command, option):
     assert captured.out == ""
     assert f"{command} scores" in captured.err
 
+
+@pytest.mark.parametrize(
+    "options",
+    [["--order", "5"], ["--target", "edgeworth2", "--target-alpha", "1.5"]],
+    ids=["phi-order", "edgeworth2-alpha"],
+)
+def test_simulate_refuses_adjusted_options_on_other_targets(capsys, options):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--kernel", "variance", "--dist", "exponential",
+                  "--n-grid", "8,16", "--reps", "1000", *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order and --target-alpha set the adjusted target" in captured.err
+
+
 def test_simulate_requires_kernel_and_dist_or_preset(capsys):
     rc, out, err = run_cli(capsys, ["simulate", "--n", "8", "--reps", "2000"])
     assert rc == 1

@@ -140,6 +140,22 @@ def test_adjusted_law_checks_refuse_ignored_options(monkeypatch, check, options)
         check(cfg)
 
 
+@pytest.mark.parametrize("kind", ["phi", "edgeworth2"])
+@pytest.mark.parametrize("options", [{"order": 1}, {"alpha": 1.5}], ids=["order", "alpha"])
+def test_rate_experiment_refuses_adjusted_options_on_other_targets(
+    monkeypatch, kind, options
+):
+    # order and alpha shape only the adjusted law; the others would ignore them
+    def no_sampling(*args, **kw):
+        raise AssertionError("replicates drawn before the refusal")
+
+    monkeypatch.setattr(model, "sample", no_sampling)
+    target = exper.TargetSpec(kind, **options)
+    cfg = small_config(kernel="variance", dist="exponential", target=target)
+    with pytest.raises(IncompatibleOptions, match="adjusted target"):
+        exper.run_ecdf_experiment(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Rate fits
 # ---------------------------------------------------------------------------

@@ -260,6 +260,30 @@ def test_exact_and_mc_strategies_agree():
     assert abs(diff) < 4.0 * g_se
 
 
+@pytest.mark.parametrize("dist_ident", ["bernoulli:0.3", "uniform-atoms:-1,0,2"])
+@pytest.mark.parametrize("seed", range(10))
+def test_order3_monte_carlo_on_finite_support_tracks_exact(dist_ident, seed):
+    # order 3 integrates h_2 over a one-argument tail of the two-argument
+    # inner pool, and t_3 needs h_2 on every pair of its columns
+    kernel = model.symmetrize(lambda a, b, c: abs(a - b) * c + a * b * c, 3)
+    dist = model.distribution_preset(dist_ident)
+    exact = hoeffding.moment_summary(hoeffding.decompose(kernel, dist, 7, strategy="exact"))
+    mc = hoeffding.moment_summary(
+        hoeffding.decompose(
+            kernel, dist, 7, strategy="monte-carlo", inner_reps=2000, seed=seed
+        )
+    )
+    pairs = [
+        (mc.beta, exact.beta, mc.beta_se),
+        (mc.gamma, exact.gamma, mc.gamma_se),
+        (mc.kappa[1], exact.kappa[1], mc.kappa_se[1]),
+        (mc.kappa[2], exact.kappa[2], mc.kappa_se[2]),
+    ]
+    for est, truth, se in pairs:
+        assert se is not None and se > 0.0
+        assert abs(est - truth) < 4.0 * se
+
+
 def test_moment_summary_round_trip():
     d = quadratic_normal(0.5, 25)
     s = hoeffding.moment_summary(d, alpha=1.8)
