@@ -357,11 +357,19 @@ def variance_kernel() -> Kernel:
         return rows.var(axis=1, ddof=1)
 
     def loo(rows):
+        # 0.5 * (n rows^2 - 2 rows s1 + s2) / (n - 1), one temporary at a time
         n = rows.shape[1]
         s1 = rows.sum(axis=1, keepdims=True)
-        s2 = np.square(rows).sum(axis=1, keepdims=True)
-        full = 0.5 * (n * np.square(rows) - 2.0 * rows * s1 + s2)
-        return full / (n - 1)
+        out = np.square(rows)
+        s2 = out.sum(axis=1, keepdims=True)
+        out *= n
+        tmp = 2.0 * rows
+        tmp *= s1
+        out -= tmp
+        out += s2
+        out *= 0.5
+        out /= n - 1
+        return out
 
     return Kernel("variance", 2, _variance_fn, quad_coefs=(0.0, 0.5, -1.0), rows=RowForms(u, loo))
 
@@ -376,12 +384,16 @@ def gini_kernel() -> Kernel:
         return srt @ coef * (2.0 / (n * (n - 1)))
 
     def loo(rows):
+        # (srt (2i - n) + s1 - 2 pre) / (n - 1) over the sorted row
         n = rows.shape[1]
-        srt = np.sort(rows, axis=1)
-        pre = np.cumsum(srt, axis=1)
-        s1 = pre[:, -1:]
-        idx = np.arange(1, n + 1)
-        return (srt * (2.0 * idx - n) + s1 - 2.0 * pre) / (n - 1)
+        out = np.sort(rows, axis=1)
+        pre = np.cumsum(out, axis=1)
+        out *= 2.0 * np.arange(1, n + 1) - n
+        out += pre[:, -1:]
+        pre *= 2.0
+        out -= pre
+        out /= n - 1
+        return out
 
     return Kernel("gini", 2, _gini_fn, rows=RowForms(u, loo))
 
@@ -397,8 +409,10 @@ def product_kernel() -> Kernel:
 
     def loo(rows):
         n = rows.shape[1]
-        s1 = rows.sum(axis=1, keepdims=True)
-        return (rows * s1 - np.square(rows)) / (n - 1)
+        out = rows * rows.sum(axis=1, keepdims=True)
+        out -= np.square(rows)
+        out /= n - 1
+        return out
 
     return Kernel("product", 2, _product_fn, quad_coefs=(0.0, 0.0, 1.0), rows=RowForms(u, loo))
 
@@ -423,11 +437,21 @@ def quadratic_kernel(eps: float) -> Kernel:
         return s1 / n + eps * (s1 * s1 - s2) / (n * (n - 1))
 
     def loo(rows):
+        # (0.5 (n rows + s1) + eps rows s1 - (rows + eps rows^2)) / (n - 1)
         n = rows.shape[1]
         s1 = rows.sum(axis=1, keepdims=True)
-        full = 0.5 * (n * rows + s1) + eps * rows * s1
-        diag = rows + eps * np.square(rows)
-        return (full - diag) / (n - 1)
+        out = n * rows
+        out += s1
+        out *= 0.5
+        tmp = eps * rows
+        tmp *= s1
+        out += tmp
+        np.square(rows, out=tmp)
+        tmp *= eps
+        tmp += rows
+        out -= tmp
+        out /= n - 1
+        return out
 
     return Kernel(
         f"quadratic:{eps:g}", 2, fn, params={"eps": float(eps)},

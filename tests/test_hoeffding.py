@@ -213,7 +213,7 @@ def test_edgeworth_inputs_reuse_the_aligned_integral(monkeypatch):
     monkeypatch.setattr(model, "stream_generator", counting)
     e_gg_eta, _, _ = hoeffding.order2_edgeworth_inputs(d)
     # E[g g t_2] is kappa_2's integral; only E g^3 draws a new column
-    assert streams == [hoeffding.STREAM_MOMENT_BASE + 256]
+    assert streams == [hoeffding.STREAM_MOMENT_BASE + 512]
     assert e_gg_eta == d.projection.moment("aligned", 2)[0]
 
 def test_order2_edgeworth_inputs_exact_matches_manual():
@@ -352,6 +352,68 @@ def test_monte_carlo_moments_draw_and_project_each_column_once(monkeypatch):
     columns = [hoeffding.STREAM_MOMENT_BASE + c for c in (0, 32, 33, 128, 129)]
     assert sorted(streams) == columns
     assert projected == [500] * len(columns)
+
+
+def test_monte_carlo_marginals_evaluate_cache_sized_blocks(monkeypatch):
+    d = hoeffding.decompose(
+        model.gini_kernel(), model.distribution_preset("exponential"), 16,
+        strategy="monte-carlo", inner_reps=3001, seed=2,
+    )
+    calls, inside = [], []  # the block shapes of each marginal evaluation
+    kernel_values, marginal = model.kernel_values, hoeffding._weighted_marginal
+
+    def recording(kernel, columns):
+        out = kernel_values(kernel, columns)
+        if inside:
+            calls[-1].append(out.shape)
+        return out
+
+    def blocked(*args):
+        calls.append([])
+        inside.append(True)
+        try:
+            return marginal(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(model, "kernel_values", recording)
+    monkeypatch.setattr(hoeffding, "_weighted_marginal", blocked)
+    hoeffding.moment_summary(d)
+    assert calls
+    for blocks in calls:
+        assert all(rows * tail <= hoeffding._BLOCK_CELLS for rows, tail in blocks)
+        # each block but the last is a whole multiple of 4 rows
+        assert all(rows % 4 == 0 for rows, _ in blocks[:-1])
+    monkeypatch.undo()
+    # the blocked marginal is the one-shot matrix-vector product (1,001
+    # points leave a trailing block of one row); only the summation order
+    # may differ, since a multithreaded BLAS splits the one-shot's rows
+    (pool,), w = d.projection._pool
+    x = model.sample(d.dist, 1001, 5, 7)
+    np.testing.assert_allclose(
+        d.projection.marginal_values(1, [x]), np.abs(x[:, None] - pool) @ w,
+        rtol=1e-14, atol=0.0,
+    )
+
+
+def test_monte_carlo_streams_are_disjoint_up_to_the_largest_order():
+    k = hoeffding.MAX_DECOMPOSE_ORDER
+    base = hoeffding.STREAM_MOMENT_BASE
+    # a p-tuple reads the p streams from its first on continuous laws
+    ranges = [
+        ("inner", hoeffding.STREAM_INNER, k - 1),
+        ("theta", hoeffding.STREAM_THETA, k),
+        ("sigma", hoeffding.STREAM_SIGMA, 1),
+    ]
+    for kind, (fixed, per_order) in hoeffding._MOMENT_STREAMS.items():
+        # kinds without a per-order offset are order-1 integrals
+        for p in [1] if per_order == 0 else range(2, k + 1):
+            ranges.append((f"{kind}:{p}", base + fixed + per_order * p, p))
+    owner = {}
+    for name, first, width in ranges:
+        for stream in range(first, first + width):
+            assert stream not in owner, (name, owner.get(stream))
+            owner[stream] = name
 
 
 @pytest.mark.parametrize(
@@ -516,6 +578,25 @@ def test_quadrature_projection_matches_closed_form_and_reconstructs():
     assert payload["kappa_se"][0] is None
     assert all(payload[k] > 0.0 for k in ("beta_se", "gamma_se", "gamma_alpha_se"))
     assert payload["kappa_se"][1] > 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 512, 1024])
+def test_gauss_legendre_rule(m):
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = hoeffding._gauss_legendre(m)
+    assert nodes.shape == weights.shape == (m,)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert 0.0 < nodes[0] and nodes[-1] < 1.0
+    np.testing.assert_allclose(nodes + nodes[::-1], 1.0, rtol=0.0, atol=1e-15)
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+    for j in range(min(2 * m - 1, 40) + 1):
+        assert weights @ nodes**j == pytest.approx(1.0 / (j + 1), rel=1e-13), j
+    u, w = leggauss(m)
+    np.testing.assert_allclose(nodes, (u + 1.0) / 2.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(weights, w / 2.0, rtol=1e-8)
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_quadrature_cell_budget(monkeypatch):
