@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -366,6 +367,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--force", action="store_true", help="overwrite an existing output file"
     )
+    # every file that --out names, checked before the command runs
+    p.set_defaults(out_paths=lambda out: (Path(out),))
 
 
 def _add_projection_flags(p: argparse.ArgumentParser) -> None:
@@ -513,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="ECDF distance experiment over an n-grid")
     _add_experiment_flags(p)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler=_cmd_simulate, out_paths=exper.rate_report_paths)
 
     p = sub.add_parser(
         "counterexample", help="plain vs adjusted target on the quadratic preset"
@@ -574,6 +577,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            exper.refuse_existing(args.out_paths(args.out), args.force)
         return args.handler(args)
     except IncompatibleOptions as exc:
         parser.error(str(exc))

@@ -828,9 +828,15 @@ def char_function_check(
 # Report files
 # ---------------------------------------------------------------------------
 
+def refuse_existing(paths: Sequence[Path], force: bool) -> None:
+    """Raise FileExistsError for the first of ``paths`` that exists, unless ``force``."""
+    for path in paths:
+        if path.exists() and not force:
+            raise FileExistsError(f"{path} exists; use force to overwrite")
+
+
 def _atomic_write_text(path: Path, text: str, force: bool) -> None:
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; use force to overwrite")
+    refuse_existing([path], force)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -855,12 +861,17 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def rate_report_paths(csv_path: str | Path) -> tuple[Path, Path]:
+    """The CSV table of a rate report and its JSON sidecar."""
+    csv_path = Path(csv_path)
+    return csv_path, csv_path.with_suffix(".json")
+
+
 def write_rate_report(
     report: RateReport, csv_path: str | Path, force: bool = False
 ) -> tuple[Path, Path]:
     """Write the CSV table and its JSON sidecar; returns both paths."""
-    csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
+    csv_path, json_path = rate_report_paths(csv_path)
     _atomic_write_text(csv_path, rate_csv_text(report), force)
     _atomic_write_text(json_path, json_text(report.to_json()), force)
     return csv_path, json_path

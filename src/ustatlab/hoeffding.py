@@ -41,6 +41,13 @@ Four evaluation strategies are supported:
 once on the product grid of the nodes, and theta, g, t_p and every moment
 integral are weighted sums over tables built from that grid.
 
+Marginals at arbitrary points average the kernel over a weighted tail: the
+node grid, or the Monte Carlo inner pool.  Each tail is built once per
+projection.  h_1 of an order-2 kernel that declares ``Kernel.pool_mean``
+(gini) is that pool form, prepared once on the nodes or the pool; every
+other marginal (kernels without one, and orders 3 and up) evaluates the
+kernel on blocks of tail cells.
+
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
 bar: the Monte Carlo standard error, or for quadrature the gap
@@ -104,12 +111,14 @@ _MOMENT_STREAMS = {
     "g3": (512, 0),
 }
 
-# Kernel cells per block of ``_weighted_marginal``.  At 8 bytes a cell each
-# temporary takes up to 256 KiB, small enough for the allocator to reuse the
-# same memory for every block.  Larger blocks fault in fresh pages and cost
-# far more.  On the gini/exponential Monte Carlo ``moments`` run (5k inner
-# draws, 1 BLAS thread), blocks of 20k-40k cells took 0.15-0.21 s with no
-# system time and about 100 page faults; blocks of 60k cells took 1.0 s, with
+# Kernel cells per block of ``_weighted_marginal``, which evaluates the
+# marginals of kernels without a pool form and of orders 3 and up.  At 8
+# bytes a cell each temporary takes up to 256 KiB, small enough for the
+# allocator to reuse the same memory for every block.  Larger blocks fault in
+# fresh pages and cost far more.  On the Monte Carlo ``moments`` run of |x - y|
+# under the exponential law, before gini took its pool form (5k inner draws,
+# 1 BLAS thread), blocks of 20k-40k cells took 0.15-0.21 s with no system
+# time and about 100 page faults; blocks of 60k cells took 1.0 s, with
 # 0.7-0.8 s of system time and 500k faults; blocks of 4M cells took 0.6-1.0 s,
 # with 0.25-0.5 s of system time and 34k-53k faults.
 _BLOCK_CELLS = 32_768
@@ -203,25 +212,37 @@ def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-point Gauss-Legendre rule moved to (0, 1), as read-only arrays.
 
-    The roots x of P_m come from three Newton steps on the three-term
+    The roots x >= 0 of P_m come from Newton steps on the three-term
     recurrence, vectorised over the nodes and started from Tricomi's guess
-    cos(pi (4k - 1) / (4m + 2)); the weights are 2(1 - x)(1 + x) /
-    (m P_(m-1)(x))^2.  That is O(m^2) work where the Golub-Welsch eigenvalue
-    solve of ``numpy.polynomial.legendre.leggauss`` is O(m^3) (Hale &
-    Townsend, SIAM J. Sci. Comput. 35 (2013) A652-A674).  At m = 1024 the
-    nodes agree with ``leggauss`` to 1.1e-16 and the weights to 5e-10
-    relative; the largest gaps are at the ends of the interval, where the
-    recurrence loses about m^2 ulps and both rules' weights are about 1e-9
-    off a 50-digit reference.
+    (1 - (m - 1) / (8 m^3)) cos(pi (4k - 1) / (4m + 2)); they stop once no
+    root moves by 1e-10, after three steps at most.  The recurrence is
+    exactly odd or even in x, so the roots x < 0 are their mirror image and
+    for odd m the middle root is 0.  The weights are 2(1 - x)(1 + x) /
+    (m (x P_m(x) - P_(m-1)(x)))^2, which keeps the P_m(x) term that vanishes
+    at an exact root: near the ends of the interval dropping it costs about
+    m / (1 - x^2) times the root's rounding error.  That is O(m^2) work
+    where the Golub-Welsch eigenvalue solve of
+    ``numpy.polynomial.legendre.leggauss`` is O(m^3) (Hale & Townsend, SIAM
+    J. Sci. Comput. 35 (2013) A652-A674).  At m = 512 and 1024 the nodes are
+    within 1.2e-16 of a 40-digit Newton reference and the weights within
+    1.1e-11 relative, against about 1.5e-9 for ``leggauss``'s end weights.
     """
-    x = np.cos(np.pi * (4.0 * np.arange(1, m + 1) - 1.0) / (4.0 * m + 2.0))
+    k = np.arange(1, (m + 1) // 2 + 1)
+    x = (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * m + 2.0))
     for _ in range(3):
         p, q = _legendre_pair(m, x)
-        x = x - p * (x * x - 1.0) / (m * (x * p - q))
-    _, q = _legendre_pair(m, x)
-    weights = (1.0 - x) * (1.0 + x) / np.square(m * q)
-    # x decreases in k, so (1 - x) / 2 puts the nodes in increasing order
-    nodes = (1.0 - x) / 2.0
+        step = p * (x * x - 1.0) / (m * (x * p - q))
+        x = x - step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    if m % 2:
+        x[-1] = 0.0
+    p, q = _legendre_pair(m, x)
+    half = (1.0 - x) * (1.0 + x) / np.square(m * (x * p - q))
+    # x decreases in k, so (1 - x) / 2 puts the nodes in increasing order;
+    # the mirror images of the roots before the middle one follow in reverse
+    nodes = np.concatenate(((1.0 - x) / 2.0, (1.0 + x[: m // 2][::-1]) / 2.0))
+    weights = np.concatenate((half, half[: m // 2][::-1]))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -410,6 +431,10 @@ class ProjectionSet:
         self._nodes: Optional[tuple[np.ndarray, np.ndarray]] = None
         # Monte Carlo moment tuple sets (columns, counts, h_1s) by (stream, p)
         self._draws: dict[tuple[int, int], tuple] = {}
+        # the weighted tail tuples of each marginal by tail length, and h_1 of
+        # an order-2 kernel with a pool form, prepared on the length-1 tail
+        self._tails: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
+        self._h1: Optional[Callable[[np.ndarray], np.ndarray]] = None
         if strategy == "analytic":
             forms = forms or separable_forms(kernel, dist)
             if forms is None:
@@ -430,6 +455,7 @@ class ProjectionSet:
                 ]
             self._nodes = node_sets[0]
             self._tables = [_NodeTables(kernel, *nodes) for nodes in node_sets]
+            self._prepare_pool_mean()
             fine = self._tables[0]
             self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h
             if strategy == "quadrature":
@@ -443,12 +469,32 @@ class ProjectionSet:
             # the inner pool: tuples of the k - 1 tail arguments, weighted
             cols, counts = self._draw(STREAM_INNER, max(1, k - 1), m)
             self._pool = (cols, counts / m)
+            self._prepare_pool_mean()
             cols, counts = self._draw(STREAM_THETA, k, m)
             self.theta, self.var_h, self.theta_se = _count_stats(
                 counts, model.kernel_values(kernel, cols)
             )
             cols, counts = self._draw(STREAM_SIGMA, 1, m)
             _, self.var_g, _ = _count_stats(counts, self.g_values(cols[0]))
+
+    def _tail(self, length: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Weighted tuples over which a marginal averages its last ``length`` arguments.
+
+        They are the node grid, or the inner pool read up to ``length``
+        columns; each is built once per projection.
+        """
+        if length not in self._tails:
+            if self._nodes is not None:
+                self._tails[length] = _node_grid(*self._nodes, length)
+            else:
+                cols, w = self._pool
+                self._tails[length] = cols[:length], w
+        return self._tails[length]
+
+    def _prepare_pool_mean(self) -> None:
+        if self.kernel.pool_mean is not None:
+            (pool,), w = self._tail(1)
+            self._h1 = self.kernel.pool_mean(pool, w)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -558,11 +604,10 @@ class ProjectionSet:
             forms = self.forms
             assert forms is not None and k == 2 and p == 1
             return forms.g_fn(cols[0]) + forms.theta
-        if self._nodes is not None:
-            grid, w = _node_grid(*self._nodes, k - p)
-        else:  # the inner pool's tuples, read up to the tail's length
-            grid, w = self._pool
-        return _weighted_marginal(self.kernel, cols, grid[: k - p], w)
+        if self._h1 is not None:  # p = 1 of an order-2 kernel
+            return self._h1(cols[0])
+        grid, w = self._tail(k - p)
+        return _weighted_marginal(self.kernel, cols, grid, w)
 
     def marginal(self, p: int, points: Sequence[float]) -> float:
         pts = [np.asarray([float(v)]) for v in points]

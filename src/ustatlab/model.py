@@ -14,9 +14,10 @@ Design notes
   inner draws and moment estimates of ``hoeffding``.
 * Built-in kernels are written so that evaluation is exactly (bit-for-bit)
   invariant under argument permutation.
-* Kernel closed forms (``Kernel.quad_coefs`` and ``Kernel.rows``) are set
-  only by the preset constructors, never inferred from ``ident``; other
-  kernels take the exact, quadrature or Monte Carlo paths.
+* Kernel closed forms (``Kernel.quad_coefs``, ``Kernel.rows`` and
+  ``Kernel.pool_mean``) are set only by the preset constructors, never
+  inferred from ``ident``; other kernels take the exact, quadrature or Monte
+  Carlo paths.
 """
 
 from __future__ import annotations
@@ -300,7 +301,10 @@ class Kernel:
     carries named kernel parameters; nothing dispatches on them or on
     ``ident``.  ``quad_coefs = (a, b, c)`` states that an order-2 kernel is
     h = a(x+y) + b(x^2+y^2) + c*x*y, and ``rows`` holds its per-row closed
-    forms; both stay None unless a preset constructor knows them.
+    forms.  ``pool_mean(pool, weights)`` prepares a weighted pool of points
+    once and returns the function x -> sum_j weights_j h(x, pool_j) of an
+    order-2 kernel.  All three stay None unless a preset constructor knows
+    them.
     """
 
     ident: str
@@ -309,12 +313,17 @@ class Kernel:
     params: dict[str, float] = field(default_factory=dict)
     quad_coefs: Optional[tuple[float, float, float]] = None
     rows: Optional[RowForms] = None
+    pool_mean: Optional[
+        Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    ] = None
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValidationError("kernel order must be at least 1")
         if self.quad_coefs is not None and self.order != 2:
             raise ValidationError("quad_coefs describe order-2 kernels only")
+        if self.pool_mean is not None and self.order != 2:
+            raise ValidationError("pool_mean describes order-2 kernels only")
 
 
 def eval_kernel(kernel: Kernel, points: Sequence[float]) -> float:
@@ -374,6 +383,21 @@ def variance_kernel() -> Kernel:
     return Kernel("variance", 2, _variance_fn, quad_coefs=(0.0, 0.5, -1.0), rows=RowForms(u, loo))
 
 
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """[0, a_0, a_0 + a_1, ...] to within about an ulp of each exact sum.
+
+    ``cumsum`` alone drifts by up to ``a.size`` ulps.  Every partial sum is
+    known once it has run, so the rounding error of each addition comes out
+    exactly by Knuth's TwoSum, vectorised, and the running total of those
+    errors is added back.
+    """
+    s = np.cumsum(a)
+    prev = np.concatenate(([0.0], s[:-1]))
+    back = s - prev
+    err = (prev - (s - back)) + (a - back)
+    return np.concatenate(([0.0], s + np.cumsum(err)))
+
+
 def gini_kernel() -> Kernel:
     """h(x, y) = |x - y|, the mean absolute difference kernel."""
 
@@ -395,7 +419,27 @@ def gini_kernel() -> Kernel:
         out /= n - 1
         return out
 
-    return Kernel("gini", 2, _gini_fn, rows=RowForms(u, loo))
+    def pool_mean(pool, weights):
+        # E|x - Y| = z (2 W_k - W) - 2 S_k + S over the sorted pool v, where
+        # z = x - c and v = y - c for the smallest pool point c, W_k and S_k
+        # are prefix sums of w and w v, and k counts the pool points <= z.
+        # Shifting by c keeps the sums at the scale of the law's spread.
+        order = np.argsort(pool, kind="stable")
+        c = pool[order[0]]
+        v = pool[order] - c
+        w = weights[order]
+        w_pre = _prefix_sums(w)
+        s_pre = _prefix_sums(w * v)
+        w_all, s_all = w_pre[-1], s_pre[-1]
+
+        def mean(x):
+            z = x - c
+            k = np.searchsorted(v, z, side="right")
+            return z * (2.0 * w_pre[k] - w_all) - 2.0 * s_pre[k] + s_all
+
+        return mean
+
+    return Kernel("gini", 2, _gini_fn, rows=RowForms(u, loo), pool_mean=pool_mean)
 
 
 def product_kernel() -> Kernel:

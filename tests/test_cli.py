@@ -420,6 +420,7 @@ def test_simulate_out_refuses_overwrite_of_sidecar(capsys, tmp_path):
     ])
     assert rc == 1
     assert "force" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

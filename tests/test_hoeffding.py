@@ -15,6 +15,8 @@ from ustatlab.errors import (
 )
 
 E_ABS_Z3 = 2.0 * math.sqrt(2.0 / math.pi)
+# the gini kernel with no closed forms
+ABS_KERNEL = model.Kernel("abs", 2, model._gini_fn)
 
 
 def variance_normal(n, **kw):
@@ -332,18 +334,19 @@ def test_monte_carlo_moments_draw_and_project_each_column_once(monkeypatch):
         strategy="monte-carlo", inner_reps=500, seed=1,
     )
     streams, projected = [], []
-    make, marginal = model.stream_generator, hoeffding._weighted_marginal
+    make, h1 = model.stream_generator, d.projection._h1
 
     def counting(seed, stream=0):
         streams.append(stream)
         return make(seed, stream)
 
-    def counting_marginal(kernel, cols, tail_cols, weights):
-        projected.append(cols[0].size)
-        return marginal(kernel, cols, tail_cols, weights)
+    def counting_h1(x):
+        projected.append(x.size)
+        return h1(x)
 
     monkeypatch.setattr(model, "stream_generator", counting)
-    monkeypatch.setattr(hoeffding, "_weighted_marginal", counting_marginal)
+    # gini's h_1 is its pool form, prepared once on the inner pool
+    monkeypatch.setattr(d.projection, "_h1", counting_h1)
     hoeffding.moment_summary(d, alpha=1.7)
     hoeffding.moment_inequalities(d, alpha=1.7)
     # E|g|^q for three q, E|t_2|^alpha for two alpha and kappa_2 share the
@@ -355,8 +358,9 @@ def test_monte_carlo_moments_draw_and_project_each_column_once(monkeypatch):
 
 
 def test_monte_carlo_marginals_evaluate_cache_sized_blocks(monkeypatch):
+    # |x - y| without gini's pool form, so its marginals take the blocks
     d = hoeffding.decompose(
-        model.gini_kernel(), model.distribution_preset("exponential"), 16,
+        ABS_KERNEL, model.distribution_preset("exponential"), 16,
         strategy="monte-carlo", inner_reps=3001, seed=2,
     )
     calls, inside = [], []  # the block shapes of each marginal evaluation
@@ -394,6 +398,72 @@ def test_monte_carlo_marginals_evaluate_cache_sized_blocks(monkeypatch):
         d.projection.marginal_values(1, [x]), np.abs(x[:, None] - pool) @ w,
         rtol=1e-14, atol=0.0,
     )
+
+
+def _pool_case(name):
+    """(pool, weights, points) of one pool-form comparison."""
+    exp = model.distribution_preset("exponential")
+    pool = model.sample(exp, 2000, 0, 1)
+    w = np.full(pool.size, 1.0 / pool.size)
+    x = model.sample(exp, 3000, 0, 2)
+    if name == "ties":
+        pool = np.round(pool, 1)
+        return pool, w, np.concatenate([x, pool[:200]])
+    if name == "zero-weights":
+        # multinomial counts of 10 draws over 16 atoms leave some atoms empty
+        atoms = np.arange(16.0)
+        counts = model.stream_generator(0, 3).multinomial(10, np.full(16, 1.0 / 16))
+        assert np.any(counts == 0)
+        return atoms, counts / 10.0, np.linspace(-3.0, 18.0, 85)
+    if name == "one-point":
+        return np.array([0.7]), np.array([1.0]), np.array([-1.0, 0.7, 0.7000001, 3.0])
+    if name == "outside":
+        return pool, w, np.concatenate(
+            [np.linspace(-50.0, -1e-9, 50), pool.max() + np.linspace(1e-9, 50.0, 50)]
+        )
+    if name == "shifted":
+        return 1e6 + pool, w, np.concatenate([1e6 + x, [0.0, 1e6 - 10.0, 3e6]])
+    return pool, w, x
+
+
+@pytest.mark.parametrize(
+    "case", ["plain", "ties", "zero-weights", "one-point", "outside", "shifted"]
+)
+def test_gini_pool_form_matches_blocked_marginal(case):
+    pool, w, x = _pool_case(case)
+    prepared = model.gini_kernel().pool_mean(pool, w)(x)
+    blocked = hoeffding._weighted_marginal(ABS_KERNEL, [x], [pool], w)
+    # The shifted law 1e6 + exponential meets the same 1e-12: the pool form
+    # subtracts a pool point before its prefix sums, which makes x - c and
+    # y - c exact.  Prefix sums of the raw w y miss by about 1e-7 relative
+    # there, since each partial sum carries rounding of order 1e6 eps.
+    np.testing.assert_allclose(prepared, blocked, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_rejects_pool_mean_off_order_2():
+    with pytest.raises(ValidationError):
+        model.Kernel("abs3", 3, lambda a, b, c: a, pool_mean=model.gini_kernel().pool_mean)
+
+
+def test_gini_monte_carlo_moments_take_the_pool_form(monkeypatch):
+    m = 1500
+    cells = []
+    kernel_values = model.kernel_values
+
+    def counting(kernel, columns):
+        out = kernel_values(kernel, columns)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(model, "kernel_values", counting)
+    d = hoeffding.decompose(
+        model.gini_kernel(), model.distribution_preset("exponential"), 16,
+        strategy="monte-carlo", inner_reps=m, seed=4,
+    )
+    hoeffding.moment_summary(d)
+    # theta's draws and h(x, y) on the two order-2 tuple sets; g takes the
+    # pool form, where the blocked marginals would cost about 6 m^2 cells
+    assert sum(cells) <= 3 * m
 
 
 def test_monte_carlo_streams_are_disjoint_up_to_the_largest_order():
