@@ -174,12 +174,7 @@ def kolmogorov_distance(data: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray
     x = np.sort(np.asarray(data, dtype=float))
     if x.size == 0:
         raise ValidationError("sample must be nonempty")
-    m = x.size
-    target = np.asarray(cdf(x), dtype=float)
-    i = np.arange(1, m + 1)
-    upper = np.abs(i / m - target)
-    lower = np.abs((i - 1) / m - target)
-    return float(np.max(np.maximum(upper, lower)))
+    return step_function_distance(x, np.arange(1, x.size + 1) / x.size, cdf)
 
 
 def dkw_bound(reps: int, delta: float = 0.001) -> float:

@@ -424,6 +424,8 @@ class ProjectionSet:
         self.inner_reps = int(inner_reps)
         self.seed = int(seed)
         self.forms: Optional[SeparableForms] = None
+        # the error bar of theta: None where theta is exact
+        self.theta_se: Optional[float] = None
         self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
         # node-set strategies: the tables of each rule, finest first, and the
         # finest (points, weights) for marginals at arbitrary points

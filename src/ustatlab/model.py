@@ -17,7 +17,8 @@ Design notes
 * Kernel closed forms (``Kernel.quad_coefs``, ``Kernel.rows`` and
   ``Kernel.pool_mean``) are set only by the preset constructors, never
   inferred from ``ident``; other kernels take the exact, quadrature or Monte
-  Carlo paths.
+  Carlo paths.  A quadratic kernel states its closed form once, as
+  ``quad_coefs``: its ``rows`` are generated from them.
 """
 
 from __future__ import annotations
@@ -90,8 +91,7 @@ class Continuous:
     """Absolutely continuous distribution with an analytic moment table.
 
     ``central_moments[p]`` stores the p-th central moment for p up to 6;
-    ``abs_moment_fn`` is a closed form for ``E|X|^r`` when one is known.
-    Anything missing falls back to adaptive quadrature of ``pdf`` over
+    a missing order falls back to adaptive quadrature of ``pdf`` over
     ``support``.  ``ppf`` is the quantile function on (0, 1) when one is
     known; the quadrature projection in ``hoeffding`` needs it.
     """
@@ -103,7 +103,6 @@ class Continuous:
     mean: float
     var: float
     central_moments: dict[int, float] = field(default_factory=dict)
-    abs_moment_fn: Optional[Callable[[float], float]] = None
     ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -162,30 +161,11 @@ def central_moment(dist: Distribution, p: int) -> float:
     return expectation(dist, lambda x: (x - mu) ** p)
 
 
-def abs_moment(dist: Distribution, r: float) -> float:
-    """``E|X|^r`` for r >= 0; exact on finite support, else closed form
-    or quadrature."""
-    if r < 0:
-        raise ValidationError("r must be nonnegative; see neg_abs_moment_std_normal")
-    if isinstance(dist, FiniteDiscrete):
-        return float(np.dot(np.abs(dist.atoms) ** r, dist.probs))
-    if dist.abs_moment_fn is not None:
-        return dist.abs_moment_fn(r)
-    return expectation(dist, lambda x: np.abs(x) ** r)
-
-
 def gaussian_abs_moment(r: float) -> float:
     """``E|Z|^r`` for a standard normal Z, valid for all r > -1."""
     if r <= -1:
         raise ValidationError("E|Z|^r diverges for r <= -1")
     return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def neg_abs_moment_std_normal(a: float) -> float:
-    """``E|Z|^(-a)`` for standard normal Z and 0 < a < 1/2."""
-    if not 0.0 < a < 0.5:
-        raise ValidationError("a must lie in (0, 1/2)")
-    return gaussian_abs_moment(-a)
 
 
 def _normal_pdf(x: np.ndarray) -> np.ndarray:
@@ -201,13 +181,11 @@ def _make_normal() -> Continuous:
         mean=0.0,
         var=1.0,
         central_moments={2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0},
-        abs_moment_fn=gaussian_abs_moment,
         ppf=special.ndtri,
     )
 
 
 def _make_exponential() -> Continuous:
-    # E|X|^r = Gamma(r + 1) for a unit-rate exponential.
     return Continuous(
         ident="exponential",
         sampler=lambda gen, n: gen.standard_exponential(n),
@@ -216,7 +194,6 @@ def _make_exponential() -> Continuous:
         mean=1.0,
         var=1.0,
         central_moments={2: 1.0, 3: 2.0, 4: 9.0, 5: 44.0, 6: 265.0},
-        abs_moment_fn=lambda r: math.gamma(r + 1.0),
         ppf=lambda u: -np.log1p(-u),
     )
 
@@ -230,7 +207,6 @@ def _make_uniform01() -> Continuous:
         mean=0.5,
         var=1.0 / 12.0,
         central_moments={2: 1.0 / 12.0, 3: 0.0, 4: 1.0 / 80.0, 5: 0.0, 6: 1.0 / 448.0},
-        abs_moment_fn=lambda r: 1.0 / (r + 1.0),
         ppf=lambda u: np.asarray(u, dtype=float),
     )
 
@@ -285,12 +261,55 @@ class RowForms:
     """Closed forms over the rows of an ``(m, n)`` block of samples.
 
     ``u(rows)`` returns the U-statistic of each row.  ``loo(rows)`` returns
-    a fresh ``(m, n)`` array of the leave-one-out means: entry i of a row is
-    the mean of h(x_i, x_j) over j != i, in any order within the row.
+    a fresh ``(m, n)`` array of the leave-one-out means, which callers may
+    overwrite: entry i of a row is the mean of h(x_i, x_j) over j != i, in
+    any order within the row.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
     loo: Callable[[np.ndarray], np.ndarray]
+
+
+def _quadratic_rows(a: float, b: float, c: float) -> RowForms:
+    """Row forms of h = a(x+y) + b(x^2+y^2) + c*x*y.
+
+    Each row is shifted by its first point m.  With z = x - m the kernel is
+    k0 + a'(z + w) + b(z^2 + w^2) + c*z*w, where a' = a + (2b + c)m and
+    k0 = h(m, m) = 2am + (2b + c)m^2, so every sum over pairs reduces to
+    S1 = sum z and S2 = sum z^2.  The shift keeps the sums at the scale of
+    the row's spread however far the data sit from 0 (the sample variance
+    loses no digits to an offset), and since m is a data point, data on a
+    small integer grid such as 0/1 laws give every intermediate exactly.
+    """
+
+    def shifted(rows):
+        # (k0, a', z, S1, S2) of each row; einsum sums short rows several
+        # times faster than sum(axis=1)
+        m = rows[:, 0]
+        z = rows - m[:, None]
+        slope = a + (2.0 * b + c) * m
+        return (a + slope) * m, slope, z, np.einsum("ij->i", z), np.einsum("ij,ij->i", z, z)
+
+    def u(rows):
+        # k0 + (2(a' S1 + b S2)(n-1) + c(S1^2 - S2)) / (n(n-1))
+        n = rows.shape[1]
+        k0, slope, _, s1, s2 = shifted(rows)
+        return k0 + (2.0 * (n - 1) * (slope * s1 + b * s2)
+                     + c * (np.square(s1) - s2)) / (n * (n - 1))
+
+    def loo(rows):
+        # ((a'(n-2) + c S1) z + (b(n-2) - c) z^2 + a' S1 + b S2 + (n-1) k0) / (n-1),
+        # Horner in z and divided last, so an exact q comes out exactly
+        n = rows.shape[1]
+        k0, slope, z, s1, s2 = shifted(rows)
+        out = (b * (n - 2) - c) * z
+        out += (slope * (n - 2) + c * s1)[:, None]
+        out *= z
+        out += (slope * s1 + b * s2 + (n - 1) * k0)[:, None]
+        out /= n - 1
+        return out
+
+    return RowForms(u, loo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,11 +319,12 @@ class Kernel:
     ``fn`` must accept ``order`` numpy-broadcastable arguments.  ``params``
     carries named kernel parameters; nothing dispatches on them or on
     ``ident``.  ``quad_coefs = (a, b, c)`` states that an order-2 kernel is
-    h = a(x+y) + b(x^2+y^2) + c*x*y, and ``rows`` holds its per-row closed
-    forms.  ``pool_mean(pool, weights)`` prepares a weighted pool of points
-    once and returns the function x -> sum_j weights_j h(x, pool_j) of an
-    order-2 kernel.  All three stay None unless a preset constructor knows
-    them.
+    h = a(x+y) + b(x^2+y^2) + c*x*y; its ``rows`` are then generated from
+    them and may not be given too.  ``rows`` holds the per-row closed forms
+    of any other kernel that has them.  ``pool_mean(pool, weights)``
+    prepares a weighted pool of points once and returns the function
+    x -> sum_j weights_j h(x, pool_j) of an order-2 kernel.  All three stay
+    None unless a preset constructor knows them.
     """
 
     ident: str
@@ -320,10 +340,14 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValidationError("kernel order must be at least 1")
-        if self.quad_coefs is not None and self.order != 2:
-            raise ValidationError("quad_coefs describe order-2 kernels only")
         if self.pool_mean is not None and self.order != 2:
             raise ValidationError("pool_mean describes order-2 kernels only")
+        if self.quad_coefs is not None:
+            if self.order != 2:
+                raise ValidationError("quad_coefs describe order-2 kernels only")
+            if self.rows is not None:
+                raise ValidationError("rows of a kernel with quad_coefs come from them")
+            object.__setattr__(self, "rows", _quadratic_rows(*self.quad_coefs))
 
 
 def eval_kernel(kernel: Kernel, points: Sequence[float]) -> float:
@@ -361,26 +385,7 @@ def _product_fn(x, y):
 
 def variance_kernel() -> Kernel:
     """h(x, y) = (x - y)^2 / 2; its U-statistic is the sample variance."""
-
-    def u(rows):
-        return rows.var(axis=1, ddof=1)
-
-    def loo(rows):
-        # 0.5 * (n rows^2 - 2 rows s1 + s2) / (n - 1), one temporary at a time
-        n = rows.shape[1]
-        s1 = rows.sum(axis=1, keepdims=True)
-        out = np.square(rows)
-        s2 = out.sum(axis=1, keepdims=True)
-        out *= n
-        tmp = 2.0 * rows
-        tmp *= s1
-        out -= tmp
-        out += s2
-        out *= 0.5
-        out /= n - 1
-        return out
-
-    return Kernel("variance", 2, _variance_fn, quad_coefs=(0.0, 0.5, -1.0), rows=RowForms(u, loo))
+    return Kernel("variance", 2, _variance_fn, quad_coefs=(0.0, 0.5, -1.0))
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -444,21 +449,7 @@ def gini_kernel() -> Kernel:
 
 def product_kernel() -> Kernel:
     """h(x, y) = x * y; fully degenerate under centered distributions."""
-
-    def u(rows):
-        n = rows.shape[1]
-        s1 = rows.sum(axis=1)
-        s2 = np.square(rows).sum(axis=1)
-        return (s1 * s1 - s2) / (n * (n - 1))
-
-    def loo(rows):
-        n = rows.shape[1]
-        out = rows * rows.sum(axis=1, keepdims=True)
-        out -= np.square(rows)
-        out /= n - 1
-        return out
-
-    return Kernel("product", 2, _product_fn, quad_coefs=(0.0, 0.0, 1.0), rows=RowForms(u, loo))
+    return Kernel("product", 2, _product_fn, quad_coefs=(0.0, 0.0, 1.0))
 
 
 def quadratic_kernel(eps: float) -> Kernel:
@@ -474,32 +465,9 @@ def quadratic_kernel(eps: float) -> Kernel:
     def fn(x, y):
         return 0.5 * (x + y) + eps * (x * y)
 
-    def u(rows):
-        n = rows.shape[1]
-        s1 = rows.sum(axis=1)
-        s2 = np.square(rows).sum(axis=1)
-        return s1 / n + eps * (s1 * s1 - s2) / (n * (n - 1))
-
-    def loo(rows):
-        # (0.5 (n rows + s1) + eps rows s1 - (rows + eps rows^2)) / (n - 1)
-        n = rows.shape[1]
-        s1 = rows.sum(axis=1, keepdims=True)
-        out = n * rows
-        out += s1
-        out *= 0.5
-        tmp = eps * rows
-        tmp *= s1
-        out += tmp
-        np.square(rows, out=tmp)
-        tmp *= eps
-        tmp += rows
-        out -= tmp
-        out /= n - 1
-        return out
-
     return Kernel(
         f"quadratic:{eps:g}", 2, fn, params={"eps": float(eps)},
-        quad_coefs=(0.5, 0.0, float(eps)), rows=RowForms(u, loo),
+        quad_coefs=(0.5, 0.0, float(eps)),
     )
 
 

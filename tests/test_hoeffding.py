@@ -545,6 +545,27 @@ def test_kernel_named_like_a_preset_is_not_treated_as_one():
     assert abs(d.theta - 2.0) < 5.0 * d.projection.theta_se
 
 
+@pytest.mark.parametrize(
+    "kernel, dist_ident, strategy",
+    [
+        (model.variance_kernel(), "bernoulli:0.3", "exact"),
+        (model.variance_kernel(), "normal", "analytic"),
+        (model.gini_kernel(), "exponential", "quadrature"),
+        (model.gini_kernel(), "exponential", "monte-carlo"),
+    ],
+)
+def test_theta_se_is_none_only_where_theta_is_exact(kernel, dist_ident, strategy):
+    d = hoeffding.decompose(
+        kernel, model.distribution_preset(dist_ident), 8,
+        strategy=strategy, inner_reps=500, seed=1,
+    )
+    assert d.projection.strategy == strategy
+    if strategy in ("exact", "analytic"):
+        assert d.projection.theta_se is None
+    else:
+        assert d.projection.theta_se > 0.0
+
+
 def _quad_kernel(a, b, c):
     def fn(x, y):
         return a * (x + y) + b * (x * x + y * y) + c * (x * y)

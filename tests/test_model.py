@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ustatlab import model
+from ustatlab import model, studentize
 from ustatlab.errors import (
     ArityError,
     BudgetError,
@@ -135,12 +135,6 @@ def test_continuous_presets_carry_their_quantile_function(ident):
     assert hand.ppf is None
 
 
-def test_exponential_abs_moment_closed_form():
-    d = model.distribution_preset("exponential")
-    assert model.abs_moment(d, 3.0) == pytest.approx(6.0, rel=1e-12)
-    assert model.abs_moment(d, 2.5) == pytest.approx(math.gamma(3.5), rel=1e-12)
-
-
 def test_gaussian_abs_moment_values():
     # E|Z|^3 = 2 sqrt(2/pi)
     assert model.gaussian_abs_moment(3.0) == pytest.approx(
@@ -154,7 +148,7 @@ def test_gaussian_negative_moment_against_quadrature():
     from scipy import integrate
 
     for a in (0.1, 0.4, 0.45):
-        closed = model.neg_abs_moment_std_normal(a)
+        closed = model.gaussian_abs_moment(-a)
         val, _ = integrate.quad(
             lambda z: abs(z) ** (-a) * math.exp(-z * z / 2.0) / math.sqrt(2 * math.pi),
             -12.0,
@@ -166,8 +160,6 @@ def test_gaussian_negative_moment_against_quadrature():
 
 
 def test_gaussian_negative_moment_range():
-    with pytest.raises(ValidationError):
-        model.neg_abs_moment_std_normal(0.5)
     with pytest.raises(ValidationError):
         model.gaussian_abs_moment(-1.0)
 
@@ -222,6 +214,58 @@ def test_closed_forms_are_set_only_by_presets():
         assert k.quad_coefs is None and k.rows is None
     with pytest.raises(ValidationError):
         model.Kernel("cubic", 3, lambda a, b, c: a * b * c, quad_coefs=(0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "coefs, fn",
+    [
+        # the variance kernel written without the cancellation of
+        # x^2 + y^2 - 2xy, so that it is a reference on shifted data too
+        ((0.0, 0.5, -1.0), lambda x, y: 0.5 * np.square(x - y)),
+        ((0.0, 0.0, 1.0), None),
+        ((0.5, 0.0, 0.3), None),
+        ((0.3, 0.2, -0.5), None),
+        ((-1.2, 0.0, 0.0), None),
+        ((0.0, -0.7, 0.0), None),
+    ],
+    ids=["variance", "product", "quadratic", "all-three", "linear", "squares"],
+)
+@pytest.mark.parametrize("n", [3, 4, 9, 64])
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_generated_row_forms_match_pairwise_sums(coefs, fn, n, shift):
+    a, b, c = coefs
+    if fn is None:
+        def fn(x, y):
+            return a * (x + y) + b * (x * x + y * y) + c * (x * y)
+
+    kernel = model.Kernel("hand-quadratic", 2, fn, quad_coefs=coefs)
+    rows = shift + np.random.default_rng(n).exponential(size=(12, n))
+    u = kernel.rows.u(rows)
+    q = kernel.rows.loo(rows)
+    assert q.shape == rows.shape and not np.shares_memory(q, rows)
+    # the shift costs no digits, not even to the location-free variance
+    for r, row in enumerate(rows):
+        want_q, want_u = studentize._leave_one_out_means(kernel, row)
+        assert u[r] == pytest.approx(want_u, rel=1e-12)
+        np.testing.assert_allclose(q[r], want_q, rtol=1e-12)
+        if not shift:
+            assert u[r] == pytest.approx(model.u_statistic(kernel, row), rel=1e-12)
+
+
+def test_generated_loo_is_exact_on_zero_one_rows():
+    # under the product kernel a 0/1 row with one 1 has q = 0 everywhere,
+    # whatever n; shifting each row by a data point keeps this exact
+    for n in (5, 12):
+        rows = np.zeros((2, n))
+        rows[0, 0] = rows[1, -1] = 1.0
+        np.testing.assert_array_equal(model.product_kernel().rows.loo(rows), 0.0)
+
+
+def test_kernel_refuses_both_quad_coefs_and_rows():
+    rows = model.variance_kernel().rows
+    with pytest.raises(ValidationError):
+        model.Kernel("variance", 2, lambda x, y: 0.5 * (x - y) ** 2,
+                     quad_coefs=(0.0, 0.5, -1.0), rows=rows)
 
 
 def test_symmetrize_produces_symmetric_kernel():
