@@ -421,15 +421,12 @@ def quadratic_counterexample(
         raise ConfigError("eps must lie in [0, 1]")
     if n < 2:
         raise ConfigError("n must be at least 2")
-    if reps < 1000:
-        raise ConfigError("reps must be at least 1000")
-    kernel = model.quadratic_kernel(eps)
-    dist = model.distribution_preset("normal")
-    d = hoeffding.decompose(kernel, dist, n)
-    values, _ = _simulate_statistic(d, reps, seed, "standardized", threads)
+    cfg = ExperimentConfig(
+        f"quadratic:{float(eps)!r}", "normal", (n,), reps, seed, target=TargetSpec("adjusted"),
+        threads=threads,
+    )
+    ((d, adj, values, _),) = _replicates(cfg, _adjusted)
     values = np.sort(values)
-    kap = hoeffding.kappa_vector(d)
-    adj = approx.AdjustedNormal(kap)
     dist_phi = approx.kolmogorov_distance(values, approx.normal_cdf)
     dist_adjusted = approx.kolmogorov_distance(
         values, lambda x: approx.adjusted_cdf(adj, x)
@@ -439,7 +436,7 @@ def quadratic_counterexample(
         n,
         reps,
         seed,
-        kap[1],
+        adj.kappa[1],
         hoeffding.gamma_var(d),
         hoeffding.beta(d),
         dist_phi,

@@ -2,33 +2,34 @@
 
 For a finite-support distribution with ``s`` atoms, U, S, L and every T_p
 are symmetric functions of the sample, so their joint law depends only on
-how often each atom occurs.  The oracle evaluates one sorted representative
-tuple per count vector (type class), ``C(n+s-1, s-1)`` of them, weighted by
-its multinomial probability, instead of walking all ``s^n`` outcome tuples.
-The law of S and all cross moments between the linear part and the
-degenerate component sums are exact up to rounding.  This is the ground
-truth used to validate the analytic moment formulas and every Monte Carlo
-estimator in the package.
+how often each atom occurs.  The oracle works on the ``C(n+s-1, s-1)``
+count vectors (type classes), weighted by their multinomial probabilities,
+instead of walking all ``s^n`` outcome tuples, and sums each statistic over
+multisets of atoms rather than subsets of sample positions.  The law of S
+and all cross moments between the linear part and the degenerate component
+sums are exact up to rounding.  This is the ground truth used to validate
+the analytic moment formulas and every Monte Carlo estimator in the package.
 
 Two independent evaluation routes are kept deliberately separate:
 
 * moment functionals (beta, gamma, kappa) come from ``support^p`` sums via
   the decomposition machinery;
 * ``e_tt_full``, ``cov_l_t`` and friends come from evaluating L and T on
-  whole samples of size n, one representative per type class.
+  whole samples of size n, through ``component_values`` on atom multisets.
 
 Their agreement is an end-to-end check of the decomposition algebra.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 
 from . import hoeffding, model
 from .approx import AdjustedNormal, adjusted_cdf, edgeworth2, step_function_distance
@@ -142,10 +143,8 @@ def enumeration_size(dist: FiniteDiscrete, n: int) -> tuple[int, int]:
     return s**n, math.comb(n + s - 1, s - 1)
 
 
-def _type_classes(
-    dist: FiniteDiscrete, n: int, budget: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One sorted representative tuple per count vector, with its probability.
+def _type_classes(dist: FiniteDiscrete, n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, probability)`` with one row per type class, one count per atom.
 
     The budget counts the ``s^n`` tuples the classes stand for.
     """
@@ -153,35 +152,41 @@ def _type_classes(
     tuples, classes = enumeration_size(dist, n)
     if tuples > budget:
         raise BudgetError(f"{s}^{n} = {tuples} tuples exceeds budget {budget}")
-    combos = itertools.combinations_with_replacement(range(s), n)
-    idx = np.fromiter(itertools.chain.from_iterable(combos), np.intp, classes * n)
-    idx = idx.reshape(classes, n)
-    # Extending a sorted prefix of length j by the r-th copy of an atom
-    # multiplies its multinomial coefficient by (j + 1) / r, which stays an
-    # integer; Python ints keep it exact at any n.
-    multinomial = np.ones(classes, dtype=object)
-    copy_no = np.ones(classes, dtype=np.int64)
-    for j in range(1, n):
-        copy_no = np.where(idx[:, j] == idx[:, j - 1], copy_no + 1, 1)
-        multinomial = multinomial * (j + 1) // copy_no
-    return dist.atoms[idx], multinomial.astype(float) * dist.probs[idx].prod(axis=1)
+    # stars and bars: s - 1 bars among n + s - 1 slots cut n stars into s counts
+    bars = np.array(list(itertools.combinations(range(n + s - 1), s - 1)), dtype=np.intp)
+    counts = np.diff(bars, axis=1, prepend=-1, append=n + s - 1) - 1
+    # n! / prod c_a! = prod_a C(c_0 + ... + c_a, c_a), exact in Python ints at any n
+    multinomial = np.frompyfunc(math.comb, 2, 1)(counts.cumsum(axis=1), counts).prod(axis=1)
+    return counts, multinomial.astype(float) * (dist.probs**counts).prod(axis=1)
 
 
 def _subset_sum(
-    f: Callable[[list[np.ndarray]], np.ndarray], vals: np.ndarray, p: int
+    f: Callable[[list[np.ndarray]], np.ndarray], atoms: np.ndarray, counts: np.ndarray, p: int
 ) -> np.ndarray:
-    """Sum of ``f`` over every p-subset of the columns, for each row of ``vals``."""
-    out = np.zeros(vals.shape[0])
-    for combo in itertools.combinations(range(vals.shape[1]), p):
-        out += f([vals[:, c] for c in combo])
-    return out
+    """Sum of ``f`` over every p-subset of sample positions, per count vector.
+
+    ``f`` is called once, on the ``C(s+p-1, p)`` multisets of p atoms; a multiset
+    with ``m_a`` copies of each atom ``a`` fills ``prod_a C(c_a, m_a)`` subsets.
+    """
+    combos = np.array(list(itertools.combinations_with_replacement(range(atoms.size), p)))
+    # m_a at the first copy of each atom in a sorted multiset, 0 at the others
+    picks = (combos[:, :, None] == combos[:, None, :]).sum(axis=2)
+    picks[:, 1:][combos[:, 1:] == combos[:, :-1]] = 0
+    values = f([atoms[col] for col in combos.T])
+    # blocks of at most 32k binomials bound memory when atoms outnumber the sample
+    blocks = np.array_split(counts, 1 + counts.shape[0] * combos.size // 32_768)
+    return np.concatenate([special.comb(c[:, combos], picks).prod(axis=2) @ values for c in blocks])
 
 
-def _check_inputs(kernel: Kernel, dist: FiniteDiscrete, n: int) -> None:
+def _u_rows(kernel: Kernel, dist: FiniteDiscrete, n: int, budget: int) -> tuple[np.ndarray, ...]:
+    """``(counts, probability, U)`` per type class."""
     if not isinstance(dist, FiniteDiscrete):
         raise ValidationError("exact enumeration requires finite support")
     if n < kernel.order:
         raise InsufficientSample("n must be >= kernel order")
+    counts, w = _type_classes(dist, n, budget)
+    u_sum = _subset_sum(partial(model.kernel_values, kernel), dist.atoms, counts, kernel.order)
+    return counts, w, u_sum / math.comb(n, kernel.order)
 
 
 def exact_u_distribution(
@@ -197,11 +202,7 @@ def exact_u_distribution(
     ``budget`` caps the ``s^n`` outcome tuples, not the type classes that
     are actually evaluated.
     """
-    _check_inputs(kernel, dist, n)
-    vals, w = _type_classes(dist, n, budget)
-    k = kernel.order
-    u_rows = _subset_sum(functools.partial(model.kernel_values, kernel), vals, k)
-    u_rows /= math.comb(n, k)
+    _, w, u_rows = _u_rows(kernel, dist, n, budget)
     u_atoms, u_probs = _group_atoms(u_rows, w)
     return u_atoms, u_probs, float(np.dot(u_rows, w))
 
@@ -218,22 +219,20 @@ def exact_distribution(
     ``budget`` caps the ``s^n`` outcome tuples, not the type classes that
     are actually evaluated.
     """
-    _check_inputs(kernel, dist, n)
+    counts, w, u_rows = _u_rows(kernel, dist, n, budget)
     k = kernel.order
     d = hoeffding.decompose(kernel, dist, n, strategy="exact")
     proj = d.projection
     theta = d.theta
     sigma_g = d.sigma_g
     s_scale = math.sqrt(n) / (k * sigma_g)
-
-    vals, w = _type_classes(dist, n, budget)
-    u_sum = _subset_sum(functools.partial(model.kernel_values, kernel), vals, k)
-    s_rows = s_scale * (u_sum / math.comb(n, k) - theta)
-    l_rows = proj.g_values(vals.ravel()).reshape(vals.shape).sum(axis=1) * d.l_scale
+    s_rows = s_scale * (u_rows - theta)
+    # t_scale(1) is l_scale and t_1 is g, so p = 1 gives L
     t_p_rows = {
-        p: d.t_scale(p) * _subset_sum(functools.partial(proj.component_values, p), vals, p)
-        for p in range(2, k + 1)
+        p: d.t_scale(p) * _subset_sum(partial(proj.component_values, p), dist.atoms, counts, p)
+        for p in range(1, k + 1)
     }
+    l_rows = t_p_rows.pop(1)
     t_rows = sum(t_p_rows.values(), np.zeros(w.size))
 
     def mean(x: np.ndarray) -> float:

@@ -83,8 +83,16 @@ ORDER3_PRODUCT = model.symmetrize(lambda a, b, c: a * b * c, order=3)
         (model.gini_kernel(), "bernoulli:0.3", 6),
         (model.gini_kernel(), "uniform-atoms:-1,0,1", 6),
         (ORDER3_PRODUCT, "bernoulli:0.3", 5),
+        # multisets of several distinct atoms, which two-point laws never hold
+        (model.variance_kernel(), "uniform-atoms:-1,0,1,3", 5),
+        (model.gini_kernel(), "uniform-atoms:-1,0,1,3", 5),
+        # a nonzero mean keeps the product kernel nondegenerate
+        (ORDER3_PRODUCT, "uniform-atoms:0,1,3", 4),
     ],
-    ids=["variance-bern", "variance-3atoms", "gini-bern", "gini-3atoms", "order3-bern"],
+    ids=[
+        "variance-bern", "variance-3atoms", "gini-bern", "gini-3atoms", "order3-bern",
+        "variance-4atoms", "gini-4atoms", "order3-3atoms",
+    ],
 )
 def test_type_classes_match_tuple_walk(kernel, dist_id, n):
     dist = model.distribution_preset(dist_id)
@@ -127,10 +135,11 @@ def test_oracle_evaluates_one_row_per_type_class(monkeypatch):
 
     monkeypatch.setattr(model, "kernel_values", counting)
     kernel, dist = model.variance_kernel(), model.distribution_preset("uniform-atoms:-1,0,1")
-    oracle.exact_u_distribution(kernel, dist, 12)
-    # one call per pair of sample positions, each over the C(14, 2) classes
-    assert cells == [math.comb(14, 2)] * math.comb(12, 2)
-    cells.clear()
+    for n in (6, 12):
+        oracle.exact_u_distribution(kernel, dist, n)
+        # one call on the C(3+2-1, 2) pairs of atoms, whatever n is
+        assert cells == [math.comb(3 + 2 - 1, 2)]
+        cells.clear()
     oracle.exact_distribution(kernel, dist, 12)
     # the whole report, projections included, costs fewer cells than 3^12
     assert sum(cells) < 3**12
