@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import approx, hoeffding, model
+from . import approx, hoeffding, model, studentize
 from .errors import (
     ConfigError,
     FitError,
@@ -152,10 +152,8 @@ def _row_jackknife_stats(
         raise InsufficientSample("jackknife variance needs n >= 3")
     q = kernel.rows.loo(rows)
     u = q.mean(axis=1)
-    # q is fresh, so reusing it for the squared deviations cuts peak memory
-    q -= u[:, None]
-    var_hat = (n - 1) / (n - 2) ** 2 * np.sum(np.square(q, out=q), axis=1)
-    return u, var_hat
+    # q is fresh, so the helper reuses it for the squared deviations
+    return u, studentize.jackknife_from_means(q, u)
 
 
 def _chunk_bounds(reps: int) -> list[tuple[int, int]]:

@@ -29,24 +29,24 @@ Four evaluation strategies are supported:
 
 * ``exact``: weighted sums over the atoms of a finite law;
 * ``analytic``: closed forms for kernels that declare ``Kernel.quad_coefs``
-  (their degenerate part is ``c * (x - mu)(y - mu)``; the name never
-  selects them);
+  (the name never selects them): theta, var g, var h, h_1 and the moment
+  integrals;
 * ``quadrature``: for continuous laws with a quantile function Q, the
   ``QUADRATURE_NODES``-point Gauss-Legendre rule on the quantile scale, i.e.
   the nodes Q((u_i + 1)/2) with weights w_i/2, used exactly like atoms;
 * ``monte-carlo``: nested Monte Carlo with common random numbers for the
   inner expectations.
 
-``exact`` and ``quadrature`` share one code path: the kernel is evaluated
-once on the product grid of the nodes, and theta, g, t_p and every moment
-integral are weighted sums over tables built from that grid.
-
-Marginals at arbitrary points average the kernel over a weighted tail: the
-node grid, or the Monte Carlo inner pool.  Each tail is built once per
-projection.  h_1 of an order-2 kernel that declares ``Kernel.pool_mean``
-(gini) is that pool form, prepared once on the nodes or the pool; every
-other marginal (kernels without one, and orders 3 and up) evaluates the
-kernel on blocks of tail cells.
+The strategies differ only in how a projection is built and how it
+integrates.  Point evaluations take one path: h_1 of an order-2 kernel is
+the analytic closed form, or the ``Kernel.pool_mean`` form (gini) prepared
+once on the nodes or the Monte Carlo inner pool; every other marginal
+averages the kernel over a weighted tail (the node grid or the inner pool,
+each built once per projection) in blocks of cells; g and t_p follow from
+the marginals.  ``exact`` and ``quadrature`` evaluate the kernel once on the
+product grid of the nodes and integrate by weighted sums over tables built
+from it; Monte Carlo scores sampled tuples.  Both take their integrands from
+one function.
 
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
@@ -275,6 +275,27 @@ def _contract(table: np.ndarray, v: np.ndarray) -> float:
     return float(table)
 
 
+def _integrand(
+    kind: str, exponent: float, g: Sequence[np.ndarray], t: Optional[np.ndarray]
+) -> np.ndarray:
+    """The integrand of moment ``kind``, given g on each argument and t_p.
+
+    ``kind`` is as in :meth:`ProjectionSet.moment`; ``t`` is unused (and may
+    be None) for the order-1 kinds ``"abs_g"`` and ``"g3"``.
+    """
+    if kind == "abs_g":
+        return np.abs(g[0]) ** exponent
+    if kind == "g3":
+        return g[0] ** 3
+    if kind == "abs_t":
+        return t * t if exponent == 2.0 else np.abs(t) ** exponent
+    # "aligned": g(x_1)..g(x_p) t_p, in one fresh array
+    out = t * g[0]
+    for gc in g[1:]:
+        out *= gc
+    return out
+
+
 class _NodeTables:
     """Hoeffding tables of one kernel on one weighted node set.
 
@@ -310,15 +331,10 @@ class _NodeTables:
         }
 
     def moment(self, kind: str, p: int, exponent: float) -> float:
-        if kind == "abs_g":
-            return _contract(np.abs(self.g) ** exponent, self.w)
-        if kind == "g3":
-            return _contract(self.g**3, self.w)
-        t = self.t[p]
-        if kind == "abs_t":
-            return _contract(np.abs(t) ** exponent, self.w)
-        # "aligned": E[g(x_1)..g(x_p) t_p]
-        return _contract(t, self.w * self.g)
+        s = self.g.size
+        # g on axis i of the p-fold grid
+        g = [self.g.reshape([s if j == i else 1 for j in range(p)]) for i in range(p)]
+        return _contract(_integrand(kind, exponent, g, self.t.get(p)), self.w)
 
 
 def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
@@ -375,8 +391,9 @@ class ProjectionSet:
     ``QUADRATURE_NODES**order`` cells fits the cell budget, which every
     order-2 kernel does.  ``inner_reps`` matters only for Monte Carlo.
 
-    Monte Carlo draws every tuple set (the inner pool, theta, var g, each
-    moment integral) with ``_draw`` and scores it with ``_count_stats``.
+    Only ``__init__`` and ``_integrate`` depend on the strategy.  Monte
+    Carlo draws every tuple set (the inner pool, theta, var g, each moment
+    integral) with ``_draw`` and scores it with ``_count_stats``.
     """
 
     def __init__(
@@ -444,9 +461,8 @@ class ProjectionSet:
                     f"no analytic forms for kernel {kernel.ident!r} under {dist.ident!r}"
                 )
             self.forms = forms
-            self.theta = forms.theta
-            self.var_g = forms.var_g
-            self.var_h = forms.var_h
+            self._h1 = lambda x: forms.g_fn(x) + forms.theta
+            self.theta, self.var_g, self.var_h = forms.theta, forms.var_g, forms.var_h
         elif strategy in ("exact", "quadrature"):
             if strategy == "exact":
                 node_sets = [(dist.atoms, dist.probs)]
@@ -521,9 +537,7 @@ class ProjectionSet:
         forms = self.forms
         if forms is not None:
             if kind == "abs_g":
-                val = model.expectation(
-                    self.dist, lambda x: np.abs(self.g_values(x)) ** exponent
-                )
+                val = model.expectation(self.dist, lambda x: np.abs(forms.g_fn(x)) ** exponent)
             elif kind == "abs_t":
                 abs_centered = model.expectation(
                     self.dist, lambda x: np.abs(x - forms.mu) ** exponent
@@ -553,7 +567,9 @@ class ProjectionSet:
             cols, counts = self._draw(*key, self.inner_reps)
             self._draws[key] = (cols, counts, [self.marginal_values(1, [c]) for c in cols])
         cols, counts, h1s = self._draws[key]
-        mean, _, se = _count_stats(counts, self._integrand(kind, exponent, cols, h1s))
+        g = [h1 - self.theta for h1 in h1s]
+        t = None if p == 1 else self._component(p, cols, h1s)
+        mean, _, se = _count_stats(counts, _integrand(kind, exponent, g, t))
         return mean, se
 
     def _draw(self, stream: int, p: int, m: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -570,26 +586,6 @@ class ProjectionSet:
             return cols, model.stream_generator(self.seed, stream).multinomial(m, w)
         return [model.sample(dist, m, self.seed, stream + j) for j in range(p)], np.ones(m)
 
-    def _integrand(
-        self,
-        kind: str,
-        exponent: float,
-        cols: Sequence[np.ndarray],
-        h1s: Sequence[np.ndarray],
-    ) -> np.ndarray:
-        """The integrand of ``kind`` on parallel columns, given h_1 on each."""
-        g = [h1 - self.theta for h1 in h1s]
-        if kind == "abs_g":
-            return np.abs(g[0]) ** exponent
-        if kind == "g3":
-            return g[0] ** 3
-        t = self._component(len(cols), cols, h1s)
-        if kind == "abs_t":
-            return t * t if exponent == 2.0 else np.abs(t) ** exponent
-        for gc in g:
-            t = t * gc
-        return t
-
     def marginal_values(self, p: int, cols: Sequence[np.ndarray]) -> np.ndarray:
         """h_p on parallel argument columns."""
         k = self.kernel.order
@@ -602,10 +598,6 @@ class ProjectionSet:
             return np.full(1, self.theta)
         if p == k:
             return model.kernel_values(self.kernel, cols)
-        if self.strategy == "analytic":
-            forms = self.forms
-            assert forms is not None and k == 2 and p == 1
-            return forms.g_fn(cols[0]) + forms.theta
         if self._h1 is not None:  # p = 1 of an order-2 kernel
             return self._h1(cols[0])
         grid, w = self._tail(k - p)
@@ -617,9 +609,6 @@ class ProjectionSet:
 
     def g_values(self, x: np.ndarray) -> np.ndarray:
         """Linear projection g = h_1 - theta on an array of points."""
-        if self.strategy == "analytic":
-            assert self.forms is not None
-            return np.asarray(self.forms.g_fn(np.asarray(x, dtype=float)), dtype=float)
         return self.marginal_values(1, [x]) - self.theta
 
     def component_values(self, p: int, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -632,10 +621,6 @@ class ProjectionSet:
             raise ValidationError(f"expected {p} columns, got {len(cols)}")
         if p == 1:
             return self.g_values(cols[0])
-        if self.strategy == "analytic" and p == 2:
-            forms = self.forms
-            assert forms is not None
-            return forms.t2_coef * (cols[0] - forms.mu) * (cols[1] - forms.mu)
         return self._component(p, cols, [self.marginal_values(1, [c]) for c in cols])
 
     def _component(

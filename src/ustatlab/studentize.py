@@ -47,6 +47,22 @@ def _leave_one_out_means(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, flo
     return q, u
 
 
+def jackknife_from_means(q: np.ndarray, u) -> np.ndarray:
+    """sigma_hat^2 along the last axis of leave-one-out means ``q`` (overwritten).
+
+    ``u`` is the mean of ``q``.  A deviation of RMS at most n * eps * max|q|
+    is rounding, so there the estimate is exactly 0: a sample whose exact
+    estimate is 0 gets 0 on every path.  max|q| is bounded by |u| plus the
+    root of the summed squared deviations, which spares a pass over ``q``.
+    """
+    n = q.shape[-1]
+    u = np.asarray(u)
+    q -= u[..., None]
+    ss = np.sum(np.square(q, out=q), axis=-1)
+    floor = n * np.square(n * np.finfo(float).eps * (np.abs(u) + np.sqrt(ss)))
+    return np.where(ss <= floor, 0.0, (n - 1) / (n - 2) ** 2 * ss)
+
+
 def _jackknife(kernel: Kernel, data: np.ndarray) -> tuple[int, float, float]:
     """(n, U_n, sigma_hat^2) of a validated sample."""
     if kernel.order != 2:
@@ -60,7 +76,7 @@ def _jackknife(kernel: Kernel, data: np.ndarray) -> tuple[int, float, float]:
     if n < 3:
         raise InsufficientSample("the jackknife variance needs n >= 3")
     q, u = _leave_one_out_means(kernel, x)
-    return n, u, float((n - 1) / (n - 2) ** 2 * np.sum((q - u) ** 2))
+    return n, u, float(jackknife_from_means(q, u))
 
 
 def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:

@@ -41,19 +41,55 @@ def quadratic_normal(eps, n, **kw):
 # Projections
 # ---------------------------------------------------------------------------
 
-def test_variance_normal_projection_hand_values():
-    d = variance_normal(10)
+def _quadratic_fn(x, y):
+    return 0.3 * (x + y) - 0.2 * (x * x + y * y) + 0.7 * x * y
+
+
+# analytic projections: (kernel, law, mu, E X^2); h = a(x+y) + b(x^2+y^2) + cxy
+ANALYTIC_CASES = [
+    pytest.param(model.variance_kernel(), "normal", 0.0, 1.0, id="variance-normal"),
+    pytest.param(model.variance_kernel(), "exponential", 1.0, 2.0, id="variance-exponential"),
+    pytest.param(model.product_kernel(), "uniform", 0.5, 1.0 / 3.0, id="product-uniform"),
+    pytest.param(model.quadratic_kernel(0.5), "normal", 0.0, 1.0, id="quadratic-normal"),
+    pytest.param(
+        model.Kernel("hand", 2, _quadratic_fn, quad_coefs=(0.3, -0.2, 0.7)),
+        "exponential", 1.0, 2.0, id="hand-exponential",
+    ),
+]
+
+
+@pytest.mark.parametrize("kernel, law, mu, ex2", ANALYTIC_CASES)
+def test_variance_normal_projection_hand_values(kernel, law, mu, ex2):
+    d = hoeffding.decompose(kernel, model.distribution_preset(law), 10)
     proj = d.projection
     assert proj.strategy == "analytic"
-    assert d.theta == pytest.approx(1.0, abs=1e-12)
-    assert d.sigma_g == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    # marginal h_1(x) = (x^2 + 1)/2, centered g(x) = (x^2 - 1)/2
-    assert proj.marginal(1, [2.0]) == pytest.approx(2.5, abs=1e-12)
-    x = np.array([-1.0, 0.0, 2.0])
-    np.testing.assert_allclose(proj.g_values(x), (x * x - 1.0) / 2.0, atol=1e-12)
-    # degenerate part t_2(x, y) = -xy
-    assert proj.component(2, [1.0, 2.0]) == pytest.approx(-2.0, abs=1e-12)
-    assert proj.component(2, [0.5, -3.0]) == pytest.approx(1.5, abs=1e-12)
+    if kernel.ident == "variance" and law == "normal":
+        assert d.theta == pytest.approx(1.0, abs=1e-12)
+        assert d.sigma_g == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        # marginal h_1(x) = (x^2 + 1)/2, centered g(x) = (x^2 - 1)/2
+        assert proj.marginal(1, [2.0]) == pytest.approx(2.5, abs=1e-12)
+        x = np.array([-1.0, 0.0, 2.0])
+        np.testing.assert_allclose(proj.g_values(x), (x * x - 1.0) / 2.0, atol=1e-12)
+        # degenerate part t_2(x, y) = -xy
+        assert proj.component(2, [1.0, 2.0]) == pytest.approx(-2.0, abs=1e-12)
+        assert proj.component(2, [0.5, -3.0]) == pytest.approx(1.5, abs=1e-12)
+    # the generic marginal, g and t_2 against the closed forms of (a, b, c)
+    a, b, c = kernel.quad_coefs
+    theta = 2.0 * a * mu + 2.0 * b * ex2 + c * mu * mu
+    assert d.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
+
+    def h1(x):
+        return a * (x + mu) + b * (x * x + ex2) + c * mu * x
+
+    points = [0.0, mu, -2.5, 1.5, 40.0, 1e3]
+    for x in points:
+        assert proj.marginal(1, [x]) == pytest.approx(h1(x), abs=1e-12 * (1 + abs(h1(x))))
+        g = float(proj.g_values(np.array([x]))[0])
+        assert g == pytest.approx(h1(x) - theta, abs=1e-12 * (1 + abs(h1(x)) + abs(theta)))
+        for y in points:
+            scale = 1 + abs(model.eval_kernel(kernel, [x, y])) + abs(h1(x)) + abs(h1(y)) + abs(theta)
+            want = c * (x - mu) * (y - mu)
+            assert proj.component(2, [x, y]) == pytest.approx(want, abs=1e-12 * scale)
 
 
 def test_gini_bernoulli_exact_projection():

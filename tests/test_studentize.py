@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ustatlab import model, studentize
+from ustatlab import exper, model, studentize
 from ustatlab.errors import (
     InsufficientSample,
     ValidationError,
@@ -78,6 +78,36 @@ def test_constant_kernel_raises_zero_variance():
     k = model.symmetrize(lambda x, y: np.ones_like(np.asarray(x, dtype=float)), order=2)
     with pytest.raises(ZeroVarianceEstimate):
         studentize.studentized_ustat(k, np.array([1.0, 2.0, 3.0, 4.0]), theta=1.0)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
+    # rows whose exact jackknife variance is 0: balanced two-point rows under
+    # the variance kernel, and constant rows; rounding must not decide them
+    rng = np.random.default_rng(n)
+    ab = rng.uniform(-5e6, 5e6, size=(100, 2))
+    balanced = rng.permuted(np.where(np.arange(n) < n // 2, ab[:, :1], ab[:, 1:]), axis=1)
+    constant = np.repeat(ab[:, :1], n, axis=1)
+    cases = [
+        (model.variance_kernel(), balanced),
+        (model.variance_kernel(), constant),
+        (model.quadratic_kernel(0.3), constant),
+    ]
+    for kernel, rows in cases:
+        rows = rows + shift
+        _, var_hat = exper._row_jackknife_stats(kernel, rows)
+        assert np.all(var_hat == 0.0)
+        for row in rows[:20]:
+            with pytest.raises(ZeroVarianceEstimate):
+                studentize.studentized_ustat(kernel, row, theta=0.0)
+        # one point moved by 1e-6 of the gap of its pair is kept on both paths
+        moved = rows[:20].copy()
+        moved[:, 0] += 1e-6 * (np.abs(ab[:20, 0] - ab[:20, 1]) + 1.0)
+        _, var_hat = exper._row_jackknife_stats(kernel, moved)
+        assert np.all(var_hat > 0.0)
+        for row in moved:
+            assert studentize.studentized_ustat(kernel, row, theta=0.0).sigma_hat_g > 0.0
 
 
 def test_validation_errors():
