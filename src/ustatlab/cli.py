@@ -8,6 +8,7 @@ configurations, refused overwrites), 2 on usage errors.  JSON payloads go to
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kappa", type=_floats, required=True, help="comma-separated coefficients"
     )
-    p.add_argument("--x", type=_floats, default=[0.0], help="evaluation points")
+    p.add_argument("--x", type=_floats, default=(0.0,), help="evaluation points")
     p.add_argument("--t", type=_floats, default=None, help="transform arguments")
     p.add_argument(
         "--select-alpha",
@@ -573,8 +574,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process; building it costs about as much
+    as a small oracle run.  Parsing leaves the parser as it was, and every
+    default it holds is immutable, so one parser serves every call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.out is not None:

@@ -30,7 +30,9 @@ Four evaluation strategies are supported:
 * ``exact``: weighted sums over the atoms of a finite law;
 * ``analytic``: closed forms for kernels that declare ``Kernel.quad_coefs``
   (the name never selects them): theta, var g, var h, h_1 and the moment
-  integrals;
+  integrals.  E|t_2|^alpha, and E|g|^q where g is linear, come from the
+  law's E|X - mu|^r (``model.abs_central_moment``); E|g|^q of a kernel with
+  a square term takes adaptive quadrature;
 * ``quadrature``: for continuous laws with a quantile function Q, the
   ``QUADRATURE_NODES``-point Gauss-Legendre rule on the quantile scale, i.e.
   the nodes Q((u_i + 1)/2) with weights w_i/2, used exactly like atoms;
@@ -138,10 +140,15 @@ STRATEGIES = ("exact", "analytic", "quadrature", "monte-carlo")
 
 @dataclass(frozen=True)
 class SeparableForms:
-    """Closed-form pieces for order-2 kernels with t_2 = coef*(x-mu)(y-mu)."""
+    """Closed-form pieces for order-2 kernels with t_2 = coef*(x-mu)(y-mu).
+
+    g = lin*(x-mu) + b((x-mu)^2 - var); ``b`` is the kernel's own.
+    """
 
     theta: float
     mu: float
+    lin: float
+    b: float
     g_fn: Callable[[np.ndarray], np.ndarray]
     t2_coef: float
     var_g: float
@@ -172,6 +179,8 @@ def separable_forms(kernel: Kernel, dist: Distribution) -> Optional[SeparableFor
     return SeparableForms(
         theta=2.0 * a * mu + sq * mu * mu + 2.0 * b * s2,
         mu=mu,
+        lin=lin,
+        b=b,
         g_fn=lambda x: lin * (x - mu) + b * (np.square(x - mu) - s2),
         t2_coef=c,
         var_g=var_g,
@@ -536,12 +545,13 @@ class ProjectionSet:
     def _integrate(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
         forms = self.forms
         if forms is not None:
-            if kind == "abs_g":
+            if kind == "abs_g" and forms.b == 0.0:
+                # g = lin*(x - mu)
+                val = abs(forms.lin) ** exponent * model.abs_central_moment(self.dist, exponent)
+            elif kind == "abs_g":
                 val = model.expectation(self.dist, lambda x: np.abs(forms.g_fn(x)) ** exponent)
             elif kind == "abs_t":
-                abs_centered = model.expectation(
-                    self.dist, lambda x: np.abs(x - forms.mu) ** exponent
-                )
+                abs_centered = model.abs_central_moment(self.dist, exponent)
                 val = abs(forms.t2_coef) ** exponent * abs_centered**2
             elif kind == "g3":
                 val = forms.e_g3

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
+# numpy loads numpy.random on first use; load it with the package, so that
+# the first command that samples does not pay for it
+import numpy.random
 
 from .errors import (
     ArityError,
@@ -80,7 +82,9 @@ class FiniteDiscrete:
             raise ValidationError("atoms and probs must be matching 1-d arrays")
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("support values must be finite")
-        if np.unique(atoms).size != atoms.size:
+        # sorted neighbours, not np.unique, which loads numpy.ma on first use
+        srt = np.sort(atoms)
+        if np.any(srt[1:] == srt[:-1]):
             raise ValidationError(f"duplicate support values in {self.ident!r}")
         if np.any(probs <= 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValidationError("probs must be positive and sum to 1")
@@ -90,10 +94,12 @@ class FiniteDiscrete:
 class Continuous:
     """Absolutely continuous distribution with an analytic moment table.
 
-    ``central_moments[p]`` stores the p-th central moment for p up to 6;
-    a missing order falls back to adaptive quadrature of ``pdf`` over
-    ``support``.  ``ppf`` is the quantile function on (0, 1) when one is
-    known; the quadrature projection in ``hoeffding`` needs it.
+    ``central_moments[p]`` stores the p-th central moment for p up to 6,
+    and ``abs_central_moment(r)`` gives E|X - mean|^r for real r >= 0; a
+    missing order, or a missing ``abs_central_moment``, falls back to
+    adaptive quadrature of ``pdf`` over ``support``.  ``ppf`` is the
+    quantile function on (0, 1) when one is known; the quadrature
+    projection in ``hoeffding`` needs it.
     """
 
     ident: str
@@ -104,6 +110,7 @@ class Continuous:
     var: float
     central_moments: dict[int, float] = field(default_factory=dict)
     ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    abs_central_moment: Optional[Callable[[float], float]] = None
 
 
 Distribution = FiniteDiscrete | Continuous
@@ -125,6 +132,10 @@ def expectation(dist: Distribution, f: Callable[[np.ndarray], np.ndarray]) -> fl
     """Exact expectation for discrete support, quadrature otherwise."""
     if isinstance(dist, FiniteDiscrete):
         return float(np.dot(np.asarray(f(dist.atoms), dtype=float), dist.probs))
+    # scipy.integrate takes longer to import than most runs take; only laws
+    # without a closed form for the moment asked for come here
+    from scipy import integrate
+
     lo, hi = dist.support
     val, _ = integrate.quad(lambda x: float(f(np.asarray(x))) * float(dist.pdf(np.asarray(x))),
                             lo, hi, limit=200)
@@ -161,15 +172,50 @@ def central_moment(dist: Distribution, p: int) -> float:
     return expectation(dist, lambda x: (x - mu) ** p)
 
 
+def abs_central_moment(dist: Distribution, r: float) -> float:
+    """E|X - mean|^r for real r >= 0, exact or from the law's closed form."""
+    if r < 0:
+        raise ValidationError("moment order must be nonnegative")
+    if isinstance(dist, FiniteDiscrete):
+        mu = mean(dist)
+        return float(np.dot(np.abs(dist.atoms - mu) ** r, dist.probs))
+    if dist.abs_central_moment is not None:
+        return dist.abs_central_moment(r)
+    mu = dist.mean
+    return expectation(dist, lambda x: np.abs(x - mu) ** r)
+
+
 def gaussian_abs_moment(r: float) -> float:
     """``E|Z|^r`` for a standard normal Z, valid for all r > -1."""
     if r <= -1:
         raise ValidationError("E|Z|^r diverges for r <= -1")
+    if r % 2 == 0:
+        # (r - 1)!!, exact where the gamma form rounds (it gives E Z^2 = 1 + 2^-52)
+        return float(math.prod(range(int(r) - 1, 0, -2)))
     return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
 def _normal_pdf(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+
+
+def _normal_ppf(u: np.ndarray) -> np.ndarray:
+    # scipy loads on the first call: only normal-law quadrature comes here
+    from scipy.special import ndtri
+
+    return ndtri(u)
+
+
+def _exponential_abs_moment(r: float) -> float:
+    """E|X - 1|^r for a standard exponential X.
+
+    The mass above 1 gives Gamma(r + 1)/e; below 1 it is
+    e^-1 int_0^1 u^r e^u du = e^-1 sum_k 1/(k! (k + r + 1)).  The terms
+    after k = 23 sum to less than 2/24! < 1e-23, far below an ulp of the
+    result, which is at least min Gamma / e > 0.3.
+    """
+    series = math.fsum(1.0 / (math.factorial(k) * (k + r + 1.0)) for k in range(24))
+    return (math.gamma(r + 1.0) + series) / math.e
 
 
 def _make_normal() -> Continuous:
@@ -181,7 +227,8 @@ def _make_normal() -> Continuous:
         mean=0.0,
         var=1.0,
         central_moments={2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0},
-        ppf=special.ndtri,
+        ppf=_normal_ppf,
+        abs_central_moment=gaussian_abs_moment,
     )
 
 
@@ -195,6 +242,7 @@ def _make_exponential() -> Continuous:
         var=1.0,
         central_moments={2: 1.0, 3: 2.0, 4: 9.0, 5: 44.0, 6: 265.0},
         ppf=lambda u: -np.log1p(-u),
+        abs_central_moment=_exponential_abs_moment,
     )
 
 
@@ -208,6 +256,7 @@ def _make_uniform01() -> Continuous:
         var=1.0 / 12.0,
         central_moments={2: 1.0 / 12.0, 3: 0.0, 4: 1.0 / 80.0, 5: 0.0, 6: 1.0 / 448.0},
         ppf=lambda u: np.asarray(u, dtype=float),
+        abs_central_moment=lambda r: 0.5**r / (r + 1.0),
     )
 
 
@@ -413,9 +462,12 @@ def gini_kernel() -> Kernel:
         return srt @ coef * (2.0 / (n * (n - 1)))
 
     def loo(rows):
-        # (srt (2i - n) + s1 - 2 pre) / (n - 1) over the sorted row
+        # (srt (2i - n) + s1 - 2 pre) / (n - 1) over the sorted row, shifted
+        # by its smallest point: the formula is shift-invariant, the sums stay
+        # at the scale of the row's spread and a constant row gives exact 0s
         n = rows.shape[1]
         out = np.sort(rows, axis=1)
+        out -= out[:, :1]
         pre = np.cumsum(out, axis=1)
         out *= 2.0 * np.arange(1, n + 1) - n
         out += pre[:, -1:]

@@ -29,7 +29,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from . import hoeffding, model
 from .approx import AdjustedNormal, adjusted_cdf, edgeworth2, step_function_distance
@@ -173,9 +172,15 @@ def _subset_sum(
     picks = (combos[:, :, None] == combos[:, None, :]).sum(axis=2)
     picks[:, 1:][combos[:, 1:] == combos[:, :-1]] = 0
     values = f([atoms[col] for col in combos.T])
+    binom = _binomial_table(int(counts.max()), p)
     # blocks of at most 32k binomials bound memory when atoms outnumber the sample
     blocks = np.array_split(counts, 1 + counts.shape[0] * combos.size // 32_768)
-    return np.concatenate([special.comb(c[:, combos], picks).prod(axis=2) @ values for c in blocks])
+    return np.concatenate([binom[c[:, combos], picks].prod(axis=2) @ values for c in blocks])
+
+
+def _binomial_table(n: int, p: int) -> np.ndarray:
+    """``C(k, m)`` as floats for 0 <= k <= n, 0 <= m <= p (0 where m > k)."""
+    return np.array([[math.comb(k, m) for m in range(p + 1)] for k in range(n + 1)], dtype=float)
 
 
 def _u_rows(kernel: Kernel, dist: FiniteDiscrete, n: int, budget: int) -> tuple[np.ndarray, ...]:

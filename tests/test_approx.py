@@ -22,6 +22,32 @@ def test_normal_cdf_matches_erfc_within_two_eps():
     assert gap <= 2.0 * np.finfo(float).eps
 
 
+def test_normal_cdf_keeps_relative_accuracy_in_the_lower_tail():
+    x = np.linspace(-37.0, -3.0, 20_001)
+    want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    np.testing.assert_allclose(approx.normal_cdf(x), want, rtol=1e-14, atol=0.0)
+
+
+def test_normal_cdf_is_vectorized_over_any_shape():
+    assert approx.normal_cdf(np.array([])).shape == (0,)
+    assert approx.normal_cdf([]).shape == (0,)
+    scalar = approx.normal_cdf(0.3)
+    assert np.ndim(scalar) == 0
+    assert scalar == pytest.approx(0.5 * math.erfc(-0.3 / math.sqrt(2.0)), abs=2e-16)
+    grid = np.linspace(-9.0, 9.0, 60).reshape(3, 4, 5)
+    # more points than one block, so block edges are crossed
+    big = np.linspace(-9.0, 9.0, 3 * approx._CDF_BLOCK + 7).reshape(-1, 1)
+    for x in (grid, grid.T, big):
+        got = approx.normal_cdf(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.ravel(), approx.normal_cdf(x.ravel()))
+        want = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.ravel()]
+        np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=2.3e-16)
+    edges = approx.normal_cdf(np.array([-np.inf, -1e300, 1e300, np.inf, np.nan]))
+    np.testing.assert_array_equal(edges[:4], [0.0, 0.0, 1.0, 1.0])
+    assert np.isnan(edges[4])
+
+
 def test_hermite_polynomials_hand_values():
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(approx.hermite_he(0, x), [1.0, 1.0, 1.0])

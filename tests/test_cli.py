@@ -1,11 +1,17 @@
 """Command line contract tests.
 
-Everything runs in-process through cli.main(argv) so exit codes, stdout
-payloads, and stderr summaries can be checked directly.
+Most tests run in-process through cli.main(argv) so exit codes, stdout
+payloads, and stderr summaries can be checked directly.  The last two start
+child processes: one compares with commands run each in its own process, the
+other sees which modules a process running the benchmark's commands loads.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,3 +456,91 @@ def test_thread_count_keeps_payload_bytes_stable(capsys, monkeypatch):
     rc, threaded, _ = run_cli(capsys, argv)
     assert rc == 0
     assert threaded == single
+
+
+# ---------------------------------------------------------------------------
+# One process, many commands
+# ---------------------------------------------------------------------------
+
+def _subprocess_env() -> dict:
+    """The environment of a child that imports this checkout's ustatlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cached_parser_keeps_calls_independent(capsys, tmp_path):
+    # approx-eval twice around other commands: the default --x of the cached
+    # parser must come back unchanged
+    commands = [
+        ["approx-eval", "--kappa", "0.1,0.02"],
+        ["approx-eval", "--kappa", "0.3", "--x=-1,2.5", "--t", "0.5"],
+        ["oracle", "--kernel", "variance", "--dist", "uniform-atoms:-1,0,1", "--n", "5"],
+        ["approx-eval", "--kappa", "0.1,0.02"],
+    ]
+    assert cli._parser() is cli._parser()
+    in_process = []
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"one-{i}.json"
+        rc, _, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert rc == 0, err
+        in_process.append(out.read_bytes())
+    assert in_process[3] == in_process[0]
+    for i, argv in enumerate(commands[:3]):
+        out = tmp_path / f"own-{i}.json"
+        subprocess.run(
+            [sys.executable, "-m", "ustatlab.cli", *argv, "--out", str(out)],
+            env=_subprocess_env(), check=True, capture_output=True, timeout=120,
+        )
+        assert out.read_bytes() == in_process[i], argv
+
+
+_SCIPY_FREE_CHILD = """
+import json, sys
+import ustatlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    if ustatlab.cli.main(argv) != 0:
+        raise SystemExit(f"{name} failed")
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_benchmark_commands_load_no_scipy(tmp_path):
+    # scipy takes longer to import than these commands take to run; each
+    # shape the benchmark runs must do without it
+    def out(stem):
+        return ["--out", str(tmp_path / stem)]
+
+    rate = ["simulate", "--kernel", "variance", "--dist", "exponential",
+            "--n-grid", "8,16", "--reps", "1000", "--seed", "1", "--threads", "2"]
+    commands = [
+        ("simulate", rate + out("std.csv")),
+        ("studentized", rate + ["--estimator", "studentized"] + out("stu.csv")),
+        ("counterexample", ["counterexample", "--eps", "0.5", "--n", "25", "--reps", "1000",
+                            "--seed", "1", "--threads", "2"] + out("cex.json")),
+        ("moments", ["moments", "--kernel", "gini", "--dist", "exponential", "--n", "64",
+                     "--strategy", "monte-carlo", "--inner-reps", "200", "--seed", "1"]
+         + out("mom.json")),
+        ("adjusted", ["simulate", "--kernel", "gini", "--dist", "exponential",
+                      "--n-grid", "16", "--reps", "1000", "--target", "adjusted",
+                      "--seed", "1", "--threads", "1"] + out("adj.csv")),
+        ("oracle_variance", ["oracle", "--kernel", "variance", "--dist",
+                             "uniform-atoms:-1,0,1", "--n", "12"] + out("orv.json")),
+        ("oracle_gini", ["oracle", "--kernel", "gini", "--dist", "bernoulli:0.3",
+                         "--n", "16"] + out("org.json")),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_CHILD, json.dumps(commands)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert list(loaded) == ["import"] + [name for name, _ in commands]
+    assert loaded == {name: [] for name in loaded}

@@ -122,6 +122,52 @@ def test_continuous_moment_tables_match_quadrature():
             assert table == pytest.approx(quad, abs=1e-9), (ident, p)
 
 
+def test_exponential_abs_moment_matches_high_precision_value():
+    # E|X - 1|^1.7 for a standard exponential X, from mpmath at 30 digits;
+    # adaptive quadrature of the kinked integrand misses it by about 2e-10
+    want = 0.856582653759640841602886
+    got = model.abs_central_moment(model.distribution_preset("exponential"), 1.7)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_abs_central_moments_of_the_presets(r):
+    normal = math.sqrt(2.0**r / math.pi) * math.gamma((r + 1.0) / 2.0)
+    uniform = 2.0 * 0.5 ** (r + 1.0) / (r + 1.0)
+    # E|X - 1|^r = (Gamma(r + 1) + int_0^1 u^r e^u du) / e for the exponential;
+    # by parts the integral is 1, e - 2 and 6 - 2e at r = 1, 2 and 3
+    below = {1.0: 1.0, 2.0: math.e - 2.0, 3.0: 6.0 - 2.0 * math.e}
+    cases = {"normal": normal, "uniform": uniform}
+    if r in below:
+        cases["exponential"] = (math.gamma(r + 1.0) + below[r]) / math.e
+    for ident, want in cases.items():
+        got = model.abs_central_moment(model.distribution_preset(ident), r)
+        assert got == pytest.approx(want, rel=1e-14), (ident, r)
+    # integer even orders are the central moments themselves
+    if r % 2 == 0:
+        for ident in ("normal", "exponential", "uniform"):
+            d = model.distribution_preset(ident)
+            assert model.abs_central_moment(d, r) == pytest.approx(
+                model.central_moment(d, int(r)), rel=1e-15
+            )
+
+
+def test_abs_central_moment_falls_back_to_quadrature_and_exact_sums():
+    exp = model.distribution_preset("exponential")
+    hand = model.Continuous("hand", exp.sampler, exp.pdf, exp.support, exp.mean, exp.var)
+    assert hand.abs_central_moment is None
+    for r in (1.0, 2.0, 3.0):
+        want = model.abs_central_moment(exp, r)
+        assert model.abs_central_moment(hand, r) == pytest.approx(want, rel=1e-8)
+    d = model.bernoulli(0.3)
+    # |x - 0.3| is 0.3 w.p. 0.7 and 0.7 w.p. 0.3
+    assert model.abs_central_moment(d, 1.5) == pytest.approx(
+        0.7 * 0.3**1.5 + 0.3 * 0.7**1.5, rel=1e-15
+    )
+    with pytest.raises(ValidationError):
+        model.abs_central_moment(exp, -0.5)
+
+
 @pytest.mark.parametrize("ident", ["normal", "exponential", "uniform"])
 def test_continuous_presets_carry_their_quantile_function(ident):
     dist = model.distribution_preset(ident)
@@ -142,6 +188,8 @@ def test_gaussian_abs_moment_values():
     )
     assert model.gaussian_abs_moment(2.0) == pytest.approx(1.0, rel=1e-14)
     assert model.gaussian_abs_moment(0.0) == pytest.approx(1.0, rel=1e-14)
+    # even orders are the double factorials, exactly
+    assert [model.gaussian_abs_moment(r) for r in (0, 2, 4, 6, 8.0)] == [1, 1, 3, 15, 105]
 
 
 def test_gaussian_negative_moment_against_quadrature():

@@ -145,6 +145,15 @@ def test_oracle_evaluates_one_row_per_type_class(monkeypatch):
     assert sum(cells) < 3**12
 
 
+@pytest.mark.parametrize("n, p", [(0, 0), (1, 3), (12, 2), (40, 5), (300, 4)])
+def test_binomial_table_equals_math_comb(n, p):
+    table = oracle._binomial_table(n, p)
+    assert table.shape == (n + 1, p + 1) and table.dtype == float
+    for k in range(n + 1):
+        for m in range(p + 1):
+            assert table[k, m] == float(math.comb(k, m))
+
+
 def test_u_distribution_bernoulli_half_hand_enumeration():
     u_atoms, u_probs, theta = oracle.exact_u_distribution(
         model.variance_kernel(), model.bernoulli(0.5), 2

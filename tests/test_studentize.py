@@ -93,6 +93,7 @@ def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
         (model.variance_kernel(), balanced),
         (model.variance_kernel(), constant),
         (model.quadratic_kernel(0.3), constant),
+        (model.gini_kernel(), constant),
     ]
     for kernel, rows in cases:
         rows = rows + shift
@@ -108,6 +109,20 @@ def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
         assert np.all(var_hat > 0.0)
         for row in moved:
             assert studentize.studentized_ustat(kernel, row, theta=0.0).sigma_hat_g > 0.0
+
+
+@pytest.mark.parametrize("value", [0.3, -7.1, 5e6 + 0.3])
+def test_gini_constant_rows_are_dropped(value):
+    # the row path shifts each sorted row by its smallest point, so constant
+    # rows give leave-one-out means of exactly 0, as the pairwise path does
+    kernel = model.gini_kernel()
+    rows = np.full((50, 8), value)
+    np.testing.assert_array_equal(kernel.rows.loo(rows), 0.0)
+    u, var_hat = exper._row_jackknife_stats(kernel, rows)
+    np.testing.assert_array_equal(u, 0.0)
+    np.testing.assert_array_equal(var_hat, 0.0)
+    with pytest.raises(ZeroVarianceEstimate):
+        studentize.studentized_ustat(kernel, rows[0], theta=0.0)
 
 
 def test_validation_errors():
