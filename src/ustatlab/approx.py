@@ -3,7 +3,10 @@
 The adjusted family adds derivative corrections to the standard normal:
 ``N(x) = Phi(x) + sum_s (-1)^(s+1) kappa_s Phi^(s+1)(x)`` for a correction
 vector ``kappa_1..kappa_p``.  The result is a signed measure: no clamping
-or monotonization is applied.
+or monotonization is applied.  Its density is
+``phi(x) (1 + sum_s kappa_s He_(s+1)(x))``, so means under it have closed
+forms (``adjusted_cf`` for trigonometric integrands, Hermite moments for
+Gaussian ones) and this module carries no integrator.
 """
 
 from __future__ import annotations
@@ -286,60 +289,3 @@ def dkw_se(reps: int) -> float:
         raise ValidationError("need reps >= 1")
     return math.sqrt(0.25 / reps)
 
-
-# ---------------------------------------------------------------------------
-# Quadrature oracle
-# ---------------------------------------------------------------------------
-
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 48,
-) -> float:
-    """Adaptive Simpson integration with Richardson acceptance test.
-
-    Kept dependency-free on purpose: this is the independent oracle used to
-    validate analytic integrals elsewhere in the package.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError("integration limits must be finite")
-    if a == b:
-        return 0.0
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = f(lmid)
-        frmid = f(rmid)
-        left = simpson(lo, mid, flo, flmid, fmid)
-        right = simpson(mid, hi, fmid, frmid, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * eps
-        return (
-            recurse(lo, mid, flo, flmid, fmid, left, half, depth - 1)
-            + recurse(mid, hi, fmid, frmid, fhi, right, half, depth - 1)
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def integrate_against_density(
-    f: Callable[[float], float],
-    approx: AdjustedNormal,
-    tol: float = 1e-10,
-    lo: float = -12.0,
-    hi: float = 12.0,
-) -> float:
-    """``integral of f against the adjusted density`` over [lo, hi]."""
-    return adaptive_simpson(
-        lambda u: f(u) * float(adjusted_density(approx, u)), lo, hi, tol=tol
-    )

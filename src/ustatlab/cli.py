@@ -411,17 +411,6 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=exper.DEFAULT_REPS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--estimator",
-        default="standardized",
-        choices=["standardized", "studentized"],
-    )
-    p.add_argument(
-        "--target",
-        default="phi",
-        choices=["phi", "adjusted", "edgeworth2"],
-        help="reference law for distances (phi only with the studentized estimator)",
-    )
-    p.add_argument(
         "--order",
         type=int,
         default=None,
@@ -516,6 +505,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="ECDF distance experiment over an n-grid")
     _add_experiment_flags(p)
+    p.add_argument(
+        "--estimator",
+        default="standardized",
+        choices=["standardized", "studentized"],
+    )
+    p.add_argument(
+        "--target",
+        default="phi",
+        choices=["phi", "adjusted", "edgeworth2"],
+        help="reference law for distances (phi only with the studentized estimator)",
+    )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_simulate, out_paths=exper.rate_report_paths)
 
@@ -542,11 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scoring = (
         "Scores the standardized statistic against the adjusted law of order "
-        "--order or --target-alpha; --estimator studentized and --target "
-        "edgeworth2 are usage errors."
+        "--order or --target-alpha."
     )
+    # the checks take no --target, which would otherwise abbreviate --target-alpha
     p = sub.add_parser(
         "cf-check",
+        allow_abbrev=False,
         help="characteristic function envelope check",
         description=f"Characteristic function envelope check.  {scoring}",
     )
@@ -555,10 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--t-grid", type=_floats, default=None, help="transform arguments, |t| <= 6"
     )
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cf_check)
+    p.set_defaults(
+        handler=_cmd_cf_check, target="adjusted", estimator="standardized"
+    )
 
     p = sub.add_parser(
         "smooth-check",
+        allow_abbrev=False,
         help="smooth-function expectation check",
         description=f"Smooth-function expectation check.  {scoring}",
     )
@@ -569,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="test integrand id: cos[:omega], gauss, const[:c]",
     )
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_smooth_check)
+    p.set_defaults(
+        handler=_cmd_smooth_check, target="adjusted", estimator="standardized"
+    )
 
     return parser
 

@@ -242,13 +242,18 @@ def _target(
     return approx.edgeworth2(e_gg_eta, e_g3, sigma_g, d.n)
 
 
-def _adjusted_only(cfg: ExperimentConfig, command: str) -> None:
-    """Refuse the options ``command`` would ignore."""
+def _adjusted_only(cfg: ExperimentConfig, command: str) -> ExperimentConfig:
+    """``cfg`` with the adjusted target kind that ``command`` scores against.
+
+    The studentized estimator and the Edgeworth target are refused rather
+    than ignored; ``order`` and ``alpha`` are kept, since they shape the law.
+    """
     if cfg.estimator == "studentized" or cfg.target.kind == "edgeworth2":
         raise IncompatibleOptions(
             f"{command} scores the standardized statistic against the adjusted "
-            "law; it takes neither --estimator studentized nor --target edgeworth2"
+            "law; it takes neither the studentized estimator nor the edgeworth2 target"
         )
+    return replace(cfg, target=replace(cfg.target, kind="adjusted"))
 
 
 def _replicates(
@@ -611,17 +616,36 @@ def perturbed_normal_study(
 
 @dataclass(frozen=True)
 class SmoothFunction:
+    """A test integrand with its derivative sup-norms and, in closed form,
+    its mean ``adjusted_mean(adj)`` under the adjusted law ``adj``."""
+
     ident: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv_norm: Callable[[int], float]
+    adjusted_mean: Callable[[approx.AdjustedNormal], float]
+
+
+def _gauss_adjusted_mean(adj: approx.AdjustedNormal) -> float:
+    """Mean of exp(-x^2/2) under the adjusted law.
+
+    The adjusted density is phi(x) (1 + sum_s kappa_s He_(s+1)(x)), and
+    exp(-x^2/2) phi(x) is 1/sqrt(2) times the N(0, 1/2) density, under
+    which He_(s+1) has mean (-1/2)^((s+1)/2) s!! at odd s and 0 at even s.
+    """
+    total = 1.0
+    for s in range(1, adj.order + 1, 2):
+        hermite_mean = (-0.5) ** ((s + 1) // 2) * math.prod(range(s, 0, -2))
+        total += hermite_mean * adj.kappa[s - 1]
+    return total / math.sqrt(2.0)
 
 
 def smooth_test_function(ident: str) -> SmoothFunction:
     """Built-in test integrands with known derivative sup-norms.
 
-    ``cos:omega`` has m-th derivative sup-norm omega**m; ``gauss`` is the
-    unnormalized Gaussian bump with sup-norms taken from a dense grid;
-    ``const:c`` is constant with all derivatives zero.
+    ``cos:omega`` has m-th derivative sup-norm omega**m and adjusted mean
+    Re ``adjusted_cf(adj, omega)``; ``gauss`` is the unnormalized Gaussian
+    bump with sup-norms taken from a dense grid; ``const:c`` is constant
+    with all derivatives zero.
     """
     base, _, arg = ident.partition(":")
     if base == "cos":
@@ -629,7 +653,10 @@ def smooth_test_function(ident: str) -> SmoothFunction:
         if omega <= 0.0:
             raise PresetError("cos frequency must be positive")
         return SmoothFunction(
-            ident, lambda x, w=omega: np.cos(w * x), lambda m, w=omega: w**m
+            ident,
+            lambda x, w=omega: np.cos(w * x),
+            lambda m, w=omega: w**m,
+            lambda adj, w=omega: float(approx.adjusted_cf(adj, w).real),
         )
     if base == "gauss":
         if arg:
@@ -643,13 +670,16 @@ def smooth_test_function(ident: str) -> SmoothFunction:
                 np.max(np.abs(approx.phi_derivative(m, xs)))
             )
 
-        return SmoothFunction(ident, lambda x: np.exp(-0.5 * x * x), norm)
+        return SmoothFunction(
+            ident, lambda x: np.exp(-0.5 * x * x), norm, _gauss_adjusted_mean
+        )
     if base == "const":
         level = float(arg) if arg else 1.0
         return SmoothFunction(
             ident,
             lambda x, c=level: np.full_like(np.asarray(x, dtype=float), c),
             lambda m, c=level: abs(c) if m == 0 else 0.0,
+            lambda adj, c=level: c,
         )
     raise PresetError(f"unknown smooth test function {ident!r}")
 
@@ -690,18 +720,16 @@ class SmoothReport:
 
 
 def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
-    """Gap between the sampled mean of f(S) and its adjusted-normal integral.
+    """Gap between the sampled mean of f(S) and its exact adjusted-normal mean.
 
     The reported scale is beta + gamma; the derivative constant sums the
     sup-norms of orders 2 through k + 4.
     """
     f = smooth_test_function(f_ident)
-    _adjusted_only(cfg, "smooth-check")
+    cfg = _adjusted_only(cfg, "smooth-check")
     rows = []
     for d, adj, values, _ in _replicates(cfg, _adjusted):
-        target = approx.integrate_against_density(
-            lambda u: float(f.fn(np.asarray([u]))[0]), adj
-        )
+        target = f.adjusted_mean(adj)
         fvals = np.asarray(f.fn(values), dtype=float)
         lhs = abs(float(fvals.mean()) - target)
         scale = hoeffding.beta(d) + hoeffding.gamma_var(d)
@@ -777,7 +805,7 @@ def char_function_check(
         raise ConfigError("t_grid must be nonempty")
     if any(abs(t) > 6.0 for t in t_grid):
         raise ConfigError("t_grid entries must satisfy |t| <= 6")
-    _adjusted_only(cfg, "cf-check")
+    cfg = _adjusted_only(cfg, "cf-check")
     rows = []
     max_ratio_by_n: dict[int, float] = {}
     max_ratio_se_by_n: dict[int, float] = {}

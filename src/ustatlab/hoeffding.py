@@ -709,12 +709,11 @@ class DecomposedStatistic:
     def component_sum(self, data: np.ndarray, p: int, budget: int = DEFAULT_SUBSET_BUDGET) -> float:
         """Sum of scaled order-p components over all index subsets."""
         x = self._check_sample(data)
-        if math.comb(self.n, p) > budget:
-            raise BudgetError(f"C({self.n},{p}) subsets exceed budget {budget}")
-        idx = np.array(list(itertools.combinations(range(self.n), p)))
-        cols = [x[idx[:, c]] for c in range(p)]
-        vals = self.projection.component_values(p, cols)
-        return float(np.sum(vals) * self.t_scale(p))
+        total = math.fsum(
+            float(np.sum(self.projection.component_values(p, x[idx])))
+            for idx in model.subset_blocks(self.n, p, budget)
+        )
+        return total * self.t_scale(p)
 
     def remainder(self, data: np.ndarray, budget: int = DEFAULT_SUBSET_BUDGET) -> float:
         """T = sum of all degenerate component sums of order 2..k."""

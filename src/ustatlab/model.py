@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 # numpy loads numpy.random on first use; load it with the package, so that
@@ -42,6 +42,9 @@ from .errors import (
 )
 
 DEFAULT_SUBSET_BUDGET = 10**8
+# index subsets per block of subset_blocks: a block of order-k index columns
+# and the kernel values on it stay a few MB
+SUBSET_BLOCK = 32768
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -365,21 +368,19 @@ def _quadratic_rows(a: float, b: float, c: float) -> RowForms:
 class Kernel:
     """Symmetric kernel of ``order`` scalar arguments.
 
-    ``fn`` must accept ``order`` numpy-broadcastable arguments.  ``params``
-    carries named kernel parameters; nothing dispatches on them or on
-    ``ident``.  ``quad_coefs = (a, b, c)`` states that an order-2 kernel is
-    h = a(x+y) + b(x^2+y^2) + c*x*y; its ``rows`` are then generated from
-    them and may not be given too.  ``rows`` holds the per-row closed forms
-    of any other kernel that has them.  ``pool_mean(pool, weights)``
-    prepares a weighted pool of points once and returns the function
-    x -> sum_j weights_j h(x, pool_j) of an order-2 kernel.  All three stay
-    None unless a preset constructor knows them.
+    ``fn`` must accept ``order`` numpy-broadcastable arguments.  Nothing
+    dispatches on ``ident``.  ``quad_coefs = (a, b, c)`` states that an
+    order-2 kernel is h = a(x+y) + b(x^2+y^2) + c*x*y; its ``rows`` are then
+    generated from them and may not be given too.  ``rows`` holds the
+    per-row closed forms of any other kernel that has them.
+    ``pool_mean(pool, weights)`` prepares a weighted pool of points once and
+    returns the function x -> sum_j weights_j h(x, pool_j) of an order-2
+    kernel.  All three stay None unless a preset constructor knows them.
     """
 
     ident: str
     order: int
     fn: Callable[..., np.ndarray]
-    params: dict[str, float] = field(default_factory=dict)
     quad_coefs: Optional[tuple[float, float, float]] = None
     rows: Optional[RowForms] = None
     pool_mean: Optional[
@@ -518,8 +519,7 @@ def quadratic_kernel(eps: float) -> Kernel:
         return 0.5 * (x + y) + eps * (x * y)
 
     return Kernel(
-        f"quadratic:{eps:g}", 2, fn, params={"eps": float(eps)},
-        quad_coefs=(0.5, 0.0, float(eps)),
+        f"quadratic:{eps:g}", 2, fn, quad_coefs=(0.5, 0.0, float(eps))
     )
 
 
@@ -568,16 +568,29 @@ def symmetrize(fn: Callable[..., np.ndarray], order: int, ident: str = "symmetri
 # U-statistic evaluation
 # ---------------------------------------------------------------------------
 
+def subset_blocks(
+    n: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET
+) -> Iterator[np.ndarray]:
+    """Every increasing k-subset of ``range(n)``, in lexicographic order.
+
+    Yields ``(k, m)`` arrays of index columns, ``m <= SUBSET_BLOCK``, so no
+    more than one block of subsets is held at a time.  Raises
+    :class:`BudgetError` at the call when C(n, k) exceeds ``budget``.
+    """
+    count = math.comb(n, k)
+    if count > budget:
+        raise BudgetError(f"C({n},{k}) = {count} subsets exceeds budget {budget}")
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    sizes = (min(SUBSET_BLOCK, count - lo) for lo in range(0, count, SUBSET_BLOCK))
+    return (np.fromiter(flat, np.intp, k * m).reshape(m, k).T for m in sizes)
+
+
 def u_statistic(
     kernel: Kernel,
     data: np.ndarray,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> float:
-    """Average of the kernel over all increasing index subsets.
-
-    Index subsets are enumerated in lexicographic order; orders up to 3 use
-    vectorized index arrays, higher orders iterate subsets directly.
-    """
+    """Average of the kernel over all increasing index subsets."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValidationError("sample must be a 1-d array")
@@ -587,22 +600,6 @@ def u_statistic(
     k = kernel.order
     if n < k:
         raise InsufficientSample("n must be >= kernel order")
-    n_subsets = math.comb(n, k)
-    if n_subsets > budget:
-        raise BudgetError(
-            f"C({n},{k}) = {n_subsets} subsets exceeds budget {budget}"
-        )
-    if k == 1:
-        return float(np.mean(kernel_values(kernel, [x])))
-    if k == 2:
-        i, j = np.triu_indices(n, 1)
-        return float(np.mean(kernel_values(kernel, [x[i], x[j]])))
-    if k == 3:
-        idx = np.array(list(itertools.combinations(range(n), 3)))
-        cols = [x[idx[:, c]] for c in range(3)]
-        return float(np.mean(kernel_values(kernel, cols)))
-    total = math.fsum(
-        float(kernel.fn(*(x[i] for i in combo)))
-        for combo in itertools.combinations(range(n), k)
-    )
-    return total / n_subsets
+    blocks = subset_blocks(n, k, budget)
+    total = math.fsum(float(np.sum(kernel_values(kernel, x[idx]))) for idx in blocks)
+    return total / math.comb(n, k)

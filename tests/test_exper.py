@@ -535,13 +535,25 @@ def test_smooth_test_function_presets():
         exper.smooth_test_function("gauss:2")
 
 
+@pytest.mark.parametrize("ident", ["cos", "cos:3", "gauss", "const:2"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_smooth_function_adjusted_mean_matches_quadrature(ident, order):
+    f = exper.smooth_test_function(ident)
+    adj = approx.AdjustedNormal((0.3, -0.2, 0.15, -0.1, 0.05)[:order])
+    want, _ = integrate.quad(
+        lambda x: float(f.fn(np.asarray([x]))[0] * approx.adjusted_density(adj, x)),
+        -12.0, 12.0, epsabs=1e-13, epsrel=1e-13, limit=400,
+    )
+    assert f.adjusted_mean(adj) == pytest.approx(want, abs=1e-12)
+
+
 def test_smooth_check_constant_function_has_zero_gap():
     report = exper.smooth_function_check(
         small_config(n_grid=(8, 16)), "const:2"
     )
     assert report.deriv_const == 0.0
     for row in report.rows:
-        assert row.lhs <= 1e-9
+        assert row.lhs == 0.0
 
 
 def test_smooth_check_cos_rows():

@@ -242,7 +242,7 @@ def test_eval_kernel_checks_arity_and_finiteness():
 
 def test_kernel_preset_parsing():
     k = model.kernel_preset("kernel:quadratic:0.25")
-    assert k.params["eps"] == pytest.approx(0.25)
+    assert k.quad_coefs == (0.5, 0.0, 0.25)
     with pytest.raises(PresetError):
         model.kernel_preset("cubic")
     with pytest.raises(PresetError):
@@ -335,6 +335,12 @@ def test_u_statistic_order2_hand_value():
     assert u == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1), rel=1e-14)
 
 
+def test_u_statistic_sums_over_several_blocks():
+    x = np.random.default_rng(3).normal(size=400)  # 79,800 pairs: 3 blocks
+    u = model.u_statistic(model.variance_kernel(), x)
+    assert u == pytest.approx(np.var(x, ddof=1), rel=1e-13)
+
+
 def test_u_statistic_matches_bruteforce_order3():
     rng = np.random.default_rng(4)
     x = rng.normal(size=7)
@@ -363,6 +369,19 @@ def test_u_statistic_insufficient_sample():
 def test_u_statistic_budget():
     with pytest.raises(BudgetError):
         model.u_statistic(model.variance_kernel(), np.zeros(100), budget=10)
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (6, 3), (70, 3), (9, 9)])
+def test_subset_blocks_enumerate_lexicographically(n, k):
+    blocks = list(model.subset_blocks(n, k))
+    assert all(b.shape[0] == k and 0 < b.shape[1] <= model.SUBSET_BLOCK for b in blocks)
+    subsets = [tuple(col) for b in blocks for col in b.T.tolist()]
+    assert subsets == list(itertools.combinations(range(n), k))
+
+
+def test_subset_blocks_check_the_budget_at_the_call():
+    with pytest.raises(BudgetError, match="C\\(70,3\\) = 54740"):
+        model.subset_blocks(70, 3, budget=54739)
 
 
 def test_u_statistic_rejects_bad_input():
