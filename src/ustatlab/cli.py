@@ -113,6 +113,18 @@ def _experiment_config(args: argparse.Namespace) -> exper.ExperimentConfig:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _strategy_config(d: hoeffding.DecomposedStatistic, args: argparse.Namespace) -> dict:
+    """The projection strategy and the one size it ran at, if it has one:
+    the inner draws of Monte Carlo or the graded nodes of quadrature."""
+    strategy = d.projection.strategy
+    out: dict = {"strategy": strategy}
+    if strategy == "monte-carlo":
+        out["inner_reps"] = args.inner_reps
+    elif strategy == "quadrature":
+        out["nodes"] = hoeffding.QUADRATURE_NODES
+    return out
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     kernel = model.kernel_preset(args.kernel)
     dist = model.distribution_preset(args.dist)
@@ -130,8 +142,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             "kernel": args.kernel,
             "dist": args.dist,
             "n": args.n,
-            "strategy": d.projection.strategy,
-            "inner_reps": args.inner_reps,
+            **_strategy_config(d, args),
             "seed": args.seed,
         },
         "theta": d.theta,
@@ -175,8 +186,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             "dist": args.dist,
             "n": args.n,
             "alpha": args.alpha,
-            "strategy": d.projection.strategy,
-            "inner_reps": args.inner_reps,
+            **_strategy_config(d, args),
             "seed": args.seed,
         },
         "moments": summary.to_json(),
@@ -381,8 +391,9 @@ def _add_projection_flags(p: argparse.ArgumentParser) -> None:
         default="auto",
         choices=["auto", *hoeffding.STRATEGIES],
         help="projection strategy: exact (finite support), analytic (closed "
-        "forms), quadrature (Gauss-Legendre rule on the quantile scale of a "
-        "continuous law) or monte-carlo; auto picks the first that applies",
+        "forms), quadrature (order-2 kernels on a continuous law with ppf, isf "
+        "and cdf: a graded rule on the ordered triangle of the quantile scale) "
+        "or monte-carlo; auto picks the first that applies",
     )
     p.add_argument(
         "--inner-reps",

@@ -33,27 +33,32 @@ Four evaluation strategies are supported:
   integrals.  E|t_2|^alpha, and E|g|^q where g is linear, come from the
   law's E|X - mu|^r (``model.abs_central_moment``); E|g|^q of a kernel with
   a square term takes adaptive quadrature;
-* ``quadrature``: for continuous laws with a quantile function Q, the
-  ``QUADRATURE_NODES``-point Gauss-Legendre rule on the quantile scale, i.e.
-  the nodes Q((u_i + 1)/2) with weights w_i/2, used exactly like atoms;
+* ``quadrature``: order-2 kernels on continuous laws with ``ppf``, ``isf``
+  and ``cdf``, by a graded rule on the quantile scale: Gauss-Legendre t
+  mapped by u = t^4 / (t^4 + (1 - t)^4), with 1 - u carried separately.
+  h_1 at any point x is split at F(x) into two graded sub-rules; order-1
+  integrals are sums over the nodes, and order-2 integrals run over the
+  ordered triangle u < v with u = v s;
 * ``monte-carlo``: nested Monte Carlo with common random numbers for the
   inner expectations.
 
 The strategies differ only in how a projection is built and how it
 integrates.  Point evaluations take one path: h_1 of an order-2 kernel is
-the analytic closed form, or the ``Kernel.pool_mean`` form (gini) prepared
-once on the nodes or the Monte Carlo inner pool; every other marginal
-averages the kernel over a weighted tail (the node grid or the inner pool,
-each built once per projection) in blocks of cells; g and t_p follow from
-the marginals.  ``exact`` and ``quadrature`` evaluate the kernel once on the
-product grid of the nodes and integrate by weighted sums over tables built
-from it; Monte Carlo scores sampled tuples.  Both take their integrands from
-one function.
+the analytic closed form, the split sub-rules of quadrature, or the
+``Kernel.pool_mean`` form (gini) prepared once on the atoms or the Monte
+Carlo inner pool; every other marginal averages the kernel over a weighted
+tail (the atom grid or the inner pool, each built once per projection) in
+blocks of cells; g and t_p follow from the marginals.  ``exact`` evaluates
+the kernel once on the product grid of the atoms and integrates by weighted
+sums over tables built from it, quadrature by weighted sums over its
+nodes and triangle, and Monte Carlo scores sampled tuples.  All three take
+their integrands from one function.
 
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
 bar: the Monte Carlo standard error, or for quadrature the gap
-|Q_N - Q_(N/2)| to the same rule at half the nodes.  The functionals above
+|Q_N - Q_(N/2)| to the same rule at half the nodes, floored at a few machine
+epsilons of the integral's absolute scale.  The functionals above
 only scale those integrals to a sample size; decompositions that differ only
 in n can share one projection.  Error bars are reported by
 :func:`moment_summary`.
@@ -125,11 +130,19 @@ _MOMENT_STREAMS = {
 # with 0.25-0.5 s of system time and 34k-53k faults.
 _BLOCK_CELLS = 32_768
 
-# Gauss-Legendre nodes of the quadrature strategy.  The same rule at half as
-# many nodes gives each integral's reported error |Q_N - Q_(N/2)|.  The
-# kernel is tabulated on the N^k node grid, which must fit the cell budget.
-QUADRATURE_NODES = 1024
+# Graded nodes per axis of the quadrature strategy's ordered triangle; each
+# piece of a marginal's split sub-rule takes half as many.  The same rule at
+# half the nodes gives each integral's reported error |Q_N - Q_(N/2)|, and
+# both rules together must fit the cell budget.
+QUADRATURE_NODES = 96
 _QUADRATURE_CELLS = 4_000_000
+# The least length at which a marginal's sub-rule piece places its nodes:
+# times the smallest graded node it stays a normal float.
+_MIN_PIECE = 1e-200
+# No quadrature error bar reads below this many machine epsilons times the
+# integral's absolute scale, the weighted sum of |integrand|: where both
+# rules reach rounding their gap can read exactly 0.
+_ROUNDING_EPS = 16
 
 STRATEGIES = ("exact", "analytic", "quadrature", "monte-carlo")
 
@@ -257,10 +270,90 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _quadrature_nodes(dist: Continuous, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m Gauss-Legendre nodes on the quantile scale and their weights."""
-    u, w = _gauss_legendre(m)
-    return np.asarray(dist.ppf(u), dtype=float), w
+@functools.lru_cache(maxsize=None)
+def _graded_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m-point sigmoidal graded rule on (0, 1): nodes u, 1 - u and weights.
+
+    Gauss-Legendre t is mapped by u = t^4 / (t^4 + (1 - t)^4), with the
+    Jacobian 4 t^3 (1 - t)^3 / (t^4 + (1 - t)^4)^2 folded into the weights
+    (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
+    section 2.9).  The Jacobian vanishes like t^3 at t = 0 and (1 - t)^3 at
+    t = 1, so integrands with a log or mild power singularity at an end,
+    such as the exponential or normal quantile, still converge fast.  The rule is
+    symmetric: 1 - t is the mirror node, so 1 - u is the reversed u and
+    keeps its digits near u = 1.
+    """
+    t, w = _gauss_legendre(m)
+    up, down = t**4, t[::-1] ** 4
+    total = up + down
+    u = up / total
+    weights = w * 4.0 * (t * t[::-1]) ** 3 / np.square(total)
+    for a in (u, weights):
+        a.setflags(write=False)
+    return u, u[::-1], weights
+
+
+def _has_quantiles(dist: Distribution) -> bool:
+    return isinstance(dist, Continuous) and None not in (dist.ppf, dist.isf, dist.cdf)
+
+
+def _quantile(dist: Continuous, u: np.ndarray, ubar: np.ndarray) -> np.ndarray:
+    """Q(u) given u and 1 - u: ``ppf(u)`` for u <= 1/2, ``isf(1 - u)`` above."""
+    lower = u <= 0.5
+    out = np.empty(u.shape)
+    out[lower] = dist.ppf(u[lower])
+    upper = ~lower
+    out[upper] = dist.isf(ubar[upper])
+    return out
+
+
+def _split_marginal(
+    kernel: Kernel,
+    dist: Continuous,
+    x: np.ndarray,
+    a: np.ndarray,
+    abar: np.ndarray,
+    m: int,
+) -> np.ndarray:
+    """h_1 of an order-2 kernel at points x with F(x) = a and 1 - F(x) = abar.
+
+    E h(x, Y) is split at v = a into m-point graded sub-rules on [0, a] and
+    [a, 1], so a kink of h at y = x (gini's) falls on their ends.  On the
+    first piece v = a s with 1 - v = (1 - a) + a (1 - s), on the second
+    1 - v = (1 - a)(1 - s).  Far out in a tail F(x) rounds to 0 or 1; each
+    piece then places its nodes as if it were ``_MIN_PIECE`` long, so that
+    every quantile stays finite, and still weighs its true length.  Points
+    go in blocks of a multiple of 4 rows (see
+    :func:`_weighted_marginal`) and at most ``_BLOCK_CELLS`` kernel cells,
+    2m a point.  Each piece is evaluated on its own, so that no temporary
+    reaches 128 KiB: larger arrays fault in fresh pages on every
+    allocation, and taking both pieces at once cost 38 ns a cell against 12
+    (gini on the exponential law, one thread).
+    """
+    s, sbar, w = _graded_rule(m)
+    out = np.empty(x.size)
+    step = 4 * max(1, _BLOCK_CELLS // (8 * m))
+    for lo in range(0, x.size, step):
+        xs, ab, ba = x[lo:lo + step, None], a[lo:lo + step], abar[lo:lo + step]
+        la, lb = np.maximum(ab, _MIN_PIECE)[:, None], np.maximum(ba, _MIN_PIECE)[:, None]
+
+        def piece(v: np.ndarray, vbar: np.ndarray) -> np.ndarray:
+            return model.kernel_values(kernel, [xs, _quantile(dist, v, vbar)]) @ w
+
+        below = piece(la * s, ba[:, None] + la * sbar)
+        above = piece(ab[:, None] + lb * s, lb * sbar)
+        out[lo:lo + step] = below * ab + above * ba
+    return out
+
+
+def _point_marginal(kernel: Kernel, dist: Continuous) -> Callable[[np.ndarray], np.ndarray]:
+    """h_1 at arbitrary points, split at F(x) by the fine rule's sub-rules."""
+
+    def h1(x: np.ndarray) -> np.ndarray:
+        a = np.asarray(dist.cdf(x), dtype=float)
+        return _split_marginal(kernel, dist, x, a, 1.0 - a, QUADRATURE_NODES // 2)
+
+    return h1
 
 
 def _inclusion_exclusion(
@@ -346,6 +439,62 @@ class _NodeTables:
         return _contract(_integrand(kind, exponent, g, self.t.get(p)), self.w)
 
 
+class _GradedTables:
+    """Hoeffding tables of an order-2 kernel under the graded rule of n nodes.
+
+    h_1 is split at each point (:func:`_split_marginal`, n/2 nodes a piece).
+    Order-1 integrals are weighted sums over 2n graded nodes: they cost n
+    cells a node, and the quantile tail of E g^3 on the exponential law
+    still misses 5/6 by 5e-12 at 96 nodes (2e-13 at 192).  Order-2 integrals
+    run over the n^2 points of the ordered triangle u < v, where u = v s for
+    graded v and s (Duffy, SIAM J. Numer. Anal. 19 (1982) 1260-1262): for a
+    symmetric integrand F the integral is 2 sum_j W_j v_j sum_i W_i
+    F(v_j s_i, v_j), and a kink of h at x = y lies on the edge s = 1.
+    1 - v s is carried as (1 - v) + v (1 - s).
+    """
+
+    def __init__(self, kernel: Kernel, dist: Continuous, n: int) -> None:
+        u, ubar, w = _graded_rule(2 * n)
+        h1 = _split_marginal(kernel, dist, _quantile(dist, u, ubar), u, ubar, n // 2)
+        self.w = w
+        self.theta = float(w @ h1)
+        self.theta_scale = float(w @ np.abs(h1))
+        self.g = h1 - self.theta
+        self.var_g = float(w @ np.square(self.g))
+        # the triangle: v = u_j on axis 0, s = u_i on axis 1
+        u, ubar, w = _graded_rule(n)
+        x = _quantile(dist, u, ubar)
+        tri = u[:, None] * u
+        tri_bar = ubar[:, None] + u[:, None] * ubar
+        tri_x = _quantile(dist, tri, tri_bar)
+        h1_in = _split_marginal(kernel, dist, tri_x.ravel(), tri.ravel(), tri_bar.ravel(), n // 2)
+        g_in = h1_in.reshape(n, n) - self.theta
+        g_out = (_split_marginal(kernel, dist, x, u, ubar, n // 2) - self.theta)[:, None]
+        # n^2 cells, within _BLOCK_CELLS for n up to 181
+        h = model.kernel_values(kernel, [tri_x, x[:, None]])
+        self.tri_w = w
+        self.outer = 2.0 * w * u
+        self.var_h = float(np.square(h) @ w @ self.outer) - self.theta**2
+        self.tri_g = [g_in, g_out]
+        self.t2 = h - g_in - g_out - self.theta
+
+    def moment(self, kind: str, p: int, exponent: float) -> tuple[float, float]:
+        """The integral and its absolute scale, the same sum of |integrand|."""
+        if p == 1:
+            f = _integrand(kind, exponent, [self.g], None)
+            return float(self.w @ f), float(self.w @ np.abs(f))
+        f = _integrand(kind, exponent, self.tri_g, self.t2)
+        return (
+            float(f @ self.tri_w @ self.outer),
+            float(np.abs(f) @ self.tri_w @ self.outer),
+        )
+
+
+def _rounding_bar(fine: float, half: float, scale: float) -> float:
+    """|Q_N - Q_(N/2)|, floored at ``_ROUNDING_EPS`` epsilons of ``scale``."""
+    return max(abs(fine - half), _ROUNDING_EPS * np.finfo(float).eps * scale)
+
+
 def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
     """Mean, ddof=1 variance, and SE of the mean of values drawn ``counts`` times."""
     m = int(counts.sum())
@@ -384,21 +533,37 @@ def _weighted_marginal(
     return out
 
 
+def _quadrature_cells(order: int) -> int:
+    """Kernel cells of the graded rule and its half rule at kernel order ``order``.
+
+    A rule of n nodes spends n cells (n/2 a piece) on h_1 at each of its 2n
+    order-1 nodes, n triangle nodes and n^2 triangle points, and one more at
+    each triangle point: n^3 + 4 n^2 cells.  On the ordered k-simplex the
+    same count, n^k points with h_1 by a (k - 1)-fold sub-rule of n^(k-1)
+    cells each, is far past the budget from order 3 on, so only order 2
+    takes this rule.
+    """
+    return sum(
+        3 * n * n ** (order - 1) + n**order * (n ** (order - 1) + 1)
+        for n in (QUADRATURE_NODES, QUADRATURE_NODES // 2)
+    )
+
+
 def _fits_quadrature(kernel: Kernel) -> bool:
-    return QUADRATURE_NODES**kernel.order <= _QUADRATURE_CELLS
+    return _quadrature_cells(kernel.order) <= _QUADRATURE_CELLS
 
 
 class ProjectionSet:
     """Marginal kernels h_p and degenerate components t_p for one pair.
 
     ``strategy`` is one of ``"exact"`` (finite support), ``"analytic"``
-    (separable closed forms), ``"quadrature"`` (a Gauss-Legendre rule on the
-    quantile scale of a continuous law with a ``ppf``), or ``"monte-carlo"``
-    (nested integration with ``inner_reps`` common-random-number draws
-    shared by every evaluation).  ``"auto"`` picks the first that applies,
-    in that order; quadrature applies to kernels whose node grid of
-    ``QUADRATURE_NODES**order`` cells fits the cell budget, which every
-    order-2 kernel does.  ``inner_reps`` matters only for Monte Carlo.
+    (separable closed forms), ``"quadrature"`` (a graded rule on the
+    quantile scale of a continuous law with ``ppf``, ``isf`` and ``cdf``), or
+    ``"monte-carlo"`` (nested integration with ``inner_reps``
+    common-random-number draws shared by every evaluation).  ``"auto"``
+    picks the first that applies, in that order; quadrature applies to
+    kernels whose rule fits the cell budget, which order-2 kernels do and
+    higher orders do not.  ``inner_reps`` matters only for Monte Carlo.
 
     Only ``__init__`` and ``_integrate`` depend on the strategy.  Monte
     Carlo draws every tuple set (the inner pool, theta, var g, each moment
@@ -426,7 +591,7 @@ class ProjectionSet:
                 forms = separable_forms(kernel, dist)
                 if forms is not None:
                     strategy = "analytic"
-                elif dist.ppf is not None and _fits_quadrature(kernel):
+                elif _has_quantiles(dist) and _fits_quadrature(kernel):
                     strategy = "quadrature"
                 else:
                     strategy = "monte-carlo"
@@ -435,14 +600,14 @@ class ProjectionSet:
         if strategy == "exact" and not isinstance(dist, FiniteDiscrete):
             raise ValidationError("exact strategy requires finite support")
         if strategy == "quadrature":
-            if isinstance(dist, FiniteDiscrete) or dist.ppf is None:
+            if not _has_quantiles(dist):
                 raise ValidationError(
-                    "quadrature strategy requires a continuous law with a ppf"
+                    "quadrature strategy requires a continuous law with ppf, isf and cdf"
                 )
             if not _fits_quadrature(kernel):
                 raise BudgetError(
-                    f"quadrature grid of {QUADRATURE_NODES}^{k} cells exceeds "
-                    f"budget {_QUADRATURE_CELLS}"
+                    f"quadrature rule of {_quadrature_cells(k)} cells at order {k} "
+                    f"exceeds budget {_QUADRATURE_CELLS}"
                 )
         self.kernel = kernel
         self.dist = dist
@@ -453,14 +618,16 @@ class ProjectionSet:
         # the error bar of theta: None where theta is exact
         self.theta_se: Optional[float] = None
         self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
-        # node-set strategies: the tables of each rule, finest first, and the
-        # finest (points, weights) for marginals at arbitrary points
-        self._tables: list[_NodeTables] = []
+        # exact: the atom tables, and (atoms, probs) for marginals at
+        # arbitrary points; quadrature: the graded rule and its half rule
+        self._tables: Optional[_NodeTables] = None
         self._nodes: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._rules: list[_GradedTables] = []
         # Monte Carlo moment tuple sets (columns, counts, h_1s) by (stream, p)
         self._draws: dict[tuple[int, int], tuple] = {}
         # the weighted tail tuples of each marginal by tail length, and h_1 of
-        # an order-2 kernel with a pool form, prepared on the length-1 tail
+        # an order-2 kernel: the pool form prepared on the length-1 tail, or
+        # under quadrature the split sub-rules
         self._tails: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
         self._h1: Optional[Callable[[np.ndarray], np.ndarray]] = None
         if strategy == "analytic":
@@ -472,21 +639,21 @@ class ProjectionSet:
             self.forms = forms
             self._h1 = lambda x: forms.g_fn(x) + forms.theta
             self.theta, self.var_g, self.var_h = forms.theta, forms.var_g, forms.var_h
-        elif strategy in ("exact", "quadrature"):
-            if strategy == "exact":
-                node_sets = [(dist.atoms, dist.probs)]
-            else:
-                node_sets = [
-                    _quadrature_nodes(dist, m)
-                    for m in (QUADRATURE_NODES, QUADRATURE_NODES // 2)
-                ]
-            self._nodes = node_sets[0]
-            self._tables = [_NodeTables(kernel, *nodes) for nodes in node_sets]
+        elif strategy == "exact":
+            self._nodes = (dist.atoms, dist.probs)
+            self._tables = _NodeTables(kernel, *self._nodes)
             self._prepare_pool_mean()
-            fine = self._tables[0]
+            self.theta, self.var_g, self.var_h = (
+                self._tables.theta, self._tables.var_g, self._tables.var_h
+            )
+        elif strategy == "quadrature":
+            self._rules = [
+                _GradedTables(kernel, dist, n) for n in (QUADRATURE_NODES, QUADRATURE_NODES // 2)
+            ]
+            self._h1 = _point_marginal(kernel, dist)
+            fine, half = self._rules
             self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h
-            if strategy == "quadrature":
-                self.theta_se = abs(fine.theta - self._tables[1].theta)
+            self.theta_se = _rounding_bar(fine.theta, half.theta, fine.theta_scale)
         else:
             if self.inner_reps < 2:
                 raise ValidationError("monte-carlo strategy needs inner_reps >= 2")
@@ -507,7 +674,7 @@ class ProjectionSet:
     def _tail(self, length: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Weighted tuples over which a marginal averages its last ``length`` arguments.
 
-        They are the node grid, or the inner pool read up to ``length``
+        They are the atom grid, or the inner pool read up to ``length``
         columns; each is built once per projection.
         """
         if length not in self._tails:
@@ -533,9 +700,9 @@ class ProjectionSet:
         ``kind`` is ``"abs_g"`` (E|g|^exponent, p = 1), ``"abs_t"``
         (E|t_p|^exponent), ``"aligned"`` (E[g(x_1)..g(x_p) t_p], at p = 2 also
         the order-2 Edgeworth input E[g g t_2]) or ``"g3"`` (E g^3, p = 1).
-        The error bar is the Monte Carlo SE, or |Q_N - Q_(N/2)|
-        under quadrature.  Each integral is computed once per projection;
-        callers scale it to a sample size.
+        The error bar is the Monte Carlo SE, or under quadrature
+        |Q_N - Q_(N/2)| with a rounding floor.  Each integral is computed
+        once per projection; callers scale it to a sample size.
         """
         key = (kind, p, exponent)
         if key not in self._moments:
@@ -559,9 +726,11 @@ class ProjectionSet:
                 # adding 0.0 turns an exact -0.0 into 0.0
                 val = forms.t2_coef * forms.e_g_centered**2 + 0.0
             return val, None
-        if self._tables:
-            vals = [tables.moment(kind, p, exponent) for tables in self._tables]
-            return vals[0], abs(vals[0] - vals[1]) if len(vals) > 1 else None
+        if self._tables is not None:
+            return self._tables.moment(kind, p, exponent), None
+        if self._rules:
+            (val, scale), (half, _) = (rule.moment(kind, p, exponent) for rule in self._rules)
+            return val, _rounding_bar(val, half, scale)
         return self._monte_carlo(kind, p, exponent)
 
     def _monte_carlo(self, kind: str, p: int, exponent: float) -> tuple[float, float]:

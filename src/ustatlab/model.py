@@ -33,6 +33,7 @@ import numpy as np
 # the first command that samples does not pay for it
 import numpy.random
 
+from . import approx
 from .errors import (
     ArityError,
     BudgetError,
@@ -100,9 +101,14 @@ class Continuous:
     ``central_moments[p]`` stores the p-th central moment for p up to 6,
     and ``abs_central_moment(r)`` gives E|X - mean|^r for real r >= 0; a
     missing order, or a missing ``abs_central_moment``, falls back to
-    adaptive quadrature of ``pdf`` over ``support``.  ``ppf`` is the
-    quantile function on (0, 1) when one is known; the quadrature
-    projection in ``hoeffding`` needs it.
+    adaptive quadrature of ``pdf`` over ``support``.  When they are known,
+    ``ppf`` is the quantile function on (0, 1), ``isf(q)`` the upper-tail
+    quantile Q(1 - q) and ``cdf`` the distribution function.  The quadrature
+    projection in ``hoeffding`` needs all three: it carries 1 - u next to
+    each node u and takes Q(u) from ``ppf(u)`` for u <= 1/2 and from
+    ``isf(1 - u)`` above, so nodes near u = 1 keep their digits (``ppf``
+    alone rounds them to u = 1 and returns inf).  ``cdf`` places a point's
+    kink in the graded sub-rules of the marginal h_1.
     """
 
     ident: str
@@ -114,6 +120,8 @@ class Continuous:
     central_moments: dict[int, float] = field(default_factory=dict)
     ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     abs_central_moment: Optional[Callable[[float], float]] = None
+    isf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    cdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 Distribution = FiniteDiscrete | Continuous
@@ -232,6 +240,8 @@ def _make_normal() -> Continuous:
         central_moments={2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0},
         ppf=_normal_ppf,
         abs_central_moment=gaussian_abs_moment,
+        isf=lambda q: -_normal_ppf(q),
+        cdf=approx.normal_cdf,
     )
 
 
@@ -246,6 +256,8 @@ def _make_exponential() -> Continuous:
         central_moments={2: 1.0, 3: 2.0, 4: 9.0, 5: 44.0, 6: 265.0},
         ppf=lambda u: -np.log1p(-u),
         abs_central_moment=_exponential_abs_moment,
+        isf=lambda q: -np.log(q),
+        cdf=lambda x: -np.expm1(-np.maximum(x, 0.0)),
     )
 
 
@@ -260,6 +272,8 @@ def _make_uniform01() -> Continuous:
         central_moments={2: 1.0 / 12.0, 3: 0.0, 4: 1.0 / 80.0, 5: 0.0, 6: 1.0 / 448.0},
         ppf=lambda u: np.asarray(u, dtype=float),
         abs_central_moment=lambda r: 0.5**r / (r + 1.0),
+        isf=lambda q: 1.0 - np.asarray(q, dtype=float),
+        cdf=lambda x: np.clip(x, 0.0, 1.0),
     )
 
 

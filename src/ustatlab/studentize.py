@@ -35,16 +35,24 @@ class StudentizedStat:
 
 
 def _leave_one_out_means(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(q_1..q_n, U_n) in one pass over the C(n,2) pairs."""
+    """(q_1..q_n, U_n), with U_n the mean of the q_i.
+
+    A kernel with row forms takes ``kernel.rows.loo`` on the one row, whose
+    entries may come in any order.  Any other kernel accumulates row sums
+    over the C(n, 2) pairs in the bounded blocks of ``model.subset_blocks``,
+    which raises :class:`BudgetError` above ``model.DEFAULT_SUBSET_BUDGET``
+    pairs.
+    """
     n = x.size
-    i, j = np.triu_indices(n, 1)
-    vals = model.kernel_values(kernel, [x[i], x[j]])
-    row_sums = np.zeros(n)
-    np.add.at(row_sums, i, vals)
-    np.add.at(row_sums, j, vals)
-    q = row_sums / (n - 1)
-    u = float(np.mean(vals))
-    return q, u
+    if kernel.rows is not None:
+        q = kernel.rows.loo(x[None, :])[0]
+    else:
+        row_sums = np.zeros(n)
+        for i, j in model.subset_blocks(n, 2, model.DEFAULT_SUBSET_BUDGET):
+            vals = np.broadcast_to(model.kernel_values(kernel, [x[i], x[j]]), i.shape)
+            row_sums += np.bincount(i, vals, n) + np.bincount(j, vals, n)
+        q = row_sums / (n - 1)
+    return q, float(np.mean(q))
 
 
 def jackknife_from_means(q: np.ndarray, u) -> np.ndarray:

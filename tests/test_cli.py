@@ -367,6 +367,27 @@ def test_analytic_zero_kappa_is_positive_zero(capsys, sub):
     assert [math.copysign(1.0, v) for v in kappa] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("sub", ["decompose", "moments"])
+@pytest.mark.parametrize(
+    "kernel, dist, strategy, size",
+    [
+        ("variance", "normal", "analytic", None),
+        ("gini", "bernoulli:0.3", "exact", None),
+        ("gini", "exponential", "quadrature", ("nodes", hoeffding.QUADRATURE_NODES)),
+        ("gini", "exponential", "monte-carlo", ("inner_reps", 300)),
+    ],
+)
+def test_config_reports_only_the_size_the_strategy_used(capsys, sub, kernel, dist, strategy, size):
+    payload, _ = run_json(capsys, [
+        sub, "--kernel", kernel, "--dist", dist, "--n", "10",
+        "--strategy", strategy, "--inner-reps", "300",
+    ])
+    config = payload["config"]
+    assert config["strategy"] == strategy
+    sizes = {k: config[k] for k in ("inner_reps", "nodes") if k in config}
+    assert sizes == (dict([size]) if size else {})
+
+
 def test_decompose_degenerate_kernel_is_runtime_error(capsys):
     rc, out, err = run_cli(capsys, [
         "decompose", "--kernel", "variance", "--dist", "bernoulli:0.5",

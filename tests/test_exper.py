@@ -54,10 +54,12 @@ def test_row_jackknife_fast_paths_match_reference(ident):
     rng = np.random.default_rng(3)
     rows = rng.exponential(size=(30, 9))
     u, var_hat = exper._row_jackknife_stats(kernel, rows)
+    # the reference sums over pairs, which a kernel without row forms does
+    bare = model.Kernel(ident, 2, kernel.fn)
     for r in range(rows.shape[0]):
         assert u[r] == pytest.approx(model.u_statistic(kernel, rows[r]), rel=1e-11)
         assert var_hat[r] == pytest.approx(
-            studentize.jackknife_variance(kernel, rows[r]), rel=1e-10
+            studentize.jackknife_variance(bare, rows[r]), rel=1e-10
         )
 
 
@@ -386,9 +388,11 @@ def test_experiment_shares_one_projection_across_n(monkeypatch):
     exper.run_ecdf_experiment(small_config(kernel="gini", dist="uniform", target=adjusted))
     assert [p.strategy for p in projections] == ["quadrature"]
     grid_cells = sum(cells)
-    # the kernel is tabulated once at each of the two rules
+    # each of the two graded rules, of n = N and N/2 nodes, spends n cells of
+    # h_1 at each of its 2n order-1 nodes, n triangle nodes and n^2 triangle
+    # points, and one kernel cell at each triangle point
     nodes = hoeffding.QUADRATURE_NODES
-    assert grid_cells == nodes**2 + (nodes // 2) ** 2
+    assert grid_cells == sum(n**3 + 4 * n * n for n in (nodes, nodes // 2))
     cells.clear()
     exper.run_ecdf_experiment(
         small_config(kernel="gini", dist="uniform", target=adjusted, n_grid=(8,))

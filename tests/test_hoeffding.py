@@ -660,8 +660,18 @@ def test_auto_strategy_derives_closed_forms_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre quadrature on the quantile scale
+# Graded quadrature on the quantile scale
 # ---------------------------------------------------------------------------
+
+# gini closed forms (theta, var g, E g^3, E t_2^2, E[g g t_2]).  Exponential:
+# g(x) = x - 2 + 2 exp(-x) and var h = E(X - Y)^2 - 1 = 1.  Uniform:
+# g(x) = x^2 - x + 1/6 and, since E[g g (x + y)] = 0 and min(x, y) is the
+# integral of 1{t < x} 1{t < y} dt, E[g g t_2] = -2 int_0^1 (int_t^1 g)^2 dt.
+GINI_CLOSED_FORMS = {
+    "exponential": (1.0, 1.0 / 3.0, 5.0 / 6.0, 1.0 / 3.0, -1.0 / 9.0),
+    "uniform": (1.0 / 3.0, 1.0 / 180.0, 1.0 / 3780.0, 2.0 / 45.0, -1.0 / 3780.0),
+}
+
 
 def gini_continuous(dist_ident, n=16):
     return hoeffding.decompose(
@@ -677,7 +687,8 @@ def test_quadrature_theta_within_reported_error(dist_ident, theta):
     d = gini_continuous(dist_ident)
     proj = d.projection
     assert proj.strategy == "quadrature"
-    assert 0.0 < abs(d.theta - theta) <= proj.theta_se < 1e-5
+    assert abs(d.theta - theta) <= proj.theta_se < 1e-5
+    assert abs(d.theta - theta) < 1e-12
 
 
 def test_quadrature_error_covers_gini_exponential_moments():
@@ -697,7 +708,7 @@ def test_quadrature_projection_matches_closed_form_and_reconstructs():
     # under the uniform law E|x - Y| = x^2 - x + 1/2, so g = x^2 - x + 1/6
     d = gini_continuous("uniform", n=10)
     x = model.sample(d.dist, 10, 4)
-    np.testing.assert_allclose(d.projection.g_values(x), x * x - x + 1.0 / 6.0, atol=1e-5)
+    np.testing.assert_allclose(d.projection.g_values(x), x * x - x + 1.0 / 6.0, atol=1e-12)
     assert d.value(x) == pytest.approx(d.value_via_parts(x), abs=1e-12)
     s = hoeffding.moment_summary(d)
     payload = s.to_json()
@@ -705,6 +716,93 @@ def test_quadrature_projection_matches_closed_form_and_reconstructs():
     assert payload["kappa_se"][0] is None
     assert all(payload[k] > 0.0 for k in ("beta_se", "gamma_se", "gamma_alpha_se"))
     assert payload["kappa_se"][1] > 0.0
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_quadrature_kappa2_within_its_bar(n):
+    # kappa_2 = C(n,2) E[L_1 L_2 T_12] = E[g g t_2] / (2 sigma_g^3 sqrt(n))
+    d = gini_continuous("exponential", n=n)
+    want = -1.0 / (6.0 * math.sqrt(1.0 / 3.0) * math.sqrt(n))
+    s = hoeffding.moment_summary(d)
+    assert abs(s.kappa[1] - want) <= s.kappa_se[1]
+    assert s.kappa[1] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dist_ident", sorted(GINI_CLOSED_FORMS))
+def test_quadrature_matches_closed_forms_within_its_bars(dist_ident):
+    proj = gini_continuous(dist_ident).projection
+    theta, var_g, e_g3, e_t2, e_ggt = GINI_CLOSED_FORMS[dist_ident]
+    assert proj.var_g == proj.moment("abs_g", 1, 2.0)[0]
+    cases = [
+        ((proj.theta, proj.theta_se), theta),
+        (proj.moment("abs_g", 1, 2.0), var_g),
+        (proj.moment("g3", 1), e_g3),
+        (proj.moment("abs_t", 2, 2.0), e_t2),
+        (proj.moment("aligned", 2), e_ggt),
+    ]
+    for i, ((val, bar), want) in enumerate(cases):
+        assert abs(val - want) < 1e-12, i
+        assert 0.0 < bar, i
+        assert abs(val - want) <= bar, i
+
+
+def test_quadrature_bar_covers_the_kink_of_abs_g_cubed():
+    # |g|^3 is kinked at the root x0 of g = x - 2 + 2 exp(-x), which the rule
+    # does not split at; the reference does, with the exact g on each piece
+    lo, hi = 1.0, 2.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if mid - 2.0 + 2.0 * math.exp(-mid) < 0.0 else (lo, mid)
+    a = -math.expm1(-lo)
+    u, ubar, w = hoeffding._graded_rule(400)
+    below, above = -np.log1p(-a * u), lo - np.log(ubar)
+    want = sum(
+        length * (w @ np.abs(x - 2.0 + 2.0 * np.exp(-x)) ** 3)
+        for length, x in ((a, below), (1.0 - a, above))
+    )
+    val, bar = gini_continuous("exponential").projection.moment("abs_g", 1, 3.0)
+    assert abs(val - want) <= bar < 1e-5
+
+
+def test_quadrature_bar_has_a_rounding_floor(monkeypatch):
+    # where both rules agree exactly the bar is a few epsilons of the scale
+    proj = gini_continuous("uniform").projection
+    monkeypatch.setattr(proj, "_rules", [proj._rules[0], proj._rules[0]])
+    proj._moments.clear()
+    for kind, p, exponent in [("abs_g", 1, 2.0), ("abs_t", 2, 2.0), ("aligned", 2, 1.0)]:
+        val, bar = proj.moment(kind, p, exponent)
+        assert 0.0 < bar <= 1e-13 * max(abs(val), 1e-3), kind
+
+
+def test_quadrature_marginal_at_off_node_points():
+    # under the uniform law E|x - Y| is x^2 - x + 1/2 on [0, 1] and |x - 1/2|
+    # outside it; under the exponential law it is x - 1 + 2 exp(-x) for x >= 0
+    proj = gini_continuous("uniform").projection
+    x = np.concatenate([np.linspace(0.0, 1.0, 101), [-0.5, 1.0 + 1e-9, 2.0]])
+    want = np.where((x >= 0.0) & (x <= 1.0), x * x - x + 0.5, np.abs(x - 0.5))
+    np.testing.assert_allclose(proj.marginal_values(1, [x]), want, rtol=0.0, atol=1e-12)
+    # Between x = 10 and 30, 1 - F(x) is 5e-5 to 1e-13: the quantile's log
+    # singularity lies that far past the end of the first piece, and 48 nodes
+    # resolve it to 2e-12 relative.  Past x = 37, F(x) rounds to 1 and the
+    # second piece is empty.
+    proj = gini_continuous("exponential").projection
+    x = np.concatenate([np.linspace(0.0, 60.0, 241), [-2.0]])
+    want = np.where(x >= 0.0, x - 1.0 + 2.0 * np.exp(-np.maximum(x, 0.0)), 1.0 - x)
+    got = proj.marginal_values(1, [x])
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(got[x < 5.0], want[x < 5.0], rtol=0.0, atol=1e-12)
+
+
+def test_graded_rule_carries_the_complement():
+    u, ubar, w = hoeffding._graded_rule(96)
+    assert np.all(np.diff(u) > 0.0) and 0.0 < u[0] and u[-1] < 1.0
+    np.testing.assert_array_equal(ubar, u[::-1])
+    np.testing.assert_allclose(u + ubar, 1.0, rtol=0.0, atol=2e-16)
+    # 1 - u at the last node is a few ulps of 1: 1.0 - u would keep one digit
+    assert ubar[-1] < 1e-15 and abs((1.0 - u[-1]) / ubar[-1] - 1.0) > 1e-3
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    for j in range(6):
+        assert w @ u**j == pytest.approx(1.0 / (j + 1), rel=1e-13), j
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64, 512, 1024])
@@ -739,8 +837,13 @@ def test_quadrature_cell_budget(monkeypatch):
     d = gini_continuous("exponential")
     hoeffding.moment_summary(d)
     hoeffding.order2_edgeworth_inputs(d)
+    # each rule of n nodes spends n cells of h_1 at each of its 2n order-1
+    # nodes, n triangle nodes and n^2 triangle points, and one kernel cell at
+    # each triangle point; the moments add none
     nodes = hoeffding.QUADRATURE_NODES
-    assert sum(cells) <= 2 * (nodes**2 + (nodes // 2) ** 2)
+    assert sum(cells) == sum(n**3 + 4 * n * n for n in (nodes, nodes // 2))
+    assert sum(cells) <= hoeffding._QUADRATURE_CELLS
+    assert max(cells) <= hoeffding._BLOCK_CELLS
 
 
 def test_auto_falls_back_to_monte_carlo_without_quadrature():

@@ -291,9 +291,11 @@ def test_generated_row_forms_match_pairwise_sums(coefs, fn, n, shift):
     u = kernel.rows.u(rows)
     q = kernel.rows.loo(rows)
     assert q.shape == rows.shape and not np.shares_memory(q, rows)
-    # the shift costs no digits, not even to the location-free variance
+    # the shift costs no digits, not even to the location-free variance; the
+    # reference sums over pairs, which a kernel without row forms does
+    bare = model.Kernel("hand-quadratic", 2, fn)
     for r, row in enumerate(rows):
-        want_q, want_u = studentize._leave_one_out_means(kernel, row)
+        want_q, want_u = studentize._leave_one_out_means(bare, row)
         assert u[r] == pytest.approx(want_u, rel=1e-12)
         np.testing.assert_allclose(q[r], want_q, rtol=1e-12)
         if not shift:

@@ -7,6 +7,7 @@ import pytest
 
 from ustatlab import exper, model, studentize
 from ustatlab.errors import (
+    BudgetError,
     InsufficientSample,
     ValidationError,
     ZeroVarianceEstimate,
@@ -38,6 +39,30 @@ def test_leave_one_out_means_match_bruteforce():
     for i in range(x.size):
         vals = [model.eval_kernel(k, (x[i], x[j])) for j in range(x.size) if j != i]
         assert q[i] == pytest.approx(np.mean(vals), rel=1e-12)
+
+
+def test_pair_sums_match_row_forms():
+    # a kernel without row forms sums over the pairs in bounded blocks
+    rng = np.random.default_rng(5)
+    x = rng.exponential(size=40)
+    for kernel in (model.variance_kernel(), model.gini_kernel()):
+        bare = model.Kernel("bare", 2, kernel.fn)
+        q, u = studentize._leave_one_out_means(kernel, x)
+        want_q, want_u = studentize._leave_one_out_means(bare, x)
+        assert u == pytest.approx(want_u, rel=1e-13)
+        # gini's row form returns the sorted row's means
+        np.testing.assert_allclose(np.sort(q), np.sort(want_q), rtol=1e-12)
+
+
+def test_pair_sums_are_budgeted(monkeypatch):
+    bare = model.Kernel("bare", 2, model.variance_kernel().fn)
+    x = np.arange(6.0)
+    assert studentize.jackknife_variance(bare, x) > 0.0
+    # C(6, 2) = 15 pairs; a kernel with row forms enumerates none
+    monkeypatch.setattr(model, "DEFAULT_SUBSET_BUDGET", 14)
+    with pytest.raises(BudgetError):
+        studentize.jackknife_variance(bare, x)
+    assert studentize.jackknife_variance(model.variance_kernel(), x) > 0.0
 
 
 def test_value_is_zero_at_the_true_mean():
