@@ -3,9 +3,11 @@
 Replicates are drawn and evaluated in fixed chunks of ``CHUNK_REPLICATES``.
 Chunk ``c`` at sample size ``n`` is one block of ``m * n`` draws from stream
 index ``c`` of the counter-based generator, reshaped to ``m`` rows of ``n``;
-replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  The chunk size does not
-depend on the worker count, so reports are byte-identical for any number of
-threads.
+replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  An experiment scores
+the chunks of every n of its grid in one thread pool, which starts at most
+one worker per chunk; each n's values are joined in chunk order whichever
+worker scored them.  Neither the chunk size nor the layout depends on the
+worker count, so reports are byte-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _resolve(cfg: ExperimentConfig) -> dict[int, hoeffding.DecomposedStatistic]:
 # ---------------------------------------------------------------------------
 
 def _row_u_values(kernel: model.Kernel, rows: np.ndarray) -> np.ndarray:
-    """U-statistic of ``kernel`` for every row of ``rows``."""
+    """U-statistic of ``kernel`` for every row of ``rows`` (overwritten)."""
     return kernel.rows.u(rows)
 
 
@@ -144,16 +146,13 @@ def _row_jackknife_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(U-statistic, jackknife variance of the linear scale) per row.
 
-    Order-2 kernels only.  The variance estimate is built from the
-    leave-one-out means, which ``kernel.rows.loo`` returns as a fresh array.
+    Order-2 kernels only.  ``rows`` is overwritten, as by ``kernel.rows``.
     """
     n = rows.shape[1]
     if n < 3:
         raise InsufficientSample("jackknife variance needs n >= 3")
-    q = kernel.rows.loo(rows)
-    u = q.mean(axis=1)
-    # q is fresh, so the helper reuses it for the squared deviations
-    return u, studentize.jackknife_from_means(q, u)
+    u, ss = kernel.rows.jackknife(rows)
+    return u, studentize.jackknife_from_means(u, ss, n)
 
 
 def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
@@ -163,41 +162,34 @@ def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
     ]
 
 
-def _simulate_statistic(
+def _score_chunk(
     d: hoeffding.DecomposedStatistic,
-    reps: int,
+    bounds: tuple[int, int],
     seed: int,
     estimator: str,
-    threads: int,
 ) -> tuple[np.ndarray, int]:
-    """All replicate values of the (possibly studentized) statistic at ``d.n``."""
+    """(statistic values, rows dropped) of one chunk of replicates at ``d.n``."""
     kernel, n, theta = d.kernel, d.n, d.theta
-    scale = kernel.order * d.sigma_g
+    lo, hi = bounds
+    chunk = lo // CHUNK_REPLICATES
+    # the block is fresh, so the row forms may take it as scratch
+    rows = model.sample(d.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
+    if estimator == "standardized":
+        u = _row_u_values(kernel, rows)
+        return math.sqrt(n) * (u - theta) / (kernel.order * d.sigma_g), 0
+    u, var_hat = _row_jackknife_stats(kernel, rows)
+    keep = var_hat > 0.0
+    dropped = int(var_hat.size - np.count_nonzero(keep))
+    s = math.sqrt(n) * (u[keep] - theta) / (2.0 * np.sqrt(var_hat[keep]))
+    return s, dropped
 
-    def work(bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
-        lo, hi = bounds
-        chunk = lo // CHUNK_REPLICATES
-        rows = model.sample(d.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
-        if estimator == "standardized":
-            u = _row_u_values(kernel, rows)
-            return math.sqrt(n) * (u - theta) / scale, 0
-        u, var_hat = _row_jackknife_stats(kernel, rows)
-        keep = var_hat > 0.0
-        dropped = int(var_hat.size - np.count_nonzero(keep))
-        s = math.sqrt(n) * (u[keep] - theta) / (2.0 * np.sqrt(var_hat[keep]))
-        return s, dropped
 
-    bounds = _chunk_bounds(reps)
-    if threads <= 1 or len(bounds) == 1:
-        parts = [work(b) for b in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, bounds))
+def _gather(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+    """The chunks of one n joined in chunk order, and their dropped rows."""
     values = np.concatenate([p[0] for p in parts])
-    dropped = sum(p[1] for p in parts)
     if values.size == 0:
         raise ZeroVarianceEstimate("every replicate had a zero variance estimate")
-    return values, dropped
+    return values, sum(p[1] for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +254,32 @@ def _replicates(
 ) -> Iterator[tuple[hoeffding.DecomposedStatistic, approx.AdjustedNormal, np.ndarray, int]]:
     """``(d, target, values, dropped)`` at each n of the grid, in order.
 
-    The target ``law(d, cfg)`` is built before the replicates are drawn, so
-    a target the configuration cannot have fails without sampling.
+    Every target ``law(d, cfg)`` is built before any replicate is drawn, so
+    a target the configuration cannot have fails without sampling.  On more
+    than one thread, one pool scores every chunk of the grid, largest n
+    first, so the last chunks of one n leave no worker idle.
     """
-    for d in _resolve(cfg).values():
-        target = law(d, cfg)
-        values, dropped = _simulate_statistic(
-            d, cfg.reps, cfg.seed, cfg.estimator, cfg.threads
-        )
-        yield d, target, values, dropped
+    decs = list(_resolve(cfg).values())
+    targets = [law(d, cfg) for d in decs]
+    bounds = _chunk_bounds(cfg.reps)
+    workers = min(cfg.threads, len(decs) * len(bounds))
+    if workers == 1:
+        for d, target in zip(decs, targets):
+            parts = [_score_chunk(d, b, cfg.seed, cfg.estimator) for b in bounds]
+            yield d, target, *_gather(parts)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = {
+            d.n: [pool.submit(_score_chunk, d, b, cfg.seed, cfg.estimator) for b in bounds]
+            for d in reversed(decs)
+        }
+        for d, target in zip(decs, targets):
+            yield d, target, *_gather([f.result() for f in futures[d.n]])
+    finally:
+        # after a refused n, or a consumer that stops early, chunks not yet
+        # started are dropped rather than scored
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

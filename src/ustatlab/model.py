@@ -98,6 +98,7 @@ class FiniteDiscrete:
 class Continuous:
     """Absolutely continuous distribution with an analytic moment table.
 
+    ``sampler(gen, n)`` returns a fresh array of ``n`` draws from ``gen``.
     ``central_moments[p]`` stores the p-th central moment for p up to 6,
     and ``abs_central_moment(r)`` gives E|X - mean|^r for real r >= 0; a
     missing order, or a missing ``abs_central_moment``, falls back to
@@ -128,7 +129,10 @@ Distribution = FiniteDiscrete | Continuous
 
 
 def sample(dist: Distribution, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Draw ``n`` iid observations for stream ``stream`` of ``seed``."""
+    """Draw ``n`` iid observations for stream ``stream`` of ``seed``.
+
+    The result is a fresh array, which the caller may overwrite.
+    """
     if n < 0:
         raise ValidationError("sample size must be nonnegative")
     gen = stream_generator(seed, stream)
@@ -326,14 +330,15 @@ def distribution_preset(ident: str) -> Distribution:
 class RowForms:
     """Closed forms over the rows of an ``(m, n)`` block of samples.
 
-    ``u(rows)`` returns the U-statistic of each row.  ``loo(rows)`` returns
-    a fresh ``(m, n)`` array of the leave-one-out means, which callers may
-    overwrite: entry i of a row is the mean of h(x_i, x_j) over j != i, in
-    any order within the row.
+    ``u(rows)`` returns the U-statistic of each row.  ``jackknife(rows)``
+    returns ``(u, ss)`` per row, where ss = sum_i (q_i - u)^2 over the
+    leave-one-out means q_i, the mean of h(x_i, x_j) over j != i.  Both
+    take the block as scratch: they shift or sort it in place, so a caller
+    that reads ``rows`` afterwards passes a copy.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
-    loo: Callable[[np.ndarray], np.ndarray]
+    jackknife: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _quadratic_rows(a: float, b: float, c: float) -> RowForms:
@@ -349,33 +354,36 @@ def _quadratic_rows(a: float, b: float, c: float) -> RowForms:
     """
 
     def shifted(rows):
-        # (k0, a', z, S1, S2) of each row; einsum sums short rows several
-        # times faster than sum(axis=1)
-        m = rows[:, 0]
-        z = rows - m[:, None]
+        # (k0, a', S1, S2) of each row, with the rows shifted in place to z;
+        # einsum sums short rows several times faster than sum(axis=1)
+        m = rows[:, 0].copy()  # the shift zeroes column 0
+        rows -= m[:, None]
         slope = a + (2.0 * b + c) * m
-        return (a + slope) * m, slope, z, np.einsum("ij->i", z), np.einsum("ij,ij->i", z, z)
+        return (a + slope) * m, slope, np.einsum("ij->i", rows), np.einsum("ij,ij->i", rows, rows)
 
-    def u(rows):
+    def u_from(n, k0, slope, s1, s2):
         # k0 + (2(a' S1 + b S2)(n-1) + c(S1^2 - S2)) / (n(n-1))
-        n = rows.shape[1]
-        k0, slope, _, s1, s2 = shifted(rows)
         return k0 + (2.0 * (n - 1) * (slope * s1 + b * s2)
                      + c * (np.square(s1) - s2)) / (n * (n - 1))
 
-    def loo(rows):
-        # ((a'(n-2) + c S1) z + (b(n-2) - c) z^2 + a' S1 + b S2 + (n-1) k0) / (n-1),
-        # Horner in z and divided last, so an exact q comes out exactly
-        n = rows.shape[1]
-        k0, slope, z, s1, s2 = shifted(rows)
-        out = (b * (n - 2) - c) * z
-        out += (slope * (n - 2) + c * s1)[:, None]
-        out *= z
-        out += (slope * s1 + b * s2 + (n - 1) * k0)[:, None]
-        out /= n - 1
-        return out
+    def u(rows):
+        return u_from(rows.shape[1], *shifted(rows))
 
-    return RowForms(u, loo)
+    def jackknife(rows):
+        # (n-1)(q_i - u) = (A z + B) z - (A S2 + B S1)/n with A = b(n-2) - c
+        # and B = a'(n-2) + c S1: the z-free terms of q_i sum to n of its mean
+        n = rows.shape[1]
+        k0, slope, s1, s2 = shifted(rows)
+        big_a = b * (n - 2) - c
+        big_b = slope * (n - 2) + c * s1
+        dev = big_a * rows
+        dev += big_b[:, None]
+        dev *= rows
+        dev -= ((big_a * s2 + big_b * s1) / n)[:, None]
+        ss = np.einsum("ij,ij->i", dev, dev) / (n - 1) ** 2
+        return u_from(n, k0, slope, s1, s2), ss
+
+    return RowForms(u, jackknife)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +394,9 @@ class Kernel:
     dispatches on ``ident``.  ``quad_coefs = (a, b, c)`` states that an
     order-2 kernel is h = a(x+y) + b(x^2+y^2) + c*x*y; its ``rows`` are then
     generated from them and may not be given too.  ``rows`` holds the
-    per-row closed forms of any other kernel that has them.
+    per-row closed forms of any other kernel that has them: the U-statistic
+    ``u`` and the ``jackknife`` sums of each row of a block, which both
+    overwrite the block they are given (see :class:`RowForms`).
     ``pool_mean(pool, weights)`` prepares a weighted pool of points once and
     returns the function x -> sum_j weights_j h(x, pool_j) of an order-2
     kernel.  All three stay None unless a preset constructor knows them.
@@ -472,24 +482,28 @@ def gini_kernel() -> Kernel:
 
     def u(rows):
         n = rows.shape[1]
-        srt = np.sort(rows, axis=1)
+        rows.sort(axis=1)
         coef = 2.0 * np.arange(1, n + 1) - n - 1
-        return srt @ coef * (2.0 / (n * (n - 1)))
+        return rows @ coef * (2.0 / (n * (n - 1)))
 
-    def loo(rows):
-        # (srt (2i - n) + s1 - 2 pre) / (n - 1) over the sorted row, shifted
-        # by its smallest point: the formula is shift-invariant, the sums stay
-        # at the scale of the row's spread and a constant row gives exact 0s
+    def jackknife(rows):
+        # q = (srt (2i - n) + s1 - 2 pre) / (n - 1) over the sorted row,
+        # shifted by its smallest point: the formula is shift-invariant, the
+        # sums stay at the scale of the row's spread and a constant row gives
+        # exact 0s
         n = rows.shape[1]
-        out = np.sort(rows, axis=1)
-        out -= out[:, :1]
-        pre = np.cumsum(out, axis=1)
-        out *= 2.0 * np.arange(1, n + 1) - n
-        out += pre[:, -1:]
+        q = rows
+        q.sort(axis=1)
+        q -= q[:, :1]
+        pre = np.cumsum(q, axis=1)
+        q *= 2.0 * np.arange(1, n + 1) - n
+        q += pre[:, -1:]
         pre *= 2.0
-        out -= pre
-        out /= n - 1
-        return out
+        q -= pre
+        q /= n - 1
+        u = q.mean(axis=1)
+        q -= u[:, None]
+        return u, np.sum(np.square(q, out=q), axis=-1)
 
     def pool_mean(pool, weights):
         # E|x - Y| = z (2 W_k - W) - 2 S_k + S over the sorted pool v, where
@@ -511,7 +525,7 @@ def gini_kernel() -> Kernel:
 
         return mean
 
-    return Kernel("gini", 2, _gini_fn, rows=RowForms(u, loo), pool_mean=pool_mean)
+    return Kernel("gini", 2, _gini_fn, rows=RowForms(u, jackknife), pool_mean=pool_mean)
 
 
 def product_kernel() -> Kernel:

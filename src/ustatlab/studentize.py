@@ -35,38 +35,44 @@ class StudentizedStat:
 
 
 def _leave_one_out_means(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """(q_1..q_n, U_n), with U_n the mean of the q_i.
+    """(q_1..q_n, U_n) from sums over pairs, with U_n the mean of the q_i.
 
-    A kernel with row forms takes ``kernel.rows.loo`` on the one row, whose
-    entries may come in any order.  Any other kernel accumulates row sums
-    over the C(n, 2) pairs in the bounded blocks of ``model.subset_blocks``,
-    which raises :class:`BudgetError` above ``model.DEFAULT_SUBSET_BUDGET``
-    pairs.
+    Row sums are accumulated over the C(n, 2) pairs in the bounded blocks of
+    ``model.subset_blocks``, which raises :class:`BudgetError` above
+    ``model.DEFAULT_SUBSET_BUDGET`` pairs.  This is the path of kernels
+    without row forms, and the reference the row forms are tested against.
     """
     n = x.size
-    if kernel.rows is not None:
-        q = kernel.rows.loo(x[None, :])[0]
-    else:
-        row_sums = np.zeros(n)
-        for i, j in model.subset_blocks(n, 2, model.DEFAULT_SUBSET_BUDGET):
-            vals = np.broadcast_to(model.kernel_values(kernel, [x[i], x[j]]), i.shape)
-            row_sums += np.bincount(i, vals, n) + np.bincount(j, vals, n)
-        q = row_sums / (n - 1)
+    row_sums = np.zeros(n)
+    for i, j in model.subset_blocks(n, 2, model.DEFAULT_SUBSET_BUDGET):
+        vals = np.broadcast_to(model.kernel_values(kernel, [x[i], x[j]]), i.shape)
+        row_sums += np.bincount(i, vals, n) + np.bincount(j, vals, n)
+    q = row_sums / (n - 1)
     return q, float(np.mean(q))
 
 
-def jackknife_from_means(q: np.ndarray, u) -> np.ndarray:
-    """sigma_hat^2 along the last axis of leave-one-out means ``q`` (overwritten).
+def _jackknife_sums(kernel: Kernel, x: np.ndarray) -> tuple[float, float]:
+    """(U_n, sum_i (q_i - U_n)^2) of one sample; ``x`` is left as it was.
 
-    ``u`` is the mean of ``q``.  A deviation of RMS at most n * eps * max|q|
-    is rounding, so there the estimate is exactly 0: a sample whose exact
-    estimate is 0 gets 0 on every path.  max|q| is bounded by |u| plus the
-    root of the summed squared deviations, which spares a pass over ``q``.
+    A kernel with row forms scores a copy of the sample as a one-row block,
+    since ``kernel.rows.jackknife`` overwrites its block.
     """
-    n = q.shape[-1]
-    u = np.asarray(u)
-    q -= u[..., None]
-    ss = np.sum(np.square(q, out=q), axis=-1)
+    if kernel.rows is not None:
+        u, ss = kernel.rows.jackknife(x[None, :].copy())
+        return float(u[0]), float(ss[0])
+    q, u = _leave_one_out_means(kernel, x)
+    q -= u
+    return u, float(np.sum(np.square(q)))
+
+
+def jackknife_from_means(u, ss, n: int) -> np.ndarray:
+    """sigma_hat^2 from the U-statistic ``u`` and ss = sum_i (q_i - u)^2.
+
+    A deviation of RMS at most n * eps * max|q| is rounding, so there the
+    estimate is exactly 0: a sample whose exact estimate is 0 gets 0 on
+    every path.  max|q| is bounded by |u| plus the root of ss.
+    """
+    u, ss = np.asarray(u), np.asarray(ss)
     floor = n * np.square(n * np.finfo(float).eps * (np.abs(u) + np.sqrt(ss)))
     return np.where(ss <= floor, 0.0, (n - 1) / (n - 2) ** 2 * ss)
 
@@ -83,8 +89,8 @@ def _jackknife(kernel: Kernel, data: np.ndarray) -> tuple[int, float, float]:
     n = x.size
     if n < 3:
         raise InsufficientSample("the jackknife variance needs n >= 3")
-    q, u = _leave_one_out_means(kernel, x)
-    return n, u, float(jackknife_from_means(q, u))
+    u, ss = _jackknife_sums(kernel, x)
+    return n, u, float(jackknife_from_means(u, ss, n))
 
 
 def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_row_u_fast_paths_match_reference(ident):
     kernel = model.kernel_preset(ident)
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(40, 7))
-    fast = exper._row_u_values(kernel, rows)
+    fast = exper._row_u_values(kernel, rows.copy())
     want = np.array([model.u_statistic(kernel, row) for row in rows])
     np.testing.assert_allclose(fast, want, rtol=1e-12, atol=1e-13)
 
@@ -53,7 +54,7 @@ def test_row_jackknife_fast_paths_match_reference(ident):
     kernel = model.kernel_preset(ident)
     rng = np.random.default_rng(3)
     rows = rng.exponential(size=(30, 9))
-    u, var_hat = exper._row_jackknife_stats(kernel, rows)
+    u, var_hat = exper._row_jackknife_stats(kernel, rows.copy())
     # the reference sums over pairs, which a kernel without row forms does
     bare = model.Kernel(ident, 2, kernel.fn)
     for r in range(rows.shape[0]):
@@ -286,36 +287,45 @@ def test_rerun_is_deterministic():
 
 
 def test_studentized_reports_byte_identical_across_threads():
+    # one pool scores the chunks of every n, largest n first; each n's values
+    # still join in chunk order.  9,000 replicates leave a short last chunk.
     base = dict(
         kernel="variance",
         dist="exponential",
-        n_grid=(8, 16),
+        n_grid=(8, 16, 32),
         reps=9000,
         seed=6,
-        estimator="studentized",
     )
-    rep1 = exper.run_ecdf_experiment(exper.ExperimentConfig(**base, threads=1))
-    rep2 = exper.run_ecdf_experiment(exper.ExperimentConfig(**base, threads=2))
-    assert exper.rate_csv_text(rep1) == exper.rate_csv_text(rep2)
-    assert exper.json_text(rep1.to_json()) == exper.json_text(rep2.to_json())
+    for estimator in ("studentized", "standardized"):
+        reports = [
+            exper.run_ecdf_experiment(
+                exper.ExperimentConfig(**base, estimator=estimator, threads=threads)
+            )
+            for threads in (1, 2)
+        ]
+        assert exper.rate_csv_text(reports[0]) == exper.rate_csv_text(reports[1])
+        assert exper.json_text(reports[0].to_json()) == exper.json_text(reports[1].to_json())
+    studies = [
+        exper.quadratic_counterexample(0.5, 25, reps=9000, seed=6, threads=threads)
+        for threads in (1, 2)
+    ]
+    assert exper.json_text(studies[0].to_json()) == exper.json_text(studies[1].to_json())
 
 
 def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
     # replicate c * CHUNK_REPLICATES + j is row j of one block drawn from
     # stream c; the last chunk here is short
     cfg = small_config(n_grid=(8,), reps=exper.CHUNK_REPLICATES + 37)
-    d = exper._resolve(cfg)[8]
     scored = []
     row_u = exper._row_u_values
 
     def capture(kernel, rows):
+        # the row forms overwrite the block, so keep it as it was drawn
         scored.append(rows.copy())
         return row_u(kernel, rows)
 
     monkeypatch.setattr(exper, "_row_u_values", capture)
-    values, dropped = exper._simulate_statistic(
-        d, cfg.reps, cfg.seed, "standardized", 1
-    )
+    ((d, _, values, dropped),) = exper._replicates(cfg, exper._target)
     assert values.size == cfg.reps and dropped == 0
     assert [rows.shape[0] for rows in scored] == [exper.CHUNK_REPLICATES, 37]
     for c, rows in enumerate(scored):
@@ -326,23 +336,74 @@ def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
 
 @pytest.mark.parametrize("estimator", ["standardized", "studentized"])
 def test_one_generator_per_chunk(monkeypatch, estimator):
-    cfg = small_config(
-        kernel="variance", n_grid=(8, 16), reps=9000, estimator=estimator
-    )
-    decs = exper._resolve(cfg)
-    calls = []
-    make = model.stream_generator
+    # over a whole run, the block of each (n, chunk) is drawn once, from one
+    # generator: stream c holds chunk c at every n
+    make, sample = model.stream_generator, model.sample
+    opened, drawn = [], []
 
-    def counting(seed, stream=0):
-        calls.append(stream)
+    def counting_generator(seed, stream=0):
+        opened.append(stream)
         return make(seed, stream)
 
-    monkeypatch.setattr(model, "stream_generator", counting)
-    for n in cfg.n_grid:
-        calls.clear()
-        exper._simulate_statistic(decs[n], cfg.reps, cfg.seed, estimator, 2)
-        chunks = math.ceil(cfg.reps / exper.CHUNK_REPLICATES)
-        assert sorted(calls) == list(range(chunks))
+    def counting_sample(dist, size, seed, stream=0):
+        drawn.append((size, stream))
+        return sample(dist, size, seed, stream)
+
+    monkeypatch.setattr(model, "stream_generator", counting_generator)
+    monkeypatch.setattr(model, "sample", counting_sample)
+    for threads in (1, 2):
+        cfg = small_config(
+            kernel="variance", n_grid=(8, 16), reps=9000, estimator=estimator,
+            threads=threads,
+        )
+        opened.clear()
+        drawn.clear()
+        exper.run_ecdf_experiment(cfg)
+        bounds = exper._chunk_bounds(cfg.reps)
+        want = [((hi - lo) * n, c) for n in cfg.n_grid for c, (lo, hi) in enumerate(bounds)]
+        assert sorted(drawn) == sorted(want)
+        assert sorted(opened) == sorted(c for _, c in want)
+
+
+def test_one_run_builds_one_executor(monkeypatch):
+    built = []
+
+    class CountingPool(exper.ThreadPoolExecutor):
+        def __init__(self, *args, **kw):
+            built.append(self)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(exper, "ThreadPoolExecutor", CountingPool)
+    exper.run_ecdf_experiment(small_config(n_grid=(8, 16, 32), reps=9000, threads=2))
+    assert len(built) == 1
+    built.clear()
+    exper.run_ecdf_experiment(small_config(n_grid=(8, 16, 32), reps=9000, threads=1))
+    assert built == []
+
+
+@pytest.mark.parametrize("threads, reps, workers", [(64, 5000, 4), (3, 5000, 3), (64, 2000, 2)])
+def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, workers):
+    # a stub pool records its worker count and runs each task in the caller,
+    # so no thread is started whatever the requested count
+    built = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def submit(self, fn, /, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(exper, "ThreadPoolExecutor", StubPool)
+    # two sample sizes of ceil(reps / CHUNK_REPLICATES) chunks each
+    cfg = small_config(n_grid=(8, 16), reps=reps, threads=threads)
+    exper.run_ecdf_experiment(cfg)
+    assert built == [workers]
 
 
 def test_experiment_shares_one_projection_across_n(monkeypatch):

@@ -288,16 +288,20 @@ def test_generated_row_forms_match_pairwise_sums(coefs, fn, n, shift):
 
     kernel = model.Kernel("hand-quadratic", 2, fn, quad_coefs=coefs)
     rows = shift + np.random.default_rng(n).exponential(size=(12, n))
-    u = kernel.rows.u(rows)
-    q = kernel.rows.loo(rows)
-    assert q.shape == rows.shape and not np.shares_memory(q, rows)
+    u = kernel.rows.u(rows.copy())
+    ju, ss = kernel.rows.jackknife(rows.copy())
+    assert ju.shape == ss.shape == (rows.shape[0],)
     # the shift costs no digits, not even to the location-free variance; the
     # reference sums over pairs, which a kernel without row forms does
     bare = model.Kernel("hand-quadratic", 2, fn)
     for r, row in enumerate(rows):
         want_q, want_u = studentize._leave_one_out_means(bare, row)
         assert u[r] == pytest.approx(want_u, rel=1e-12)
-        np.testing.assert_allclose(q[r], want_q, rtol=1e-12)
+        assert ju[r] == pytest.approx(want_u, rel=1e-12)
+        # q within rtol of the reference moves the deviation vector by at
+        # most rtol * |q| in norm, so its root sum of squares moves no more
+        want_ss = np.sum(np.square(want_q - want_u))
+        assert abs(math.sqrt(ss[r]) - math.sqrt(want_ss)) <= 1e-12 * np.linalg.norm(want_q)
         if not shift:
             assert u[r] == pytest.approx(model.u_statistic(kernel, row), rel=1e-12)
 
@@ -308,7 +312,9 @@ def test_generated_loo_is_exact_on_zero_one_rows():
     for n in (5, 12):
         rows = np.zeros((2, n))
         rows[0, 0] = rows[1, -1] = 1.0
-        np.testing.assert_array_equal(model.product_kernel().rows.loo(rows), 0.0)
+        u, ss = model.product_kernel().rows.jackknife(rows)
+        np.testing.assert_array_equal(u, 0.0)
+        np.testing.assert_array_equal(ss, 0.0)
 
 
 def test_kernel_refuses_both_quad_coefs_and_rows():

@@ -47,11 +47,10 @@ def test_pair_sums_match_row_forms():
     x = rng.exponential(size=40)
     for kernel in (model.variance_kernel(), model.gini_kernel()):
         bare = model.Kernel("bare", 2, kernel.fn)
-        q, u = studentize._leave_one_out_means(kernel, x)
-        want_q, want_u = studentize._leave_one_out_means(bare, x)
+        u, ss = studentize._jackknife_sums(kernel, x)
+        want_u, want_ss = studentize._jackknife_sums(bare, x)
         assert u == pytest.approx(want_u, rel=1e-13)
-        # gini's row form returns the sorted row's means
-        np.testing.assert_allclose(np.sort(q), np.sort(want_q), rtol=1e-12)
+        assert ss == pytest.approx(want_ss, rel=1e-12)
 
 
 def test_pair_sums_are_budgeted(monkeypatch):
@@ -63,6 +62,24 @@ def test_pair_sums_are_budgeted(monkeypatch):
     with pytest.raises(BudgetError):
         studentize.jackknife_variance(bare, x)
     assert studentize.jackknife_variance(model.variance_kernel(), x) > 0.0
+
+
+@pytest.mark.parametrize("ident", ["variance", "gini", "product", "quadratic:0.3"])
+def test_one_sample_calls_leave_the_data_untouched(ident):
+    # the row forms overwrite the block they score, so the one-sample path
+    # hands them a copy; unsorted data far from 0 shows a sort or a shift
+    kernel = model.kernel_preset(ident)
+    x = 1e3 + np.random.default_rng(4).exponential(size=11)
+    before = x.copy()
+    calls = [
+        lambda: studentize._leave_one_out_means(kernel, x),
+        lambda: studentize._jackknife_sums(kernel, x),
+        lambda: studentize.jackknife_variance(kernel, x),
+        lambda: studentize.studentized_ustat(kernel, x, theta=0.0),
+    ]
+    for call in calls:
+        call()
+        assert x.tobytes() == before.tobytes()
 
 
 def test_value_is_zero_at_the_true_mean():
@@ -142,8 +159,10 @@ def test_gini_constant_rows_are_dropped(value):
     # rows give leave-one-out means of exactly 0, as the pairwise path does
     kernel = model.gini_kernel()
     rows = np.full((50, 8), value)
-    np.testing.assert_array_equal(kernel.rows.loo(rows), 0.0)
-    u, var_hat = exper._row_jackknife_stats(kernel, rows)
+    u, ss = kernel.rows.jackknife(rows.copy())
+    np.testing.assert_array_equal(u, 0.0)
+    np.testing.assert_array_equal(ss, 0.0)
+    u, var_hat = exper._row_jackknife_stats(kernel, rows.copy())
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(var_hat, 0.0)
     with pytest.raises(ZeroVarianceEstimate):
