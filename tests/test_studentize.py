@@ -139,7 +139,7 @@ def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
     ]
     for kernel, rows in cases:
         rows = rows + shift
-        _, var_hat = exper._row_jackknife_stats(kernel, rows)
+        _, var_hat = exper._row_jackknife_stats(kernel, rows.copy())
         assert np.all(var_hat == 0.0)
         for row in rows[:20]:
             with pytest.raises(ZeroVarianceEstimate):
@@ -147,7 +147,7 @@ def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
         # one point moved by 1e-6 of the gap of its pair is kept on both paths
         moved = rows[:20].copy()
         moved[:, 0] += 1e-6 * (np.abs(ab[:20, 0] - ab[:20, 1]) + 1.0)
-        _, var_hat = exper._row_jackknife_stats(kernel, moved)
+        _, var_hat = exper._row_jackknife_stats(kernel, moved.copy())
         assert np.all(var_hat > 0.0)
         for row in moved:
             assert studentize.studentized_ustat(kernel, row, theta=0.0).sigma_hat_g > 0.0
