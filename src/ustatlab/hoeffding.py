@@ -57,8 +57,9 @@ their integrands from one function.
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
 bar: the Monte Carlo standard error, or for quadrature the gap
-|Q_N - Q_(N/2)| to the same rule at half the nodes, floored at a few machine
-epsilons of the integral's absolute scale.  The functionals above
+|Q_N - Q_(N/2)| to the rule at half the nodes (its triangle keeps 48 nodes
+where the fine rule's has 64), floored at a few machine epsilons of the
+integral's absolute scale.  The functionals above
 only scale those integrals to a sample size; decompositions that differ only
 in n can share one projection.  Error bars are reported by
 :func:`moment_summary`.
@@ -66,7 +67,6 @@ in n can share one projection.  Error bars are reported by
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,11 +130,25 @@ _MOMENT_STREAMS = {
 # with 0.25-0.5 s of system time and 34k-53k faults.
 _BLOCK_CELLS = 32_768
 
-# Graded nodes per axis of the quadrature strategy's ordered triangle; each
-# piece of a marginal's split sub-rule takes half as many.  The same rule at
-# half the nodes gives each integral's reported error |Q_N - Q_(N/2)|, and
-# both rules together must fit the cell budget.
+# Graded nodes of the quadrature strategy: its fine rule sums order-1
+# integrals over 2N nodes and splits h_1 at each point into pieces of N/2.
+# The same rule at half the nodes gives each integral's reported error
+# |Q_N - Q_(N/2)|, and both rules together must fit the cell budget.
 QUADRATURE_NODES = 96
+# Nodes per axis of the fine rule's ordered triangle.  Its order-1 rule and
+# 48-node pieces limit the accuracy: they leave theta of gini on the
+# exponential law 2.3e-13 off, while a triangle of 64 nodes misses E t_2^2
+# by 2e-16 and E[g g t_2] by 2.7e-14 (1e-16 and 5e-14 at 96 nodes), and
+# the fine rule takes 46% of the cells it took at 96.  The half rule keeps
+# N/2 = 48.
+_TRIANGLE_NODES = 64
+# (N, triangle nodes) of the fine rule and of the half rule
+_GRADED_RULES = (
+    (QUADRATURE_NODES, _TRIANGLE_NODES),
+    (QUADRATURE_NODES // 2, QUADRATURE_NODES // 2),
+)
+# every Gauss-Legendre size those rules use, built together
+_GRADED_SIZES = frozenset(m for n, tri in _GRADED_RULES for m in (2 * n, tri, n // 2))
 _QUADRATURE_CELLS = 4_000_000
 # The least length at which a marginal's sub-rule piece places its nodes:
 # times the smallest graded node it stays a normal float.
@@ -222,24 +236,43 @@ def _node_grid(
     return cols, w
 
 
-def _legendre_pair(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_m(x), P_(m-1)(x)) by the three-term Legendre recurrence."""
+def _legendre_pairs(
+    ms: Sequence[int], xs: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(P_m(x), P_(m-1)(x)) for each m in ``ms`` and its x in ``xs``.
+
+    One pass of the three-term Legendre recurrence runs over every x at
+    once, and each pair is read off at step m of that pass.  Every element
+    sees the same operations as in a pass of its own, so the values do not
+    depend on which other rules share the pass.
+    """
+    x = np.concatenate(xs)
+    ends = np.cumsum([a.size for a in xs])
+    pairs = {}
     prev, cur = np.ones_like(x), x
-    for j in range(1, m):
-        prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
-    return cur, prev
+    j = 1  # cur holds P_j
+    for i in sorted(range(len(ms)), key=ms.__getitem__):
+        while j < ms[i]:
+            prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+            j += 1
+        piece = slice(ends[i] - xs[i].size, ends[i])
+        pairs[i] = cur[piece], prev[piece]
+    return [pairs[i] for i in range(len(ms))]
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule moved to (0, 1), as read-only arrays.
+def _gauss_legendre_rules(ms: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The m-point Gauss-Legendre rule moved to (0, 1) for each m in ``ms``.
 
     The roots x >= 0 of P_m come from Newton steps on the three-term
     recurrence, vectorised over the nodes and started from Tricomi's guess
-    (1 - (m - 1) / (8 m^3)) cos(pi (4k - 1) / (4m + 2)); they stop once no
-    root moves by 1e-10, after three steps at most.  The recurrence is
-    exactly odd or even in x, so the roots x < 0 are their mirror image and
-    for odd m the middle root is 0.  The weights are 2(1 - x)(1 + x) /
+    (1 - (m - 1) / (8 m^3)) cos(pi (4k - 1) / (4m + 2)); a rule stops once
+    none of its roots moves by 1e-10, after three steps at most.  Each
+    Newton step, and the weights, take one pass of the recurrence
+    (:func:`_legendre_pairs`) shared by every rule still moving, so the
+    rules cost max(ms) Python-level steps a pass, not sum(ms), and come out
+    bit-identical to rules built alone.  The recurrence is exactly odd or
+    even in x, so the roots x < 0 are their mirror image and for odd m the
+    middle root is 0.  The weights are 2(1 - x)(1 + x) /
     (m (x P_m(x) - P_(m-1)(x)))^2, which keeps the P_m(x) term that vanishes
     at an exact root: near the ends of the interval dropping it costs about
     m / (1 - x^2) times the root's rounding error.  That is O(m^2) work
@@ -248,29 +281,54 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     J. Sci. Comput. 35 (2013) A652-A674).  At m = 512 and 1024 the nodes are
     within 1.2e-16 of a 40-digit Newton reference and the weights within
     1.1e-11 relative, against about 1.5e-9 for ``leggauss``'s end weights.
+    The arrays are read-only.
     """
-    k = np.arange(1, (m + 1) // 2 + 1)
-    x = (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * m + 2.0))
+    xs = []
+    for m in ms:
+        k = np.arange(1, (m + 1) // 2 + 1)
+        xs.append(
+            (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * m + 2.0))
+        )
+    moving = list(range(len(ms)))
     for _ in range(3):
-        p, q = _legendre_pair(m, x)
-        step = p * (x * x - 1.0) / (m * (x * p - q))
-        x = x - step
-        if np.max(np.abs(step)) < 1e-10:
+        pairs = _legendre_pairs([ms[i] for i in moving], [xs[i] for i in moving])
+        still = []
+        for i, (p, q) in zip(moving, pairs):
+            x = xs[i]
+            step = p * (x * x - 1.0) / (ms[i] * (x * p - q))
+            xs[i] = x - step
+            if np.max(np.abs(step)) >= 1e-10:
+                still.append(i)
+        moving = still
+        if not moving:
             break
-    if m % 2:
-        x[-1] = 0.0
-    p, q = _legendre_pair(m, x)
-    half = (1.0 - x) * (1.0 + x) / np.square(m * (x * p - q))
-    # x decreases in k, so (1 - x) / 2 puts the nodes in increasing order;
-    # the mirror images of the roots before the middle one follow in reverse
-    nodes = np.concatenate(((1.0 - x) / 2.0, (1.0 + x[: m // 2][::-1]) / 2.0))
-    weights = np.concatenate((half, half[: m // 2][::-1]))
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    for m, x in zip(ms, xs):
+        if m % 2:
+            x[-1] = 0.0
+    rules = []
+    for m, x, (p, q) in zip(ms, xs, _legendre_pairs(ms, xs)):
+        half = (1.0 - x) * (1.0 + x) / np.square(m * (x * p - q))
+        # x decreases in k, so (1 - x) / 2 puts the nodes in increasing
+        # order; the mirror images of the roots before the middle one follow
+        # in reverse
+        nodes = np.concatenate(((1.0 - x) / 2.0, (1.0 + x[: m // 2][::-1]) / 2.0))
+        weights = np.concatenate((half, half[: m // 2][::-1]))
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        rules.append((nodes, weights))
+    return rules
 
 
-@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on (0, 1): the one-rule case of
+    :func:`_gauss_legendre_rules`."""
+    return _gauss_legendre_rules([m])[0]
+
+
+# the graded rules built so far, by node count
+_GRADED: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
 def _graded_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The m-point sigmoidal graded rule on (0, 1): nodes u, 1 - u and weights.
 
@@ -281,16 +339,20 @@ def _graded_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = 1, so integrands with a log or mild power singularity at an end,
     such as the exponential or normal quantile, still converge fast.  The rule is
     symmetric: 1 - t is the mirror node, so 1 - u is the reversed u and
-    keeps its digits near u = 1.
+    keeps its digits near u = 1.  The first call builds the Gauss-Legendre
+    rules of m and of every size in ``_GRADED_SIZES`` together.
     """
-    t, w = _gauss_legendre(m)
-    up, down = t**4, t[::-1] ** 4
-    total = up + down
-    u = up / total
-    weights = w * 4.0 * (t * t[::-1]) ** 3 / np.square(total)
-    for a in (u, weights):
-        a.setflags(write=False)
-    return u, u[::-1], weights
+    if m not in _GRADED:
+        sizes = [k for k in {m, *_GRADED_SIZES} if k not in _GRADED]
+        for k, (t, w) in zip(sizes, _gauss_legendre_rules(sizes)):
+            up, down = t**4, t[::-1] ** 4
+            total = up + down
+            u = up / total
+            weights = w * 4.0 * (t * t[::-1]) ** 3 / np.square(total)
+            for a in (u, weights):
+                a.setflags(write=False)
+            _GRADED[k] = (u, u[::-1], weights)
+    return _GRADED[m]
 
 
 def _has_quantiles(dist: Distribution) -> bool:
@@ -298,13 +360,17 @@ def _has_quantiles(dist: Distribution) -> bool:
 
 
 def _quantile(dist: Continuous, u: np.ndarray, ubar: np.ndarray) -> np.ndarray:
-    """Q(u) given u and 1 - u: ``ppf(u)`` for u <= 1/2, ``isf(1 - u)`` above."""
+    """Q(u) given u and 1 - u: ``ppf(u)`` for u <= 1/2, ``isf(1 - u)`` above.
+
+    Nodes all on one side take one call; a piece across u = 1/2 takes both,
+    on arguments clipped at 1/2, and ``np.where`` picks.
+    """
     lower = u <= 0.5
-    out = np.empty(u.shape)
-    out[lower] = dist.ppf(u[lower])
-    upper = ~lower
-    out[upper] = dist.isf(ubar[upper])
-    return out
+    if lower.all():
+        return dist.ppf(u)
+    if not lower.any():
+        return dist.isf(ubar)
+    return np.where(lower, dist.ppf(np.minimum(u, 0.5)), dist.isf(np.minimum(ubar, 0.5)))
 
 
 def _split_marginal(
@@ -446,14 +512,16 @@ class _GradedTables:
     Order-1 integrals are weighted sums over 2n graded nodes: they cost n
     cells a node, and the quantile tail of E g^3 on the exponential law
     still misses 5/6 by 5e-12 at 96 nodes (2e-13 at 192).  Order-2 integrals
-    run over the n^2 points of the ordered triangle u < v, where u = v s for
-    graded v and s (Duffy, SIAM J. Numer. Anal. 19 (1982) 1260-1262): for a
-    symmetric integrand F the integral is 2 sum_j W_j v_j sum_i W_i
-    F(v_j s_i, v_j), and a kink of h at x = y lies on the edge s = 1.
-    1 - v s is carried as (1 - v) + v (1 - s).
+    run over the tri^2 points of the ordered triangle u < v, where u = v s
+    for graded v and s of ``tri`` nodes each (Duffy, SIAM J. Numer. Anal. 19
+    (1982) 1260-1262): for a symmetric integrand F the integral is
+    2 sum_j W_j v_j sum_i W_i F(v_j s_i, v_j), and a kink of h at x = y lies
+    on the edge s = 1.  1 - v s is carried as (1 - v) + v (1 - s).  The
+    fine rule's triangle takes ``_TRIANGLE_NODES`` a side, fewer than its
+    order-1 rule, which limits its accuracy together with the pieces.
     """
 
-    def __init__(self, kernel: Kernel, dist: Continuous, n: int) -> None:
+    def __init__(self, kernel: Kernel, dist: Continuous, n: int, tri: int) -> None:
         u, ubar, w = _graded_rule(2 * n)
         h1 = _split_marginal(kernel, dist, _quantile(dist, u, ubar), u, ubar, n // 2)
         self.w = w
@@ -462,21 +530,27 @@ class _GradedTables:
         self.g = h1 - self.theta
         self.var_g = float(w @ np.square(self.g))
         # the triangle: v = u_j on axis 0, s = u_i on axis 1
-        u, ubar, w = _graded_rule(n)
+        u, ubar, w = _graded_rule(tri)
         x = _quantile(dist, u, ubar)
-        tri = u[:, None] * u
+        tri_u = u[:, None] * u
         tri_bar = ubar[:, None] + u[:, None] * ubar
-        tri_x = _quantile(dist, tri, tri_bar)
-        h1_in = _split_marginal(kernel, dist, tri_x.ravel(), tri.ravel(), tri_bar.ravel(), n // 2)
-        g_in = h1_in.reshape(n, n) - self.theta
+        tri_x = _quantile(dist, tri_u, tri_bar)
+        h1_in = _split_marginal(
+            kernel, dist, tri_x.ravel(), tri_u.ravel(), tri_bar.ravel(), n // 2
+        )
+        g_in = h1_in.reshape(tri, tri) - self.theta
         g_out = (_split_marginal(kernel, dist, x, u, ubar, n // 2) - self.theta)[:, None]
-        # n^2 cells, within _BLOCK_CELLS for n up to 181
+        # tri^2 cells, within _BLOCK_CELLS for tri up to 181
         h = model.kernel_values(kernel, [tri_x, x[:, None]])
         self.tri_w = w
         self.outer = 2.0 * w * u
-        self.var_h = float(np.square(h) @ w @ self.outer) - self.theta**2
         self.tri_g = [g_in, g_out]
         self.t2 = h - g_in - g_out - self.theta
+        # Hoeffding's orthogonality: var h = 2 var g + E t_2^2.  h^2 itself
+        # grows like the square of the quantile's log at the corner v = 1,
+        # and a 64-node triangle misses var h of gini on the exponential law
+        # by 5e-12 where this misses it by 2e-13
+        self.var_h = 2.0 * self.var_g + float(np.square(self.t2) @ w @ self.outer)
 
     def moment(self, kind: str, p: int, exponent: float) -> tuple[float, float]:
         """The integral and its absolute scale, the same sum of |integrand|."""
@@ -536,16 +610,18 @@ def _weighted_marginal(
 def _quadrature_cells(order: int) -> int:
     """Kernel cells of the graded rule and its half rule at kernel order ``order``.
 
-    A rule of n nodes spends n cells (n/2 a piece) on h_1 at each of its 2n
-    order-1 nodes, n triangle nodes and n^2 triangle points, and one more at
-    each triangle point: n^3 + 4 n^2 cells.  On the ordered k-simplex the
-    same count, n^k points with h_1 by a (k - 1)-fold sub-rule of n^(k-1)
-    cells each, is far past the budget from order 3 on, so only order 2
-    takes this rule.
+    A rule of n nodes and a triangle of T nodes a side spends n cells (n/2 a
+    piece) on h_1 at each of its 2n order-1 nodes, T triangle nodes and T^2
+    triangle points, and one more at each triangle point:
+    (2n + T) n + T^2 (n + 1) cells, 421,888 for the fine rule (n = 96,
+    T = 64) and 119,808 for the half rule (n = T = 48).  On the ordered
+    k-simplex the same count, T^k points with h_1 by a (k - 1)-fold sub-rule
+    of n^(k-1) cells each, is far past the budget from order 3 on, so only
+    order 2 takes this rule.
     """
     return sum(
-        3 * n * n ** (order - 1) + n**order * (n ** (order - 1) + 1)
-        for n in (QUADRATURE_NODES, QUADRATURE_NODES // 2)
+        (2 * n + tri) * n ** (order - 1) + tri**order * (n ** (order - 1) + 1)
+        for n, tri in _GRADED_RULES
     )
 
 
@@ -647,9 +723,7 @@ class ProjectionSet:
                 self._tables.theta, self._tables.var_g, self._tables.var_h
             )
         elif strategy == "quadrature":
-            self._rules = [
-                _GradedTables(kernel, dist, n) for n in (QUADRATURE_NODES, QUADRATURE_NODES // 2)
-            ]
+            self._rules = [_GradedTables(kernel, dist, n, tri) for n, tri in _GRADED_RULES]
             self._h1 = _point_marginal(kernel, dist)
             fine, half = self._rules
             self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h

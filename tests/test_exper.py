@@ -449,11 +449,11 @@ def test_experiment_shares_one_projection_across_n(monkeypatch):
     exper.run_ecdf_experiment(small_config(kernel="gini", dist="uniform", target=adjusted))
     assert [p.strategy for p in projections] == ["quadrature"]
     grid_cells = sum(cells)
-    # each of the two graded rules, of n = N and N/2 nodes, spends n cells of
-    # h_1 at each of its 2n order-1 nodes, n triangle nodes and n^2 triangle
-    # points, and one kernel cell at each triangle point
-    nodes = hoeffding.QUADRATURE_NODES
-    assert grid_cells == sum(n**3 + 4 * n * n for n in (nodes, nodes // 2))
+    # each of the two graded rules, of n = 96 and 48 nodes with triangles of
+    # T = 64 and 48 nodes a side, spends n cells of h_1 at each of its 2n
+    # order-1 nodes, T triangle nodes and T^2 triangle points, and one kernel
+    # cell at each triangle point
+    assert grid_cells == 421_888 + 119_808 == hoeffding._quadrature_cells(2)
     cells.clear()
     exper.run_ecdf_experiment(
         small_config(kernel="gini", dist="uniform", target=adjusted, n_grid=(8,))

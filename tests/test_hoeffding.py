@@ -824,6 +824,56 @@ def test_gauss_legendre_rule(m):
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
+
+def test_gauss_legendre_rules_built_together_equal_rules_built_alone():
+    # one recurrence pass serves every rule, P_1 = x of the one-node rule too
+    ms = [1, 2, 3, 24, 48, 64, 96, 192, 1024]
+    together = hoeffding._gauss_legendre_rules(ms)
+    for m, (nodes, weights) in zip(ms, together):
+        alone_nodes, alone_weights = hoeffding._gauss_legendre_rules([m])[0]
+        assert np.array_equal(nodes, alone_nodes), m
+        assert np.array_equal(weights, alone_weights), m
+    # the order of the sizes does not matter either
+    for (nodes, weights), (n2, w2) in zip(
+        together[::-1], hoeffding._gauss_legendre_rules(ms[::-1])
+    ):
+        assert np.array_equal(nodes, n2) and np.array_equal(weights, w2)
+
+
+@pytest.mark.parametrize("dist_ident", ["exponential", "uniform", "normal"])
+@pytest.mark.parametrize(
+    "kernel", [model.gini_kernel(), model.Kernel("max", 2, np.maximum)], ids=["gini", "max"]
+)
+def test_quadrature_triangle_is_converged(kernel, dist_ident):
+    # the fine rule's triangle against one of as many nodes as its order-1 half
+    dist = model.distribution_preset(dist_ident)
+    nodes = hoeffding.QUADRATURE_NODES
+    fine = hoeffding._GradedTables(kernel, dist, nodes, hoeffding._TRIANGLE_NODES)
+    ref = hoeffding._GradedTables(kernel, dist, nodes, nodes)
+    for kind, exponent in [("abs_t", 2.0), ("aligned", 1.0)]:
+        got, want = fine.moment(kind, 2, exponent)[0], ref.moment(kind, 2, exponent)[0]
+        assert abs(got - want) <= 1e-13, kind
+    assert abs(fine.var_h - ref.var_h) <= 1e-13
+
+
+@pytest.mark.parametrize("dist_ident", ["exponential", "uniform", "normal"])
+def test_quantile_matches_the_masked_split(dist_ident):
+    # the reference: ppf on the nodes at or below 1/2, isf on the rest
+    dist = model.distribution_preset(dist_ident)
+    u, ubar, _ = hoeffding._graded_rule(96)
+    for v, vbar in [
+        (u, ubar),
+        (u[:40], ubar[:40]),
+        (u[-40:], ubar[-40:]),
+        (u[:, None] * u, ubar[:, None] + u[:, None] * ubar),
+        (np.array([0.5]), np.array([0.5])),
+    ]:
+        lower = v <= 0.5
+        want = np.empty(v.shape)
+        want[lower] = dist.ppf(v[lower])
+        want[~lower] = dist.isf(vbar[~lower])
+        assert np.array_equal(hoeffding._quantile(dist, v, vbar), want)
+
 def test_quadrature_cell_budget(monkeypatch):
     cells = []
     kernel_values = model.kernel_values
@@ -837,11 +887,12 @@ def test_quadrature_cell_budget(monkeypatch):
     d = gini_continuous("exponential")
     hoeffding.moment_summary(d)
     hoeffding.order2_edgeworth_inputs(d)
-    # each rule of n nodes spends n cells of h_1 at each of its 2n order-1
-    # nodes, n triangle nodes and n^2 triangle points, and one kernel cell at
-    # each triangle point; the moments add none
-    nodes = hoeffding.QUADRATURE_NODES
-    assert sum(cells) == sum(n**3 + 4 * n * n for n in (nodes, nodes // 2))
+    # a rule of n nodes and a triangle of T nodes a side spends n cells of
+    # h_1 at each of its 2n order-1 nodes, T triangle nodes and T^2 triangle
+    # points, and one kernel cell at each triangle point: 421,888 for the
+    # fine rule (n = 96, T = 64), 119,808 for the half rule (n = T = 48); the
+    # moments add none
+    assert sum(cells) == 421_888 + 119_808 == hoeffding._quadrature_cells(2)
     assert sum(cells) <= hoeffding._QUADRATURE_CELLS
     assert max(cells) <= hoeffding._BLOCK_CELLS
 
