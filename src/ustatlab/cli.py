@@ -113,38 +113,33 @@ def _experiment_config(args: argparse.Namespace) -> exper.ExperimentConfig:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _strategy_config(d: hoeffding.DecomposedStatistic, args: argparse.Namespace) -> dict:
-    """The projection strategy and the one size it ran at, if it has one:
-    the inner draws of Monte Carlo or the graded nodes of quadrature."""
-    strategy = d.projection.strategy
-    out: dict = {"strategy": strategy}
-    if strategy == "monte-carlo":
-        out["inner_reps"] = args.inner_reps
-    elif strategy == "quadrature":
-        out["nodes"] = hoeffding.QUADRATURE_NODES
-    return out
-
-
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    kernel = model.kernel_preset(args.kernel)
-    dist = model.distribution_preset(args.dist)
+def _projection(args: argparse.Namespace, **extra) -> tuple[hoeffding.DecomposedStatistic, dict]:
+    """The decomposition the projection flags name, and its config block:
+    the flags, ``extra``, the strategy and the one size it ran at, if any
+    (the inner draws of Monte Carlo or the graded nodes of quadrature)."""
     d = hoeffding.decompose(
-        kernel,
-        dist,
+        model.kernel_preset(args.kernel),
+        model.distribution_preset(args.dist),
         args.n,
         strategy=args.strategy,
         inner_reps=args.inner_reps,
         seed=args.seed,
     )
+    strategy = d.projection.strategy
+    config = {"kernel": args.kernel, "dist": args.dist, "n": args.n, **extra,
+              "strategy": strategy, "seed": args.seed}
+    if strategy == "monte-carlo":
+        config["inner_reps"] = args.inner_reps
+    elif strategy == "quadrature":
+        config["nodes"] = hoeffding.QUADRATURE_NODES
+    return d, config
+
+
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    d, config = _projection(args)
     payload = {
         "schema": exper.SCHEMA_VERSION,
-        "config": {
-            "kernel": args.kernel,
-            "dist": args.dist,
-            "n": args.n,
-            **_strategy_config(d, args),
-            "seed": args.seed,
-        },
+        "config": config,
         "theta": d.theta,
         "sigma_g": d.sigma_g,
         "kappa": list(hoeffding.kappa_vector(d)),
@@ -168,27 +163,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    kernel = model.kernel_preset(args.kernel)
-    dist = model.distribution_preset(args.dist)
-    d = hoeffding.decompose(
-        kernel,
-        dist,
-        args.n,
-        strategy=args.strategy,
-        inner_reps=args.inner_reps,
-        seed=args.seed,
-    )
+    d, config = _projection(args, alpha=args.alpha)
     summary = hoeffding.moment_summary(d, alpha=args.alpha)
     payload = {
         "schema": exper.SCHEMA_VERSION,
-        "config": {
-            "kernel": args.kernel,
-            "dist": args.dist,
-            "n": args.n,
-            "alpha": args.alpha,
-            **_strategy_config(d, args),
-            "seed": args.seed,
-        },
+        "config": config,
         "moments": summary.to_json(),
     }
     if args.inequalities:

@@ -136,11 +136,6 @@ def _resolve(cfg: ExperimentConfig) -> dict[int, hoeffding.DecomposedStatistic]:
 # Per-row statistic evaluation
 # ---------------------------------------------------------------------------
 
-def _row_u_values(kernel: model.Kernel, rows: np.ndarray) -> np.ndarray:
-    """U-statistic of ``kernel`` for every row of ``rows`` (overwritten)."""
-    return kernel.rows.u(rows)
-
-
 def _row_jackknife_stats(
     kernel: model.Kernel, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +170,7 @@ def _score_chunk(
     # the block is fresh, so the row forms may take it as scratch
     rows = model.sample(d.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
     if estimator == "standardized":
-        u = _row_u_values(kernel, rows)
+        u = kernel.rows.u(rows)
         return math.sqrt(n) * (u - theta) / (kernel.order * d.sigma_g), 0
     u, var_hat = _row_jackknife_stats(kernel, rows)
     keep = var_hat > 0.0
@@ -206,20 +201,13 @@ def _adjusted_order(cfg: ExperimentConfig, k: int) -> int:
     return approx.select_correction_order(cfg.target.alpha, k)
 
 
-def _adjusted(
-    d: hoeffding.DecomposedStatistic, cfg: ExperimentConfig
-) -> approx.AdjustedNormal:
-    """The adjusted law at ``d.n``, truncated to the configured order."""
-    return approx.AdjustedNormal(hoeffding.kappa_vector(d)[: _adjusted_order(cfg, d.order)])
-
-
 def _target(
     d: hoeffding.DecomposedStatistic, cfg: ExperimentConfig
 ) -> approx.AdjustedNormal:
     """The reference law of ``cfg.target`` at ``d.n``.
 
-    ``order`` and ``alpha`` shape only the adjusted law; the other targets
-    refuse them rather than ignore them.
+    The adjusted law is truncated to the order that ``order`` or ``alpha``
+    sets; the other targets refuse those rather than ignore them.
     """
     kind = cfg.target.kind
     if kind != "adjusted" and (cfg.target.order, cfg.target.alpha) != (None, None):
@@ -229,7 +217,7 @@ def _target(
     if kind == "phi":
         return approx.AdjustedNormal()
     if kind == "adjusted":
-        return _adjusted(d, cfg)
+        return approx.AdjustedNormal(hoeffding.kappa_vector(d)[: _adjusted_order(cfg, d.order)])
     e_gg_eta, e_g3, sigma_g = hoeffding.order2_edgeworth_inputs(d)
     return approx.edgeworth2(e_gg_eta, e_g3, sigma_g, d.n)
 
@@ -250,17 +238,16 @@ def _adjusted_only(cfg: ExperimentConfig, command: str) -> ExperimentConfig:
 
 def _replicates(
     cfg: ExperimentConfig,
-    law: Callable[[hoeffding.DecomposedStatistic, ExperimentConfig], approx.AdjustedNormal],
 ) -> Iterator[tuple[hoeffding.DecomposedStatistic, approx.AdjustedNormal, np.ndarray, int]]:
-    """``(d, target, values, dropped)`` at each n of the grid, in order.
+    """``(d, _target(d, cfg), values, dropped)`` at each n of the grid, in order.
 
-    Every target ``law(d, cfg)`` is built before any replicate is drawn, so
-    a target the configuration cannot have fails without sampling.  On more
-    than one thread, one pool scores every chunk of the grid, largest n
-    first, so the last chunks of one n leave no worker idle.
+    Every target is built before any replicate is drawn, so a target the
+    configuration cannot have fails without sampling.  On more than one
+    thread, one pool scores every chunk of the grid, largest n first, so
+    the last chunks of one n leave no worker idle.
     """
     decs = list(_resolve(cfg).values())
-    targets = [law(d, cfg) for d in decs]
+    targets = [_target(d, cfg) for d in decs]
     bounds = _chunk_bounds(cfg.reps)
     workers = min(cfg.threads, len(decs) * len(bounds))
     if workers == 1:
@@ -358,7 +345,7 @@ def fit_rate(
 def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
     rows = []
     kappa_by_n: dict[int, tuple[float, ...]] = {}
-    for d, target, values, dropped in _replicates(cfg, _target):
+    for d, target, values, dropped in _replicates(cfg):
         kappa_by_n[d.n] = hoeffding.kappa_vector(d)
         distance = approx.kolmogorov_distance(
             values, lambda x: approx.adjusted_cdf(target, x)
@@ -437,7 +424,7 @@ def quadratic_counterexample(
         f"quadratic:{float(eps)!r}", "normal", (n,), reps, seed, target=TargetSpec("adjusted"),
         threads=threads,
     )
-    ((d, adj, values, _),) = _replicates(cfg, _adjusted)
+    ((d, adj, values, _),) = _replicates(cfg)
     values = np.sort(values)
     dist_phi = approx.kolmogorov_distance(values, approx.normal_cdf)
     dist_adjusted = approx.kolmogorov_distance(
@@ -737,7 +724,7 @@ def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
     f = smooth_test_function(f_ident)
     cfg = _adjusted_only(cfg, "smooth-check")
     rows = []
-    for d, adj, values, _ in _replicates(cfg, _adjusted):
+    for d, adj, values, _ in _replicates(cfg):
         target = f.adjusted_mean(adj)
         fvals = np.asarray(f.fn(values), dtype=float)
         lhs = abs(float(fvals.mean()) - target)
@@ -821,7 +808,7 @@ def char_function_check(
     beta_by_n: dict[int, float] = {}
     gamma_by_n: dict[int, float] = {}
     kappa_by_n: dict[int, tuple[float, ...]] = {}
-    for d, adj, values, _ in _replicates(cfg, _adjusted):
+    for d, adj, values, _ in _replicates(cfg):
         n, k = d.n, d.order
         kappa_by_n[n] = hoeffding.kappa_vector(d)
         beta_by_n[n] = beta_n = hoeffding.beta(d)

@@ -29,10 +29,12 @@ Four evaluation strategies are supported:
 
 * ``exact``: weighted sums over the atoms of a finite law;
 * ``analytic``: closed forms for kernels that declare ``Kernel.quad_coefs``
-  (the name never selects them): theta, var g, var h, h_1 and the moment
-  integrals.  E|t_2|^alpha, and E|g|^q where g is linear, come from the
-  law's E|X - mu|^r (``model.abs_central_moment``); E|g|^q of a kernel with
-  a square term takes adaptive quadrature;
+  (the name never selects them), on laws that state the moments they read:
+  theta, var g, var h, h_1 and the moment integrals.  E|t_2|^alpha, and
+  E|g|^q where g is linear, come from the law's E|X - mu|^r
+  (``model.abs_central_moment``); E|g|^q of a kernel with a square term is
+  an atom sum on finite support and otherwise the graded rule of
+  quadrature, cut at the roots of g, with the quadrature error bar;
 * ``quadrature``: order-2 kernels on continuous laws with ``ppf``, ``isf``
   and ``cdf``, by a graded rule on the quantile scale: Gauss-Legendre t
   mapped by u = t^4 / (t^4 + (1 - t)^4), with 1 - u carried separately.
@@ -189,11 +191,19 @@ def separable_forms(kernel: Kernel, dist: Distribution) -> Optional[SeparableFor
 
     For h = a(x+y) + b(x^2+y^2) + c*x*y and z = x - mu, the projection is
     g = lin*z + b(z^2 - s2) with lin = a + (2b+c)*mu, and t_2 = c*z*w, so
-    every moment is a polynomial in the central moments s2, m3, .., m6.
+    every moment is a polynomial in the central moments s2, m3, .., m6.  A
+    continuous law must state those, E|X - mu|^r and, if b != 0, the ppf,
+    isf and cdf that E|g|^q is integrated with; else this is None too.
     """
     if kernel.quad_coefs is None:
         return None
     a, b, c = kernel.quad_coefs
+    if isinstance(dist, Continuous) and not (
+        set(range(2, 7)) <= dist.central_moments.keys()
+        and dist.abs_central_moment is not None
+        and (b == 0.0 or _has_quantiles(dist))
+    ):
+        return None
     mu = model.mean(dist)
     s2 = model.variance(dist)
     m3 = model.central_moment(dist, 3)
@@ -389,16 +399,19 @@ def _split_marginal(
     1 - v = (1 - a)(1 - s).  Far out in a tail F(x) rounds to 0 or 1; each
     piece then places its nodes as if it were ``_MIN_PIECE`` long, so that
     every quantile stays finite, and still weighs its true length.  Points
-    go in blocks of a multiple of 4 rows (see
-    :func:`_weighted_marginal`) and at most ``_BLOCK_CELLS`` kernel cells,
-    2m a point.  Each piece is evaluated on its own, so that no temporary
-    reaches 128 KiB: larger arrays fault in fresh pages on every
-    allocation, and taking both pieces at once cost 38 ns a cell against 12
-    (gini on the exponential law, one thread).
+    go in blocks of a multiple of 4 rows (see :func:`_weighted_marginal`)
+    and at most ``_BLOCK_CELLS / 2`` kernel cells, 2m a point.  Each piece
+    is evaluated on its own, so that no temporary passes 64 KiB, half of
+    glibc's default mmap and trim thresholds.  Taking both pieces at once
+    cost 38 ns a cell against 12 (gini on the exponential law, one thread),
+    and temporaries just under 128 KiB were trimmed off the heap and
+    faulted in again on every block when they landed at its top, which
+    depends on earlier allocations: a cold gini/exponential ``simulate
+    --target adjusted`` took 653 page faults, or 2,829 as other modules grew.
     """
     s, sbar, w = _graded_rule(m)
     out = np.empty(x.size)
-    step = 4 * max(1, _BLOCK_CELLS // (8 * m))
+    step = 4 * max(1, _BLOCK_CELLS // (16 * m))
     for lo in range(0, x.size, step):
         xs, ab, ba = x[lo:lo + step, None], a[lo:lo + step], abar[lo:lo + step]
         la, lb = np.maximum(ab, _MIN_PIECE)[:, None], np.maximum(ba, _MIN_PIECE)[:, None]
@@ -567,6 +580,32 @@ class _GradedTables:
 def _rounding_bar(fine: float, half: float, scale: float) -> float:
     """|Q_N - Q_(N/2)|, floored at ``_ROUNDING_EPS`` epsilons of ``scale``."""
     return max(abs(fine - half), _ROUNDING_EPS * np.finfo(float).eps * scale)
+
+
+def _abs_g_moment(dist: Continuous, forms: SeparableForms, q: float) -> tuple[float, float]:
+    """E|g|^q for g = lin z + b(z^2 - var), z = x - mu and b != 0, with its bar.
+
+    |g|^q is kinked at the roots z = (-lin +- sqrt(lin^2 + 4 b^2 var)) / (2b),
+    so [0, 1] is cut at F of each and every piece sums 2N graded nodes,
+    placed as :func:`_split_marginal` places its pieces, with 1 - u carried.
+    The bar is the gap to N nodes a piece, floored at rounding.
+    """
+    lin, b = forms.lin, forms.b
+    disc = math.sqrt(lin * lin + 4.0 * b * b * dist.var)
+    roots = np.sort([(-lin - disc) / (2.0 * b), (-lin + disc) / (2.0 * b)]) + forms.mu
+    cut = [0.0, *np.asarray(dist.cdf(roots), dtype=float).tolist(), 1.0]
+    sums = []
+    for m in (2 * QUADRATURE_NODES, QUADRATURE_NODES):
+        s, sbar, w = _graded_rule(m)
+        total = 0.0
+        for lo, hi in zip(cut, cut[1:]):
+            length = hi - lo
+            if length > 0.0:
+                x = _quantile(dist, lo + length * s, (1.0 - hi) + length * sbar)
+                total += length * float(w @ np.abs(forms.g_fn(x)) ** q)
+        sums.append(total)
+    fine, half = sums
+    return fine, _rounding_bar(fine, half, fine)
 
 
 def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
@@ -784,15 +823,17 @@ class ProjectionSet:
         return self._moments[key]
 
     def _integrate(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
-        forms = self.forms
+        forms, dist = self.forms, self.dist
         if forms is not None:
             if kind == "abs_g" and forms.b == 0.0:
                 # g = lin*(x - mu)
-                val = abs(forms.lin) ** exponent * model.abs_central_moment(self.dist, exponent)
+                val = abs(forms.lin) ** exponent * model.abs_central_moment(dist, exponent)
+            elif kind == "abs_g" and isinstance(dist, FiniteDiscrete):
+                val = float(np.dot(np.abs(forms.g_fn(dist.atoms)) ** exponent, dist.probs))
             elif kind == "abs_g":
-                val = model.expectation(self.dist, lambda x: np.abs(forms.g_fn(x)) ** exponent)
+                return _abs_g_moment(dist, forms, exponent)
             elif kind == "abs_t":
-                abs_centered = model.abs_central_moment(self.dist, exponent)
+                abs_centered = model.abs_central_moment(dist, exponent)
                 val = abs(forms.t2_coef) ** exponent * abs_centered**2
             elif kind == "g3":
                 val = forms.e_g3
@@ -1162,9 +1203,9 @@ class MomentSummary:
 def moment_summary(d: DecomposedStatistic, alpha: float = 2.0) -> MomentSummary:
     """Compute beta, gamma, gamma^(alpha), and the kappa vector.
 
-    Under the monte-carlo and quadrature strategies the summary also carries
-    their error bars (Monte Carlo SEs, or |Q_N - Q_(N/2)|), scaled from the
-    same integrals as the estimates.
+    Where beta has an error bar (Monte Carlo SEs, |Q_N - Q_(N/2)| of the
+    graded rule) the summary carries every bar, scaled from the same
+    integrals as the estimates; an exact term (None) adds 0 to a sum.
     """
     b, b_se = _linear_moment(d, 3.0)
     terms2 = _gamma_terms(d, 2.0)
@@ -1174,8 +1215,8 @@ def moment_summary(d: DecomposedStatistic, alpha: float = 2.0) -> MomentSummary:
     if b_se is not None:
         ses = dict(
             beta_se=b_se,
-            gamma_se=float(math.sqrt(sum(se * se for _, se in terms2))),
-            gamma_alpha_se=float(math.sqrt(sum(se * se for _, se in terms_a))),
+            gamma_se=float(math.sqrt(sum(se * se for _, se in terms2 if se is not None))),
+            gamma_alpha_se=float(math.sqrt(sum(se * se for _, se in terms_a if se is not None))),
             kappa_se=tuple(se for _, se in kap),
         )
     comps2 = tuple(val for val, _ in terms2)

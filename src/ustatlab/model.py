@@ -100,22 +100,20 @@ class Continuous:
 
     ``sampler(gen, n)`` returns a fresh array of ``n`` draws from ``gen``.
     ``central_moments[p]`` stores the p-th central moment for p up to 6,
-    and ``abs_central_moment(r)`` gives E|X - mean|^r for real r >= 0; a
-    missing order, or a missing ``abs_central_moment``, falls back to
-    adaptive quadrature of ``pdf`` over ``support``.  When they are known,
+    and ``abs_central_moment(r)`` gives E|X - mean|^r for real r >= 0; the
+    analytic projection in ``hoeffding`` needs them all, and a law missing
+    one takes quadrature or Monte Carlo instead.  When they are known,
     ``ppf`` is the quantile function on (0, 1), ``isf(q)`` the upper-tail
     quantile Q(1 - q) and ``cdf`` the distribution function.  The quadrature
     projection in ``hoeffding`` needs all three: it carries 1 - u next to
     each node u and takes Q(u) from ``ppf(u)`` for u <= 1/2 and from
     ``isf(1 - u)`` above, so nodes near u = 1 keep their digits (``ppf``
-    alone rounds them to u = 1 and returns inf).  ``cdf`` places a point's
-    kink in the graded sub-rules of the marginal h_1.
+    alone rounds them to u = 1 and returns inf).  ``cdf`` places the kinks
+    of graded sub-rules: a point's in h_1, the roots of g in E|g|^q.
     """
 
     ident: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
     mean: float
     var: float
     central_moments: dict[int, float] = field(default_factory=dict)
@@ -143,20 +141,6 @@ def sample(dist: Distribution, n: int, seed: int, stream: int = 0) -> np.ndarray
     return np.asarray(dist.sampler(gen, n), dtype=float)
 
 
-def expectation(dist: Distribution, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact expectation for discrete support, quadrature otherwise."""
-    if isinstance(dist, FiniteDiscrete):
-        return float(np.dot(np.asarray(f(dist.atoms), dtype=float), dist.probs))
-    # scipy.integrate takes longer to import than most runs take; only laws
-    # without a closed form for the moment asked for come here
-    from scipy import integrate
-
-    lo, hi = dist.support
-    val, _ = integrate.quad(lambda x: float(f(np.asarray(x))) * float(dist.pdf(np.asarray(x))),
-                            lo, hi, limit=200)
-    return float(val)
-
-
 def mean(dist: Distribution) -> float:
     if isinstance(dist, FiniteDiscrete):
         return float(np.dot(dist.atoms, dist.probs))
@@ -181,10 +165,9 @@ def central_moment(dist: Distribution, p: int) -> float:
     if isinstance(dist, FiniteDiscrete):
         mu = mean(dist)
         return float(np.dot((dist.atoms - mu) ** p, dist.probs))
-    if p in dist.central_moments:
-        return dist.central_moments[p]
-    mu = dist.mean
-    return expectation(dist, lambda x: (x - mu) ** p)
+    if p not in dist.central_moments:
+        raise ValidationError(f"{dist.ident!r} states no central moment of order {p}")
+    return dist.central_moments[p]
 
 
 def abs_central_moment(dist: Distribution, r: float) -> float:
@@ -194,10 +177,9 @@ def abs_central_moment(dist: Distribution, r: float) -> float:
     if isinstance(dist, FiniteDiscrete):
         mu = mean(dist)
         return float(np.dot(np.abs(dist.atoms - mu) ** r, dist.probs))
-    if dist.abs_central_moment is not None:
-        return dist.abs_central_moment(r)
-    mu = dist.mean
-    return expectation(dist, lambda x: np.abs(x - mu) ** r)
+    if dist.abs_central_moment is None:
+        raise ValidationError(f"{dist.ident!r} states no absolute central moment")
+    return dist.abs_central_moment(r)
 
 
 def gaussian_abs_moment(r: float) -> float:
@@ -208,17 +190,6 @@ def gaussian_abs_moment(r: float) -> float:
         # (r - 1)!!, exact where the gamma form rounds (it gives E Z^2 = 1 + 2^-52)
         return float(math.prod(range(int(r) - 1, 0, -2)))
     return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def _normal_pdf(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
-
-
-def _normal_ppf(u: np.ndarray) -> np.ndarray:
-    # scipy loads on the first call: only normal-law quadrature comes here
-    from scipy.special import ndtri
-
-    return ndtri(u)
 
 
 def _exponential_abs_moment(r: float) -> float:
@@ -237,14 +208,12 @@ def _make_normal() -> Continuous:
     return Continuous(
         ident="normal",
         sampler=lambda gen, n: gen.standard_normal(n),
-        pdf=_normal_pdf,
-        support=(-12.0, 12.0),
         mean=0.0,
         var=1.0,
         central_moments={2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0},
-        ppf=_normal_ppf,
+        ppf=approx.normal_ppf,
         abs_central_moment=gaussian_abs_moment,
-        isf=lambda q: -_normal_ppf(q),
+        isf=lambda q: -approx.normal_ppf(q),
         cdf=approx.normal_cdf,
     )
 
@@ -253,8 +222,6 @@ def _make_exponential() -> Continuous:
     return Continuous(
         ident="exponential",
         sampler=lambda gen, n: gen.standard_exponential(n),
-        pdf=lambda x: np.where(x >= 0.0, np.exp(-np.clip(x, 0.0, None)), 0.0),
-        support=(0.0, 60.0),
         mean=1.0,
         var=1.0,
         central_moments={2: 1.0, 3: 2.0, 4: 9.0, 5: 44.0, 6: 265.0},
@@ -269,8 +236,6 @@ def _make_uniform01() -> Continuous:
     return Continuous(
         ident="uniform",
         sampler=lambda gen, n: gen.random(n),
-        pdf=lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
-        support=(0.0, 1.0),
         mean=0.5,
         var=1.0 / 12.0,
         central_moments={2: 1.0 / 12.0, 3: 0.0, 4: 1.0 / 80.0, 5: 0.0, 6: 1.0 / 448.0},

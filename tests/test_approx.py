@@ -48,6 +48,26 @@ def test_normal_cdf_is_vectorized_over_any_shape():
     assert np.isnan(edges[4])
 
 
+def test_normal_ppf_matches_ndtri_within_eight_ulps():
+    from scipy.special import ndtri
+
+    from ustatlab import model
+
+    u = np.geomspace(1e-300, 0.5, 100_001)
+    want = ndtri(u)
+    gap = np.abs(approx.normal_ppf(u) - want) / np.spacing(np.abs(want))
+    assert np.max(gap) <= 8.0
+    # the upper tail is read off the lower one, with its digits
+    normal = model.distribution_preset("normal")
+    np.testing.assert_array_equal(normal.isf(u), -approx.normal_ppf(u))
+    assert normal.ppf is approx.normal_ppf
+    # the ends of [0, 1] and points outside it, in any shape
+    np.testing.assert_array_equal(
+        approx.normal_ppf([[0.0, 1.0], [-0.5, np.nan]]), [[-np.inf, np.inf], [np.nan, np.nan]]
+    )
+    assert np.ndim(approx.normal_ppf(0.3)) == 0
+
+
 def test_hermite_polynomials_hand_values():
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(approx.hermite_he(0, x), [1.0, 1.0, 1.0])

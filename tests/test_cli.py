@@ -589,3 +589,42 @@ def test_benchmark_commands_load_no_scipy(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert list(loaded) == ["import"] + [name for name, _ in commands]
     assert loaded == {name: [] for name in loaded}
+
+
+_SCIPY_BLOCKED_CHILD = """
+import json, sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import ustatlab.cli
+
+for argv in json.loads(sys.argv[1]):
+    if ustatlab.cli.main(argv) != 0:
+        raise SystemExit(f"{argv} failed")
+"""
+
+
+def test_continuous_projections_run_with_scipy_blocked(tmp_path):
+    # the analytic E|g|^q of a kernel with a square term and the normal
+    # quantile of quadrature both run on numpy alone
+    commands = [
+        ["moments", "--kernel", "variance", "--dist", law, "--n", "25"]
+        for law in ("exponential", "normal", "uniform")
+    ] + [
+        [sub, "--kernel", "gini", "--dist", "normal", "--n", "64"]
+        for sub in ("moments", "decompose")
+    ]
+    commands = [argv + ["--out", str(tmp_path / f"{i}.json")] for i, argv in enumerate(commands)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_CHILD, json.dumps(commands)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / f"{i}.json").is_file() for i in range(len(commands)))

@@ -42,7 +42,7 @@ def test_row_u_fast_paths_match_reference(ident):
     kernel = model.kernel_preset(ident)
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(40, 7))
-    fast = exper._row_u_values(kernel, rows.copy())
+    fast = kernel.rows.u(rows.copy())
     want = np.array([model.u_statistic(kernel, row) for row in rows])
     np.testing.assert_allclose(fast, want, rtol=1e-12, atol=1e-13)
 
@@ -316,22 +316,23 @@ def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
     # replicate c * CHUNK_REPLICATES + j is row j of one block drawn from
     # stream c; the last chunk here is short
     cfg = small_config(n_grid=(8,), reps=exper.CHUNK_REPLICATES + 37)
-    scored = []
-    row_u = exper._row_u_values
+    drawn = []
+    sample = model.sample
 
-    def capture(kernel, rows):
-        # the row forms overwrite the block, so keep it as it was drawn
-        scored.append(rows.copy())
-        return row_u(kernel, rows)
+    def capture(dist, n, seed, stream=0):
+        drawn.append((stream, n))
+        return sample(dist, n, seed, stream)
 
-    monkeypatch.setattr(exper, "_row_u_values", capture)
-    ((d, _, values, dropped),) = exper._replicates(cfg, exper._target)
-    assert values.size == cfg.reps and dropped == 0
-    assert [rows.shape[0] for rows in scored] == [exper.CHUNK_REPLICATES, 37]
-    for c, rows in enumerate(scored):
-        m = rows.shape[0]
-        want = model.sample(d.dist, m * 8, cfg.seed, c).reshape(m, 8)
-        np.testing.assert_array_equal(rows, want)
+    monkeypatch.setattr(model, "sample", capture)
+    ((d, _, values, dropped),) = exper._replicates(cfg)
+    assert dropped == 0
+    sizes = [exper.CHUNK_REPLICATES, 37]
+    assert drawn == [(c, m * 8) for c, m in enumerate(sizes)]
+    rows = np.concatenate(
+        [sample(d.dist, m * 8, cfg.seed, c).reshape(m, 8) for c, m in enumerate(sizes)]
+    )
+    want = math.sqrt(8) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
+    np.testing.assert_array_equal(values, want)
 
 
 @pytest.mark.parametrize("estimator", ["standardized", "studentized"])

@@ -208,6 +208,69 @@ def test_kappa_frozen_value_variance_exponential():
     )
 
 
+# E|g|^q of the variance kernel, g = ((x - mu)^2 - var) / 2, from mpmath at
+# 40 digits, its quadrature split at the roots of g
+VARIANCE_ABS_G = {
+    "exponential": {
+        1.7: 1.094783655142842023063140,
+        2.5: 6.995131405762384423723072,
+        3.0: 30.08886575705603520093578,
+    },
+    "normal": {
+        1.7: 0.4542202386236028208536052,
+        2.5: 0.682616505425875013522492,
+        3.0: 1.086445362840688304446051,
+    },
+}
+
+
+@pytest.mark.parametrize("q", [1.7, 2.5, 3.0])
+@pytest.mark.parametrize("law", sorted(VARIANCE_ABS_G))
+def test_analytic_abs_g_with_a_square_term_lies_within_its_bar(law, q):
+    proj = hoeffding.ProjectionSet(model.variance_kernel(), model.distribution_preset(law))
+    assert proj.strategy == "analytic"
+    want = VARIANCE_ABS_G[law][q]
+    val, bar = proj.moment("abs_g", 1, q)
+    assert abs(val - want) <= bar <= 1e-9 * want
+
+
+def test_analytic_abs_g3_of_variance_on_uniform_matches_closed_form():
+    # g = (z^2 - c) / 2 with z = x - 1/2 and c = 1/12 has its roots at
+    # z = +-r, r = sqrt(c), so E|g|^3 = (P(1/2) - 2 P(r)) / 4 for
+    # P(z) = int_0^z (t^2 - c)^3 dt: P(1/2) = 1/7560, -2 P(r) = sqrt(3)/11340
+    proj = hoeffding.ProjectionSet(model.variance_kernel(), model.distribution_preset("uniform"))
+    val, bar = proj.moment("abs_g", 1, 3.0)
+    want = (1.0 / 7560.0 + math.sqrt(3.0) / 11340.0) / 4.0
+    assert val == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert 0.0 < bar <= 1e-14 * want
+
+
+def test_moment_summary_mixes_exact_and_barred_terms():
+    d = hoeffding.decompose(model.variance_kernel(), model.distribution_preset("exponential"), 25)
+    payload = hoeffding.moment_summary(d).to_json()
+    assert payload["method"] == "analytic"
+    # beta is a graded sum; gamma and kappa stay exact closed forms
+    assert 0.0 < payload["beta_se"] < 1e-9 * payload["beta"]
+    assert payload["gamma_se"] == payload["gamma_alpha_se"] == 0.0
+    assert payload["kappa_se"] == [None, None]
+
+
+def test_laws_missing_an_analytic_moment_take_another_strategy():
+    exp = model.distribution_preset("exponential")
+    kernel = model.variance_kernel()
+    no_m6 = dataclasses.replace(exp, central_moments={p: exp.central_moments[p] for p in range(2, 6)})
+    no_abs = dataclasses.replace(exp, abs_central_moment=None)
+    no_cdf = dataclasses.replace(exp, cdf=None)
+    for law, strategy in ((no_m6, "quadrature"), (no_abs, "quadrature"), (no_cdf, "monte-carlo")):
+        proj = hoeffding.ProjectionSet(kernel, law, inner_reps=200)
+        assert proj.strategy == strategy
+        with pytest.raises(ValidationError):
+            hoeffding.ProjectionSet(kernel, law, strategy="analytic")
+    # a kernel without a square term integrates nothing, so it needs no cdf
+    product = hoeffding.ProjectionSet(model.product_kernel(), no_cdf)
+    assert product.strategy == "analytic"
+
+
 def test_gamma_alpha_interpolates():
     d = quadratic_normal(0.4, 12)
     g2 = hoeffding.gamma_var(d)
