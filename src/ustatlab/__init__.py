@@ -5,7 +5,8 @@ the counter-based sampler; ``hoeffding`` projects kernels into orthogonal
 components and computes the moment functionals; ``approx`` evaluates the
 adjusted normal laws and distances; ``studentize`` adds the jackknife scale;
 ``oracle`` enumerates exact finite-support laws; ``exper`` runs deterministic
-Monte Carlo studies; ``cli`` exposes everything as subcommands.
+Monte Carlo studies; ``payload`` encodes every report from its fields; ``cli``
+exposes everything as subcommands.
 """
 
 from . import approx, exper, hoeffding, model, oracle, studentize

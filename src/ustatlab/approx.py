@@ -25,8 +25,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def normal_pdf(x):
-    """Standard normal density, vectorized."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
+    """Standard normal density, vectorized; 0 where x^2 overflows."""
+    with np.errstate(over="ignore"):
+        return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
 # W. J. Cody's rational Chebyshev approximations (Math. Comp. 23 (1969)
@@ -201,12 +202,15 @@ def hermite_he(m: int, x):
 def phi_derivative(m: int, x):
     """m-th derivative of the standard normal cdf, 1 <= m <= 12.
 
-    Uses ``Phi^(m)(x) = (-1)^(m-1) He_(m-1)(x) phi(x)``.
+    Uses ``Phi^(m)(x) = (-1)^(m-1) He_(m-1)(x) phi(x)``, and 0 wherever
+    phi(x) is 0, where He_(m-1)(x) may have overflowed.
     """
     if not 1 <= m <= PHI_DERIVATIVE_MAX:
         raise ValidationError(f"derivative order must lie in [1, {PHI_DERIVATIVE_MAX}]")
     sign = -1.0 if m % 2 == 0 else 1.0
-    return sign * hermite_he(m - 1, x) * normal_pdf(x)
+    pdf = normal_pdf(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(pdf == 0.0, 0.0, sign * hermite_he(m - 1, x) * pdf)[()]
 
 
 @dataclass(frozen=True)
@@ -253,14 +257,17 @@ def adjusted_density(approx: AdjustedNormal, x):
 
 
 def adjusted_cf(approx: AdjustedNormal, t):
-    """Fourier-Stieltjes transform: ``(1 + sum_s kappa_s (it)^(s+1)) e^(-t^2/2)``."""
+    """Fourier-Stieltjes transform: ``(1 + sum_s kappa_s (it)^(s+1)) e^(-t^2/2)``,
+    and 0 wherever e^(-t^2/2) is 0, where the polynomial may have overflowed."""
     t = np.asarray(t, dtype=float)
     poly = np.ones_like(t, dtype=complex)
     it = 1j * t
-    for s, coeff in enumerate(approx.kappa, start=1):
-        if coeff != 0.0:
-            poly = poly + coeff * it ** (s + 1)
-    return poly * np.exp(-0.5 * np.square(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.exp(-0.5 * np.square(t))
+        for s, coeff in enumerate(approx.kappa, start=1):
+            if coeff != 0.0:
+                poly = poly + coeff * it ** (s + 1)
+        return np.where(damp == 0.0, 0.0, poly * damp)[()]
 
 
 def select_correction_order(alpha: float, k: int) -> int:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import approx, exper, hoeffding, model, oracle, studentize
-from .errors import ConfigError, IncompatibleOptions, UStatError
+from .errors import ConfigError, IncompatibleOptions, UStatError, ValidationError
 
 THREADS_ENV_VAR = "USTATLAB_THREADS"
 
@@ -184,6 +184,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_approx_eval(args: argparse.Namespace) -> int:
     adj = approx.AdjustedNormal(tuple(args.kappa))
     xs = np.asarray(args.x, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(args.t or ()))):
+        raise ValidationError("evaluation points and transform arguments must be finite")
     cdf = approx.adjusted_cdf(adj, xs)
     density = approx.adjusted_density(adj, xs)
     payload = {

@@ -34,8 +34,8 @@ from .errors import (
     ValidationError,
     ZeroVarianceEstimate,
 )
+from .payload import SCHEMA_VERSION, Payload  # the CLI reads exper.SCHEMA_VERSION
 
-SCHEMA_VERSION = "v1"
 CHUNK_REPLICATES = 4096
 DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256)
 DEFAULT_REPS = 200_000
@@ -66,7 +66,9 @@ class TargetSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Payload):
+    schema = True
+
     kernel: str
     dist: str
     n_grid: tuple[int, ...] = DEFAULT_N_GRID
@@ -74,7 +76,9 @@ class ExperimentConfig:
     seed: int = 0
     estimator: str = "standardized"
     target: TargetSpec = field(default_factory=TargetSpec)
-    threads: int = 1
+    # an execution detail, left out so that reports from different worker
+    # counts stay byte-identical
+    threads: int = field(default=1, metadata={"payload": False})
 
     def __post_init__(self) -> None:
         grid = tuple(int(n) for n in self.n_grid)
@@ -96,24 +100,6 @@ class ExperimentConfig:
             )
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-
-    def to_json(self) -> dict:
-        # threads is an execution detail, deliberately excluded so reports
-        # from different worker counts stay byte-identical
-        return {
-            "schema": SCHEMA_VERSION,
-            "kernel": self.kernel,
-            "dist": self.dist,
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "seed": self.seed,
-            "estimator": self.estimator,
-            "target": {
-                "kind": self.target.kind,
-                "order": self.target.order,
-                "alpha": self.target.alpha,
-            },
-        }
 
 
 def _resolve(cfg: ExperimentConfig) -> dict[int, hoeffding.DecomposedStatistic]:
@@ -282,36 +268,26 @@ class RateRow:
 
 
 @dataclass(frozen=True)
-class RateReport:
+class RateFit:
+    slope: float
+    intercept: float
+    r_squared: float
+
+
+@dataclass(frozen=True)
+class RateReport(Payload):
+    schema = True
+
     config: ExperimentConfig
     theta: float
     sigma_g: float
     rows: tuple[RateRow, ...]
     kappa_by_n: dict[int, tuple[float, ...]]
-    slope: Optional[float]
-    intercept: Optional[float]
-    r_squared: Optional[float]
+    fit: Optional[RateFit]
 
-    def to_json(self) -> dict:
-        fit = None
-        if self.slope is not None:
-            fit = {
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "r_squared": self.r_squared,
-            }
-        return {
-            "schema": SCHEMA_VERSION,
-            "config": self.config.to_json(),
-            "theta": self.theta,
-            "sigma_g": self.sigma_g,
-            "rows": [
-                {"n": r.n, "distance": r.distance, "se": r.se, "dropped": r.dropped}
-                for r in self.rows
-            ],
-            "kappa_by_n": {str(n): list(k) for n, k in self.kappa_by_n.items()},
-            "fit": fit,
-        }
+    @property
+    def slope(self) -> Optional[float]:
+        return None if self.fit is None else self.fit.slope
 
 
 def fit_rate(
@@ -351,22 +327,11 @@ def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
             values, lambda x: approx.adjusted_cdf(target, x)
         )
         rows.append(RateRow(d.n, distance, approx.dkw_se(values.size), dropped))
-    slope = intercept = r_squared = None
+    fit = None
     usable = [r for r in rows if r.distance > 0.0]
     if len(usable) >= 3:
-        slope, intercept, r_squared = fit_rate(
-            [r.n for r in usable], [r.distance for r in usable]
-        )
-    return RateReport(
-        cfg,
-        d.theta,
-        d.sigma_g,
-        tuple(rows),
-        kappa_by_n,
-        slope,
-        intercept,
-        r_squared,
-    )
+        fit = RateFit(*fit_rate([r.n for r in usable], [r.distance for r in usable]))
+    return RateReport(cfg, d.theta, d.sigma_g, tuple(rows), kappa_by_n, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +339,10 @@ def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ComparatorStudy:
+class ComparatorStudy(Payload):
     """Distances of one Gaussian quadratic-kernel run to both reference laws."""
+
+    schema = True
 
     eps: float
     n: int
@@ -387,21 +354,6 @@ class ComparatorStudy:
     dist_phi: float
     dist_adjusted: float
     se: float
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "eps": self.eps,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "kappa2": self.kappa2,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "dist_phi": self.dist_phi,
-            "dist_adjusted": self.dist_adjusted,
-            "se": self.se,
-        }
 
 
 def quadratic_counterexample(
@@ -456,7 +408,9 @@ class PerturbationRow:
 
 
 @dataclass(frozen=True)
-class PerturbedNormalReport:
+class PerturbedNormalReport(Payload):
+    schema = True
+
     a: float
     neg_moment: float
     rows: tuple[PerturbationRow, ...]
@@ -464,29 +418,14 @@ class PerturbedNormalReport:
     exponent_bound: float
     satisfies_bound: bool
 
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "a": self.a,
-            "neg_moment": self.neg_moment,
-            "rows": [
-                {"eps": r.eps, "distance": r.distance, "delta_var": r.delta_var}
-                for r in self.rows
-            ],
-            "exponent": self.exponent,
-            "exponent_bound": self.exponent_bound,
-            "satisfies_bound": self.satisfies_bound,
-        }
-
 
 def _bisect_increasing(
     fn: Callable[[np.ndarray], np.ndarray],
     target: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    iters: int = 100,
 ) -> np.ndarray:
-    for _ in range(iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         below = fn(mid) < target
         lo = np.where(below, mid, lo)
@@ -539,7 +478,7 @@ def perturbed_normal_cdf(x, eps: float, a: float) -> np.ndarray:
     return out + full
 
 
-def _perturbed_sup_distance(eps: float, a: float, grid_points: int = 2001) -> float:
+def _perturbed_sup_distance(eps: float, a: float) -> float:
     scale = (eps * a) ** (1.0 / (1.0 + a))
     z_star = -scale
     peak = z_star - eps * scale ** (-a) + eps * model.gaussian_abs_moment(-a)
@@ -550,9 +489,9 @@ def _perturbed_sup_distance(eps: float, a: float, grid_points: int = 2001) -> fl
     xs = np.unique(
         np.concatenate(
             [
-                np.linspace(-8.0, 8.0, grid_points),
-                np.linspace(-10.0 * scale, 10.0 * scale, grid_points),
-                peak + scale * np.linspace(-3.0, 3.0, grid_points),
+                np.linspace(-8.0, 8.0, 2001),
+                np.linspace(-10.0 * scale, 10.0 * scale, 2001),
+                peak + scale * np.linspace(-3.0, 3.0, 2001),
             ]
         )
     )
@@ -690,29 +629,13 @@ class SmoothRow:
 
 
 @dataclass(frozen=True)
-class SmoothReport:
+class SmoothReport(Payload):
+    schema = True
+
     config: ExperimentConfig
     function: str
     deriv_const: float
     rows: tuple[SmoothRow, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "config": self.config.to_json(),
-            "function": self.function,
-            "deriv_const": self.deriv_const,
-            "rows": [
-                {
-                    "n": r.n,
-                    "lhs": r.lhs,
-                    "scale": r.scale,
-                    "ratio": r.ratio,
-                    "se": r.se,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
@@ -751,7 +674,9 @@ class CfRow:
 
 
 @dataclass(frozen=True)
-class CfReport:
+class CfReport(Payload):
+    schema = True
+
     config: ExperimentConfig
     rows: tuple[CfRow, ...]
     max_ratio_by_n: dict[int, float]
@@ -759,33 +684,6 @@ class CfReport:
     beta_by_n: dict[int, float]
     gamma_by_n: dict[int, float]
     kappa_by_n: dict[int, tuple[float, ...]]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "config": self.config.to_json(),
-            "rows": [
-                {
-                    "n": r.n,
-                    "t": r.t,
-                    "empirical_re": r.empirical.real,
-                    "empirical_im": r.empirical.imag,
-                    "target_re": r.target.real,
-                    "target_im": r.target.imag,
-                    "gap": r.gap,
-                    "se": r.se,
-                    "envelope": r.envelope,
-                }
-                for r in self.rows
-            ],
-            "max_ratio_by_n": {str(n): v for n, v in self.max_ratio_by_n.items()},
-            "max_ratio_se_by_n": {
-                str(n): v for n, v in self.max_ratio_se_by_n.items()
-            },
-            "beta_by_n": {str(n): v for n, v in self.beta_by_n.items()},
-            "gamma_by_n": {str(n): v for n, v in self.gamma_by_n.items()},
-            "kappa_by_n": {str(n): list(k) for n, k in self.kappa_by_n.items()},
-        }
 
 
 def char_function_check(
@@ -877,7 +775,11 @@ def rate_csv_text(report: RateReport) -> str:
 
 
 def json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``payload`` as strict JSON text (RFC 8259), which has no NaN or Infinity."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"payload is not strict JSON: {exc}") from exc
 
 
 def rate_report_paths(csv_path: str | Path) -> tuple[Path, Path]:
@@ -891,8 +793,10 @@ def write_rate_report(
 ) -> tuple[Path, Path]:
     """Write the CSV table and its JSON sidecar; returns both paths."""
     csv_path, json_path = rate_report_paths(csv_path)
+    # the JSON text is made first, so a payload it refuses writes neither file
+    text = json_text(report.to_json())
     _atomic_write_text(csv_path, rate_csv_text(report), force)
-    _atomic_write_text(json_path, json_text(report.to_json()), force)
+    _atomic_write_text(json_path, text, force)
     return csv_path, json_path
 
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,6 +84,7 @@ from .errors import (
     ValidationError,
 )
 from .model import Continuous, Distribution, FiniteDiscrete, Kernel
+from .payload import OMIT_NONE, Payload
 
 MAX_DECOMPOSE_ORDER = 5
 DEGENERACY_RATIO = 1e-12
@@ -1138,20 +1139,17 @@ def order2_edgeworth_inputs(d: DecomposedStatistic) -> tuple[float, float, float
     return e_gg_eta, e_g3, d.sigma_g
 
 
-def cross_moment_mc(
-    d: DecomposedStatistic, p: int, reps: int, seed: int, stream_base: int = 0
-) -> tuple[float, float]:
+def cross_moment_mc(d: DecomposedStatistic, p: int, reps: int, seed: int) -> tuple[float, float]:
     """Direct Monte Carlo estimate of E[L^p T] over full-sample replicates.
 
     This is the O(n^k)-per-replicate cross-check path for :func:`kappa`;
     unlike the aligned formula it also picks up repeated-index terms, e.g.
     E[L^2 T] = 2 kappa_2 when the remainder is a pure order-2 sum.  All
-    replicates are drawn as one ``(reps, n)`` block from stream
-    ``stream_base``.
+    replicates are drawn as one ``(reps, n)`` block from stream 0.
     """
     if reps < 2:
         raise ValidationError("reps must be at least 2")
-    rows = model.sample(d.dist, reps * d.n, seed, stream_base).reshape(reps, d.n)
+    rows = model.sample(d.dist, reps * d.n, seed).reshape(reps, d.n)
     vals = np.array([d.linear_part(x) ** p * d.remainder(x) for x in rows])
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(reps))
 
@@ -1161,7 +1159,7 @@ def cross_moment_mc(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(Payload):
     """All moment functionals of one decomposition at one alpha."""
 
     n: int
@@ -1174,30 +1172,10 @@ class MomentSummary:
     gamma_alpha_components: tuple[float, ...]
     kappa: tuple[float, ...]
     method: str
-    beta_se: Optional[float] = None
-    gamma_se: Optional[float] = None
-    gamma_alpha_se: Optional[float] = None
-    kappa_se: Optional[tuple[Optional[float], ...]] = None
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "n": self.n,
-            "kernel_order": self.kernel_order,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "gamma_components": list(self.gamma_components),
-            "gamma_alpha": self.gamma_alpha,
-            "gamma_alpha_components": list(self.gamma_alpha_components),
-            "kappa": list(self.kappa),
-            "method": self.method,
-        }
-        if self.beta_se is not None:
-            out["beta_se"] = self.beta_se
-            out["gamma_se"] = self.gamma_se
-            out["gamma_alpha_se"] = self.gamma_alpha_se
-            out["kappa_se"] = list(self.kappa_se or ())
-        return out
+    beta_se: Optional[float] = field(default=None, metadata=OMIT_NONE)
+    gamma_se: Optional[float] = field(default=None, metadata=OMIT_NONE)
+    gamma_alpha_se: Optional[float] = field(default=None, metadata=OMIT_NONE)
+    kappa_se: Optional[tuple[Optional[float], ...]] = field(default=None, metadata=OMIT_NONE)
 
 
 def moment_summary(d: DecomposedStatistic, alpha: float = 2.0) -> MomentSummary:
@@ -1249,28 +1227,10 @@ class InequalityItem:
 
 
 @dataclass(frozen=True)
-class MomentInequalityReport:
+class MomentInequalityReport(Payload):
     alpha: float
     items: tuple[InequalityItem, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "all_passed": self.all_passed,
-            "items": [
-                {
-                    "label": it.label,
-                    "lhs": it.lhs,
-                    "rhs": it.rhs,
-                    "passed": it.passed,
-                }
-                for it in self.items
-            ],
-        }
+    all_passed: bool
 
 
 def moment_inequalities(
@@ -1325,4 +1285,4 @@ def moment_inequalities(
             rhs = b ** (delta * s) + comps_a[s - 1]
             items.append(InequalityItem(f"d:{s}", lhs, rhs, lhs <= rhs + tol))
 
-    return MomentInequalityReport(alpha=alpha, items=tuple(items))
+    return MomentInequalityReport(alpha, tuple(items), all(item.passed for item in items))

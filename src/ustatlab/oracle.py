@@ -34,6 +34,7 @@ from . import hoeffding, model
 from .approx import AdjustedNormal, adjusted_cdf, edgeworth2, step_function_distance
 from .errors import BudgetError, InsufficientSample, ValidationError
 from .model import FiniteDiscrete, Kernel
+from .payload import Payload
 
 DEFAULT_TUPLE_BUDGET = 10**7
 
@@ -41,11 +42,11 @@ _GROUP_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class ExactReport:
+class ExactReport(Payload):
     """Exact law and moment functionals for one (kernel, dist, n) triple."""
 
-    kernel_id: str
-    dist_id: str
+    kernel: str
+    dist: str
     n: int
     tuples: int
     type_classes: int
@@ -79,41 +80,6 @@ class ExactReport:
     def distance_to(self, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
         """Kolmogorov distance from the exact law of S to ``cdf``."""
         return step_function_distance(self.s_atoms, np.cumsum(self.s_probs), cdf)
-
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel_id,
-            "dist": self.dist_id,
-            "n": self.n,
-            "tuples": self.tuples,
-            "type_classes": self.type_classes,
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "sigma_g": self.sigma_g,
-            "s_atoms": self.s_atoms.tolist(),
-            "s_probs": self.s_probs.tolist(),
-            "u_atoms": self.u_atoms.tolist(),
-            "u_probs": self.u_probs.tolist(),
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "gamma_components": list(self.gamma_components),
-            "gamma_alpha": self.gamma_alpha,
-            "gamma_alpha_components": list(self.gamma_alpha_components),
-            "kappa": list(self.kappa),
-            "e_gg_eta": self.e_gg_eta,
-            "e_g3": self.e_g3,
-            "mean_s": self.mean_s,
-            "var_s": self.var_s,
-            "e_tt_full": self.e_tt_full,
-            "cov_l_t": self.cov_l_t,
-            "component_cross": {f"{p},{q}": v for (p, q), v in self.component_cross.items()},
-            "linear_component_cross": {str(p): v for p, v in self.linear_component_cross.items()},
-            "power_cross": {str(p): v for p, v in self.power_cross.items()},
-            "prob_total": self.prob_total,
-            "dist_phi": self.dist_phi,
-            "dist_adjusted": self.dist_adjusted,
-            "dist_edgeworth2": self.dist_edgeworth2,
-        }
 
 
 def _group_atoms(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,8 +229,8 @@ def exact_distribution(
 
     tuples, type_classes = enumeration_size(dist, n)
     return ExactReport(
-        kernel_id=kernel.ident,
-        dist_id=dist.ident,
+        kernel=kernel.ident,
+        dist=dist.ident,
         n=n,
         tuples=tuples,
         type_classes=type_classes,

@@ -279,6 +279,23 @@ def test_approx_eval_rejects_nonfinite_coefficients(capsys):
     assert err.startswith("error:")
 
 
+def test_approx_eval_is_strict_json_far_out_and_refuses_nonfinite_points(capsys, tmp_path):
+    # He_(m-1)(x) and the cf polynomial overflow where phi and e^(-t^2/2) are 0
+    rc, out, err = run_cli(capsys, [
+        "approx-eval", "--kappa", "0,0.1", "--x=1e200,-1e200", "--t", "1e200",
+    ])
+    assert rc == 0, err
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert [(p["cdf"], p["density"]) for p in payload["points"]] == [(1.0, 0.0), (0.0, 0.0)]
+    assert (payload["characteristic"][0]["re"], payload["characteristic"][0]["im"]) == (0.0, 0.0)
+    for flag in (["--x", "inf"], ["--x", "nan"], ["--t", "0,inf"]):
+        dest = tmp_path / "approx.json"
+        rc, out, err = run_cli(capsys, ["approx-eval", "--kappa", "0,0.1", *flag,
+                                        "--out", str(dest)])
+        assert rc == 1 and err.startswith("error:") and out == ""
+        assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # studentize
 # ---------------------------------------------------------------------------
