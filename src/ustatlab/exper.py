@@ -228,20 +228,14 @@ def _replicates(
     """``(d, _target(d, cfg), values, dropped)`` at each n of the grid, in order.
 
     Every target is built before any replicate is drawn, so a target the
-    configuration cannot have fails without sampling.  On more than one
-    thread, one pool scores every chunk of the grid, largest n first, so
-    the last chunks of one n leave no worker idle.
+    configuration cannot have fails without sampling.  One pool of
+    ``min(threads, chunks)`` workers scores every chunk of the grid, largest
+    n first, so the last chunks of one n leave no worker idle.
     """
     decs = list(_resolve(cfg).values())
     targets = [_target(d, cfg) for d in decs]
     bounds = _chunk_bounds(cfg.reps)
-    workers = min(cfg.threads, len(decs) * len(bounds))
-    if workers == 1:
-        for d, target in zip(decs, targets):
-            parts = [_score_chunk(d, b, cfg.seed, cfg.estimator) for b in bounds]
-            yield d, target, *_gather(parts)
-        return
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(decs) * len(bounds)))
     try:
         futures = {
             d.n: [pool.submit(_score_chunk, d, b, cfg.seed, cfg.estimator) for b in bounds]

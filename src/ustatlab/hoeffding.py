@@ -50,11 +50,11 @@ the analytic closed form, the split sub-rules of quadrature, or the
 ``Kernel.pool_mean`` form (gini) prepared once on the atoms or the Monte
 Carlo inner pool; every other marginal averages the kernel over a weighted
 tail (the atom grid or the inner pool, each built once per projection) in
-blocks of cells; g and t_p follow from the marginals.  ``exact`` evaluates
-the kernel once on the product grid of the atoms and integrates by weighted
-sums over tables built from it, quadrature by weighted sums over its
-nodes and triangle, and Monte Carlo scores sampled tuples.  All three take
-their integrands from one function.
+blocks of cells; g and t_p follow from the marginals.  ``exact`` and
+Monte Carlo score g and t_p on a weighted tuple set: the atom grid with
+its probabilities, where h_q is read off h_q on the atom q-grid, or sampled
+tuples with their draw counts.  Quadrature takes weighted sums over its
+nodes and triangle.  All of them take their integrands from one function.
 
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
@@ -108,7 +108,7 @@ STREAM_SIGMA = (1 << 40) + 16
 STREAM_MOMENT_BASE = 1 << 41
 
 # Monte Carlo moment integrals by kind: (fixed, per_order).  The order-p
-# integral draws its p-tuples with ``ProjectionSet._draw`` from stream
+# integral draws its p-tuples with ``ProjectionSet._sample`` from stream
 # STREAM_MOMENT_BASE + fixed + per_order * p (column j from that stream + j on
 # continuous laws, one multinomial from it on finite support).  The order-2
 # Edgeworth input E[g g t_2] is the "aligned" integral at p = 2, so it shares
@@ -436,27 +436,6 @@ def _point_marginal(kernel: Kernel, dist: Continuous) -> Callable[[np.ndarray], 
     return h1
 
 
-def _inclusion_exclusion(
-    out: np.ndarray, p: int, term: Callable[[tuple[int, ...]], np.ndarray | float]
-) -> np.ndarray:
-    """``out`` plus the sum over B of (-1)^(p-|B|) term(B), B a subset of range(p).
-
-    With ``term(B)`` = h_|B| on the arguments B this is t_p.
-    """
-    for size in range(p + 1):
-        sign = 1.0 if (p - size) % 2 == 0 else -1.0
-        for subset in itertools.combinations(range(p), size):
-            out = out + sign * term(subset)
-    return out
-
-
-def _contract(table: np.ndarray, v: np.ndarray) -> float:
-    """Sum of ``table`` weighted by ``v`` along every axis."""
-    while table.ndim:
-        table = table @ v
-    return float(table)
-
-
 def _integrand(
     kind: str, exponent: float, g: Sequence[np.ndarray], t: Optional[np.ndarray]
 ) -> np.ndarray:
@@ -476,47 +455,6 @@ def _integrand(
     for gc in g[1:]:
         out *= gc
     return out
-
-
-class _NodeTables:
-    """Hoeffding tables of one kernel on one weighted node set.
-
-    The kernel is evaluated once on the k-fold product grid of the nodes.
-    Each marginal h_p is that grid contracted with the weights along its
-    last k - p axes, and t_p follows from them by inclusion-exclusion on the
-    p-fold grid, so every moment integral is a weighted sum over one table.
-    """
-
-    def __init__(self, kernel: Kernel, points: np.ndarray, weights: np.ndarray) -> None:
-        k = kernel.order
-        s = points.size
-        # broadcasting puts the nodes on axis i of the (s,)*k grid
-        axes = [points.reshape((s,) + (1,) * (k - 1 - i)) for i in range(k)]
-        h = np.broadcast_to(model.kernel_values(kernel, axes), (s,) * k)
-        marg = [h]
-        for _ in range(k):
-            marg.append(marg[-1] @ weights)
-        marg.reverse()  # marg[p] is h_p on the p-fold grid
-        self.w = weights
-        self.theta = float(marg[0])
-        self.g = marg[1] - self.theta
-        self.var_g = _contract(np.square(self.g), weights)
-        self.var_h = _contract(np.square(h), weights) - self.theta**2
-        # h_|B| placed on the axes B of the p-fold grid
-        self.t = {
-            p: _inclusion_exclusion(
-                np.zeros((s,) * p),
-                p,
-                lambda b, p=p: marg[len(b)].reshape([s if i in b else 1 for i in range(p)]),
-            )
-            for p in range(2, k + 1)
-        }
-
-    def moment(self, kind: str, p: int, exponent: float) -> float:
-        s = self.g.size
-        # g on axis i of the p-fold grid
-        g = [self.g.reshape([s if j == i else 1 for j in range(p)]) for i in range(p)]
-        return _contract(_integrand(kind, exponent, g, self.t.get(p)), self.w)
 
 
 class _GradedTables:
@@ -619,6 +557,14 @@ def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, fl
     return mean, var, math.sqrt(var / m)
 
 
+def _prob_stats(probs: np.ndarray, vals: np.ndarray) -> tuple[float, None, None]:
+    """Mean of ``vals`` on the atom grid, an axis per argument, under the product of
+    ``probs`` on each axis, weighted one axis at a time; exact, so no spread or bar."""
+    while vals.ndim:
+        vals = vals @ probs
+    return float(vals), None, None
+
+
 def _weighted_marginal(
     kernel: Kernel,
     cols: Sequence[np.ndarray],
@@ -681,9 +627,10 @@ class ProjectionSet:
     kernels whose rule fits the cell budget, which order-2 kernels do and
     higher orders do not.  ``inner_reps`` matters only for Monte Carlo.
 
-    Only ``__init__`` and ``_integrate`` depend on the strategy.  Monte
-    Carlo draws every tuple set (the inner pool, theta, var g, each moment
-    integral) with ``_draw`` and scores it with ``_count_stats``.
+    Only ``__init__`` and ``_integrate`` test the strategy.  Exact and Monte
+    Carlo share one weighted-tuple path: ``_tuple_set`` gives a moment's
+    tuples (the atom grid with its probabilities, or sampled tuples with
+    their counts) with g and t_p on them, and ``_score`` weighs them.
     """
 
     def __init__(
@@ -734,13 +681,11 @@ class ProjectionSet:
         # the error bar of theta: None where theta is exact
         self.theta_se: Optional[float] = None
         self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
-        # exact: the atom tables, and (atoms, probs) for marginals at
-        # arbitrary points; quadrature: the graded rule and its half rule
-        self._tables: Optional[_NodeTables] = None
+        # exact's (atoms, probs), whose grids are its tails; quadrature's two rules
         self._nodes: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._rules: list[_GradedTables] = []
-        # Monte Carlo moment tuple sets (columns, counts, h_1s) by (stream, p)
-        self._draws: dict[tuple[int, int], tuple] = {}
+        # tuple sets (weights, g on each argument, t_p) by (stream, p), exact's by p
+        self._draws: dict = {}
         # the weighted tail tuples of each marginal by tail length, and h_1 of
         # an order-2 kernel: the pool form prepared on the length-1 tail, or
         # under quadrature the split sub-rules
@@ -755,42 +700,46 @@ class ProjectionSet:
             self.forms = forms
             self._h1 = lambda x: forms.g_fn(x) + forms.theta
             self.theta, self.var_g, self.var_h = forms.theta, forms.var_g, forms.var_h
-        elif strategy == "exact":
-            self._nodes = (dist.atoms, dist.probs)
-            self._tables = _NodeTables(kernel, *self._nodes)
-            self._prepare_pool_mean()
-            self.theta, self.var_g, self.var_h = (
-                self._tables.theta, self._tables.var_g, self._tables.var_h
-            )
         elif strategy == "quadrature":
             self._rules = [_GradedTables(kernel, dist, n, tri) for n, tri in _GRADED_RULES]
             self._h1 = _point_marginal(kernel, dist)
             fine, half = self._rules
             self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h
             self.theta_se = _rounding_bar(fine.theta, half.theta, fine.theta_scale)
+        elif strategy == "exact":
+            s, probs = dist.atoms.size, dist.probs
+            self._nodes = (dist.atoms, probs)
+            self._prepare_pool_mean()
+            # h_q on the atom q-grid: the kernel's k-grid weighted on its last k - q axes
+            axes = [dist.atoms.reshape((s,) + (1,) * (k - 1 - i)) for i in range(k)]
+            self._tables = {k: np.broadcast_to(model.kernel_values(kernel, axes), (s,) * k)}
+            for q in range(k - 1, 0, -1):
+                self._tables[q] = self._tables[q + 1] @ probs
+            self.theta = float(self._tables[1] @ probs)
+            self._tuple_set, self._score = self._grid_set, _prob_stats
+            # Hoeffding's orthogonality: var h = sum_p C(k, p) E t_p^2, t_1 = g
+            sq = [self.moment("abs_t" if p > 1 else "abs_g", p, 2.0)[0] for p in range(1, k + 1)]
+            self.var_g, self.var_h = sq[0], sum(math.comb(k, p) * v for p, v in enumerate(sq, 1))
         else:
-            if self.inner_reps < 2:
-                raise ValidationError("monte-carlo strategy needs inner_reps >= 2")
             m = self.inner_reps
+            if m < 2:
+                raise ValidationError("monte-carlo strategy needs inner_reps >= 2")
             if isinstance(dist, FiniteDiscrete):
                 m *= PLUGIN_DRAW_FACTOR
             # the inner pool: tuples of the k - 1 tail arguments, weighted
-            cols, counts = self._draw(STREAM_INNER, max(1, k - 1), m)
+            cols, counts = self._sample(STREAM_INNER, max(1, k - 1), m)
             self._pool = (cols, counts / m)
             self._prepare_pool_mean()
-            cols, counts = self._draw(STREAM_THETA, k, m)
-            self.theta, self.var_h, self.theta_se = _count_stats(
-                counts, model.kernel_values(kernel, cols)
-            )
-            cols, counts = self._draw(STREAM_SIGMA, 1, m)
-            _, self.var_g, _ = _count_stats(counts, self.g_values(cols[0]))
+            cols, w = self._sample(STREAM_THETA, k, m)
+            h = model.kernel_values(kernel, cols)
+            self.theta, self.var_h, self.theta_se = _count_stats(w, h)
+            cols, w = self._sample(STREAM_SIGMA, 1, m)
+            _, self.var_g, _ = _count_stats(w, self.g_values(cols[0]))
+            self._tuple_set, self._score = self._sampled_set, _count_stats
 
     def _tail(self, length: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """Weighted tuples over which a marginal averages its last ``length`` arguments.
-
-        They are the atom grid, or the inner pool read up to ``length``
-        columns; each is built once per projection.
-        """
+        """Weighted tuples over which a marginal averages its last ``length`` arguments:
+        the atom grid, or the inner pool read up to ``length`` columns, built once."""
         if length not in self._tails:
             if self._nodes is not None:
                 self._tails[length] = _node_grid(*self._nodes, length)
@@ -842,39 +791,45 @@ class ProjectionSet:
                 # adding 0.0 turns an exact -0.0 into 0.0
                 val = forms.t2_coef * forms.e_g_centered**2 + 0.0
             return val, None
-        if self._tables is not None:
-            return self._tables.moment(kind, p, exponent), None
         if self._rules:
             (val, scale), (half, _) = (rule.moment(kind, p, exponent) for rule in self._rules)
             return val, _rounding_bar(val, half, scale)
-        return self._monte_carlo(kind, p, exponent)
+        return self._tuple_moment(kind, p, exponent)
 
-    def _monte_carlo(self, kind: str, p: int, exponent: float) -> tuple[float, float]:
-        """Monte Carlo estimate and SE over ``inner_reps`` draws.
-
-        The draws come from the streams starting at ``STREAM_MOMENT_BASE``
-        plus the kind's offset in ``_MOMENT_STREAMS``; each tuple set and
-        h_1 on its columns are made once and shared by every exponent.
-        """
+    def _tuple_moment(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
+        """The integrand's mean over a p-tuple set, scored by ``_score``, and its
+        bar.  Monte Carlo draws the set from stream ``STREAM_MOMENT_BASE`` plus
+        the kind's offset in ``_MOMENT_STREAMS``; exact ignores the stream."""
         fixed, per_order = _MOMENT_STREAMS[kind]
-        key = (STREAM_MOMENT_BASE + fixed + per_order * p, p)
-        if key not in self._draws:
-            cols, counts = self._draw(*key, self.inner_reps)
-            self._draws[key] = (cols, counts, [self.marginal_values(1, [c]) for c in cols])
-        cols, counts, h1s = self._draws[key]
-        g = [h1 - self.theta for h1 in h1s]
-        t = None if p == 1 else self._component(p, cols, h1s)
-        mean, _, se = _count_stats(counts, _integrand(kind, exponent, g, t))
-        return mean, se
+        stream = STREAM_MOMENT_BASE + fixed + per_order * p
+        w, g, t = self._tuple_set(stream, p, self.inner_reps)
+        mean, _, bar = self._score(w, _integrand(kind, exponent, g, t))
+        return mean, bar
 
-    def _draw(self, stream: int, p: int, m: int) -> tuple[list[np.ndarray], np.ndarray]:
-        """m sampled p-tuples as parallel columns and a count per tuple.
+    def _grid_set(self, stream: int, p: int, m: int) -> tuple:
+        """Exact: the atom p-grid's probabilities, g on each axis and t_p as
+        (s,)*p tables; h_q on the axes B is ``_tables[q]`` spread over them."""
+        if p not in self._draws:
+            s = self.dist.atoms.size
+            h = lambda b: self._tables[len(b)].reshape([s if i in b else 1 for i in range(p)])
+            t = None if p == 1 else self._component(p, h)
+            self._draws[p] = (self.dist.probs, [h((i,)) - self.theta for i in range(p)], t)
+        return self._draws[p]
 
-        On finite support the columns are the atoms^p grid and the counts one
-        multinomial of m from ``stream``: the same information as m raw
-        tuples at O(atoms^p) evaluation cost.  Otherwise column j holds m
-        draws from stream ``stream + j`` and every count is 1.
-        """
+    def _sampled_set(self, stream: int, p: int, m: int) -> tuple:
+        """Monte Carlo: m sampled p-tuples with their counts, g on each column and t_p."""
+        if (stream, p) not in self._draws:
+            cols, w = self._sample(stream, p, m)
+            h1s = [self.marginal_values(1, [c]) for c in cols]
+            t = None if p == 1 else self._component(
+                p, lambda b: h1s[b[0]] if len(b) == 1 else self._on_columns(cols, b)
+            )
+            self._draws[stream, p] = (w, [h1 - self.theta for h1 in h1s], t)
+        return self._draws[stream, p]
+
+    def _sample(self, stream: int, p: int, m: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """m sampled p-tuples as columns and a count each: on finite support the atoms^p
+        grid with one multinomial of m from ``stream``, else column j from ``stream + j``."""
         dist = self.dist
         if isinstance(dist, FiniteDiscrete):
             cols, w = _node_grid(dist.atoms, dist.probs, p)
@@ -916,21 +871,21 @@ class ProjectionSet:
             raise ValidationError(f"expected {p} columns, got {len(cols)}")
         if p == 1:
             return self.g_values(cols[0])
-        return self._component(p, cols, [self.marginal_values(1, [c]) for c in cols])
+        return self._component(p, lambda b: self._on_columns(cols, b))
 
-    def _component(
-        self, p: int, cols: Sequence[np.ndarray], h1s: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """t_p on parallel columns, given h_1 on each column."""
+    def _on_columns(self, cols: Sequence[np.ndarray], b: tuple[int, ...]) -> np.ndarray:
+        """h_|b| on the columns b."""
+        return self.marginal_values(len(b), [cols[i] for i in b])
 
-        def term(subset: tuple[int, ...]):
-            if not subset:
-                return self.theta
-            if len(subset) == 1:
-                return h1s[subset[0]]
-            return self.marginal_values(len(subset), [cols[i] for i in subset])
-
-        return _inclusion_exclusion(np.zeros(cols[0].size), p, term)
+    def _component(self, p: int, h: Callable[[tuple[int, ...]], np.ndarray]) -> np.ndarray:
+        """t_p on parallel columns, given ``h(B)`` = h_|B| on the columns B:
+        the sum over the subsets B of range(p) of (-1)^(p-|B|) h_|B|."""
+        out = 0.0
+        for size in range(p + 1):
+            for b in itertools.combinations(range(p), size):
+                term = h(b) if b else self.theta
+                out = out + term if (p - size) % 2 == 0 else out - term
+        return out
 
     def component(self, p: int, points: Sequence[float]) -> float:
         pts = [np.asarray([float(v)]) for v in points]
@@ -977,8 +932,8 @@ class DecomposedStatistic:
         )
 
     def _check_sample(self, data: np.ndarray) -> np.ndarray:
-        x = np.asarray(data, dtype=float)
-        if x.shape != (self.n,):
+        x = model.check_sample(data)
+        if x.size != self.n:
             raise ValidationError(f"sample must have length n = {self.n}")
         return x
 

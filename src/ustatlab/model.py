@@ -580,17 +580,23 @@ def subset_blocks(
     return (np.fromiter(flat, np.intp, k * m).reshape(m, k).T for m in sizes)
 
 
+def check_sample(data: np.ndarray) -> np.ndarray:
+    """``data`` as a float array, refused unless it is 1-d and finite."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError("sample must be a 1-d array")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("sample values must be finite")
+    return x
+
+
 def u_statistic(
     kernel: Kernel,
     data: np.ndarray,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> float:
     """Average of the kernel over all increasing index subsets."""
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("sample must be a 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("sample values must be finite")
+    x = check_sample(data)
     n = x.size
     k = kernel.order
     if n < k:

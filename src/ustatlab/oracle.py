@@ -10,14 +10,18 @@ and all cross moments between the linear part and the degenerate component
 sums are exact up to rounding.  This is the ground truth used to validate
 the analytic moment formulas and every Monte Carlo estimator in the package.
 
-Two independent evaluation routes are kept deliberately separate:
+Two evaluation routes are kept separate:
 
-* moment functionals (beta, gamma, kappa) come from ``support^p`` sums via
-  the decomposition machinery;
+* moment functionals (beta, gamma, kappa) are weighted sums over the
+  ``support^p`` atom grid, by the exact strategy of the decomposition;
 * ``e_tt_full``, ``cov_l_t`` and friends come from evaluating L and T on
   whole samples of size n, through ``component_values`` on atom multisets.
 
-Their agreement is an end-to-end check of the decomposition algebra.
+Both routes sum t_p by ``ProjectionSet._component``, on h_q contracted from
+the kernel's atom grid and on h_q from ``marginal_values`` at the atoms, so
+their agreement checks those marginals, the sums and the scaling.  The
+independent checks are the U route, whose var S, from the law of U alone,
+must be 1 + gamma, and the analytic closed forms of ``quad_coefs`` kernels.
 """
 
 from __future__ import annotations

@@ -81,16 +81,19 @@ def _jackknife(kernel: Kernel, data: np.ndarray) -> tuple[int, float, float]:
     """(n, U_n, sigma_hat^2) of a validated sample."""
     if kernel.order != 2:
         raise ValidationError("the jackknife variance is defined for order-2 kernels")
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("sample must be a 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("sample values must be finite")
+    x = model.check_sample(data)
     n = x.size
     if n < 3:
         raise InsufficientSample("the jackknife variance needs n >= 3")
-    u, ss = _jackknife_sums(kernel, x)
-    return n, u, float(jackknife_from_means(u, ss, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, ss = _jackknife_sums(kernel, x)
+        var_hat = float(jackknife_from_means(u, ss, n))
+    if not (math.isfinite(u) and math.isfinite(ss) and math.isfinite(var_hat)):
+        raise ValidationError(
+            f"overflow: U = {u}, sigma_hat^2 = {var_hat} from squared deviations "
+            f"summing to {ss}, on a sample with largest |x| = {np.max(np.abs(x)):.6g}"
+        )
+    return n, u, var_hat
 
 
 def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:
@@ -107,4 +110,6 @@ def studentized_ustat(kernel: Kernel, data: np.ndarray, theta: float) -> Student
         raise ZeroVarianceEstimate("jackknife variance estimate is exactly zero")
     sigma_hat = math.sqrt(var_hat)
     value = math.sqrt(n) * (u - theta) / (2.0 * sigma_hat)
+    if not math.isfinite(value):
+        raise ValidationError(f"overflow: the statistic of U = {u} about theta = {theta}")
     return StudentizedStat(n=n, u_stat=u, theta=theta, sigma_hat_g=sigma_hat, value=value)

@@ -12,6 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,24 @@ def test_studentize_zero_variance_is_runtime_error(capsys):
     ])
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "kernel, data", [("gini", "1e308,-1e308,1e308"), ("variance", "1e200,-1e200,3")]
+)
+def test_studentize_refuses_overflow_naming_the_data(capsys, tmp_path, kernel, data):
+    dest = tmp_path / "stu.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, [
+            "studentize", "--kernel", kernel, "--theta", "0", "--data", data,
+            "--out", str(dest),
+        ])
+    assert caught == []
+    assert rc == 1 and out == ""
+    assert err.startswith("error: overflow")
+    assert f"largest |x| = {float(data.split(',')[0]):.6g}" in err
+    assert not dest.exists()
 
 
 # ---------------------------------------------------------------------------

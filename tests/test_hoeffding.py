@@ -1,6 +1,8 @@
 """Decomposition and moment-functional tests."""
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -616,6 +618,110 @@ def test_inequality_item_b2_is_tight():
 
 
 # ---------------------------------------------------------------------------
+# Exact projections against a product-grid reference
+# ---------------------------------------------------------------------------
+
+def _contract(table, w):
+    """Sum of ``table`` weighted by ``w`` along every axis."""
+    while table.ndim:
+        table = table @ w
+    return float(table)
+
+
+class _GridReference:
+    """Hoeffding tables of a kernel on the atoms of a finite law.
+
+    The kernel is evaluated once on the s^k product grid of the atoms; h_p
+    is that grid contracted with the probabilities along its last k - p
+    axes, and t_p follows by inclusion-exclusion on the p-fold grid, so
+    every moment integral is a weighted sum over one table.
+    """
+
+    def __init__(self, kernel, dist):
+        k, s, w = kernel.order, dist.atoms.size, dist.probs
+        # broadcasting puts the atoms on axis i of the (s,)*k grid
+        axes = [dist.atoms.reshape((s,) + (1,) * (k - 1 - i)) for i in range(k)]
+        h = np.broadcast_to(model.kernel_values(kernel, axes), (s,) * k)
+        marg = [h]
+        for _ in range(k):
+            marg.append(marg[-1] @ w)
+        marg.reverse()  # marg[p] is h_p on the p-fold grid
+        self.w = w
+        self.theta = float(marg[0])
+        self.g = marg[1] - self.theta
+        self.var_g = _contract(np.square(self.g), w)
+        self.var_h = _contract(np.square(h), w) - self.theta**2
+        self.t = {}
+        for p in range(2, k + 1):
+            t = np.zeros((s,) * p)
+            for size in range(p + 1):
+                for b in itertools.combinations(range(p), size):
+                    # h_|B| placed on the axes B of the p-fold grid
+                    term = marg[size].reshape([s if i in b else 1 for i in range(p)])
+                    t = t + (-1.0) ** (p - size) * term
+            self.t[p] = t
+
+    def moment(self, kind, p, exponent):
+        s = self.g.size
+        # g on axis i of the p-fold grid
+        g = [self.g.reshape([s if j == i else 1 for j in range(p)]) for i in range(p)]
+        if kind == "abs_g":
+            f = np.abs(g[0]) ** exponent
+        elif kind == "g3":
+            f = g[0] ** 3
+        elif kind == "abs_t":
+            f = np.abs(self.t[p]) ** exponent
+        else:  # "aligned"
+            f = functools.reduce(np.multiply, g, self.t[p])
+        return _contract(f, self.w)
+
+
+ORDER3_KERNEL = model.symmetrize(lambda a, b, c: abs(a - b) * c + a * b * c, 3)
+EXACT_KERNELS = [
+    pytest.param(model.gini_kernel(), id="gini"),
+    pytest.param(model.variance_kernel(), id="variance"),
+    pytest.param(ORDER3_KERNEL, id="order3"),
+]
+
+
+@pytest.mark.parametrize("dist_ident", ["bernoulli:0.3", "uniform-atoms:-1,0,2"])
+@pytest.mark.parametrize("kernel", EXACT_KERNELS)
+def test_exact_projection_matches_the_product_grid_reference(kernel, dist_ident):
+    dist = model.distribution_preset(dist_ident)
+    proj = hoeffding.ProjectionSet(kernel, dist, strategy="exact")
+    ref = _GridReference(kernel, dist)
+    k = kernel.order
+    cases = [("abs_g", 1, q) for q in (1.7, 3.0)] + [("g3", 1, 1.0)]
+    for p in range(2, k + 1):
+        cases += [("abs_t", p, a) for a in (1.8, 2.0)] + [("aligned", p, 1.0)]
+    pairs = [(proj.theta, ref.theta), (proj.var_g, ref.var_g), (proj.var_h, ref.var_h)]
+    for kind, p, exponent in cases:
+        val, bar = proj.moment(kind, p, exponent)
+        assert bar is None
+        pairs.append((val, ref.moment(kind, p, exponent)))
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("kernel", EXACT_KERNELS)
+def test_exact_moments_compute_each_component_once(monkeypatch, kernel):
+    orders = []
+    component = hoeffding.ProjectionSet._component
+
+    def counting(self, p, h):
+        orders.append(p)
+        return component(self, p, h)
+
+    monkeypatch.setattr(hoeffding.ProjectionSet, "_component", counting)
+    d = hoeffding.decompose(kernel, model.distribution_preset("uniform-atoms:-1,0,2"), 7)
+    hoeffding.moment_summary(d, alpha=1.8)
+    if kernel.order == 2:
+        hoeffding.order2_edgeworth_inputs(d)
+    # every kind of order p shares the atom grid and its t_p
+    assert sorted(orders) == list(range(2, kernel.order + 1))
+
+
+# ---------------------------------------------------------------------------
 # Closed forms come from the kernel's fields, not its name
 # ---------------------------------------------------------------------------
 
@@ -1007,3 +1113,10 @@ def test_kappa_validates_order():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValidationError):
         variance_normal(10, strategy="bootstrap")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["linear_part", "remainder", "value_via_parts"])
+def test_decomposed_parts_refuse_nonfinite_samples(part, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        getattr(gini_bern(3), part)([0.0, bad, 1.0])

@@ -186,6 +186,12 @@ def test_validation_errors():
         studentize.studentized_ustat(k2, np.arange(4.0), theta=math.inf)
 
 
+def test_statistic_overflow_is_refused():
+    # U and sigma_hat are finite, but U - theta overflows
+    with pytest.raises(ValidationError, match="overflow"):
+        studentize.studentized_ustat(model.product_kernel(), [1.0, 2.0, 3.0], theta=-1.7e308)
+
+
 def test_large_n_consistency_variance_exponential():
     # sigma_g^2 = 2 for the variance kernel under exponential(1)
     k = model.variance_kernel()
