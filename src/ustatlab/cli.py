@@ -1,8 +1,11 @@
 """Command line interface for decompositions, oracles, and experiments.
 
+Each subcommand's handler returns ``(payload, summary)``: a report, or a
+``payload.document`` of the values it computed, and a one-line summary.
+``main`` writes the payload as JSON to --out when given (with the writer the
+subcommand sets as ``write``), else to stdout, then the summary to stderr.
 Exit codes: 0 on success, 1 on runtime errors (validation, degenerate
-configurations, refused overwrites), 2 on usage errors.  JSON payloads go to
---out when given, else to stdout; one-line summaries go to stderr.
+configurations, refused overwrites), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -18,6 +22,7 @@ import numpy as np
 
 from . import approx, exper, hoeffding, model, oracle, studentize
 from .errors import ConfigError, IncompatibleOptions, UStatError, ValidationError
+from .payload import document
 
 THREADS_ENV_VAR = "USTATLAB_THREADS"
 
@@ -59,17 +64,6 @@ def _default_threads() -> int:
 
 def _resolve_threads(flag_value: Optional[int]) -> int:
     return flag_value if flag_value is not None else _default_threads()
-
-
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
-def _emit(payload: dict, out: Optional[str], force: bool) -> None:
-    if out is None:
-        sys.stdout.write(exper.json_text(payload))
-    else:
-        exper.write_json_report(payload, out, force=force)
 
 
 def _kernel_dist_ids(args: argparse.Namespace) -> tuple[str, str]:
@@ -135,219 +129,150 @@ def _projection(args: argparse.Namespace, **extra) -> tuple[hoeffding.Decomposed
     return d, config
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, str]:
     d, config = _projection(args)
-    payload = {
-        "schema": exper.SCHEMA_VERSION,
+    fields = {
         "config": config,
         "theta": d.theta,
         "sigma_g": d.sigma_g,
-        "kappa": list(hoeffding.kappa_vector(d)),
+        "kappa": hoeffding.kappa_vector(d),
         "linear_scale": d.l_scale,
-        "component_scales": {str(p): d.t_scale(p) for p in range(2, d.order + 1)},
+        "component_scales": {p: d.t_scale(p) for p in range(2, d.order + 1)},
     }
     if args.data is not None:
         x = np.asarray(args.data, dtype=float)
-        payload["evaluation"] = {
-            "data": [float(v) for v in x],
-            "value": d.value(x),
-            "linear_part": d.linear_part(x),
-            "remainder": d.remainder(x),
-        }
-    _emit(payload, args.out, args.force)
-    _summary(
+        fields["evaluation"] = {"data": x, "value": d.value(x),
+                                "linear_part": d.linear_part(x), "remainder": d.remainder(x)}
+    return document(**fields), (
         f"decompose kernel={args.kernel} dist={args.dist} n={args.n} "
         f"theta={d.theta!r} sigma_g={d.sigma_g!r}"
     )
-    return 0
 
 
-def _cmd_moments(args: argparse.Namespace) -> int:
+def _cmd_moments(args: argparse.Namespace) -> tuple[dict, str]:
     d, config = _projection(args, alpha=args.alpha)
     summary = hoeffding.moment_summary(d, alpha=args.alpha)
-    payload = {
-        "schema": exper.SCHEMA_VERSION,
-        "config": config,
-        "moments": summary.to_json(),
-    }
+    fields = {"config": config, "moments": summary}
     if args.inequalities:
-        report = hoeffding.moment_inequalities(d, alpha=args.inequality_alpha)
-        payload["inequalities"] = report.to_json()
-    _emit(payload, args.out, args.force)
-    _summary(
+        fields["inequalities"] = hoeffding.moment_inequalities(d, alpha=args.inequality_alpha)
+    return document(**fields), (
         f"moments kernel={args.kernel} dist={args.dist} n={args.n} "
         f"beta={summary.beta!r} gamma={summary.gamma!r}"
     )
-    return 0
 
 
-def _cmd_approx_eval(args: argparse.Namespace) -> int:
+def _cmd_approx_eval(args: argparse.Namespace) -> tuple[dict, str]:
     adj = approx.AdjustedNormal(tuple(args.kappa))
     xs = np.asarray(args.x, dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(args.t or ()))):
         raise ValidationError("evaluation points and transform arguments must be finite")
-    cdf = approx.adjusted_cdf(adj, xs)
-    density = approx.adjusted_density(adj, xs)
-    payload = {
-        "schema": exper.SCHEMA_VERSION,
-        "config": {"kappa": list(args.kappa)},
-        "points": [
-            {"x": float(x), "cdf": float(c), "density": float(p)}
-            for x, c, p in zip(xs, np.atleast_1d(cdf), np.atleast_1d(density))
-        ],
+    cdf = np.atleast_1d(approx.adjusted_cdf(adj, xs))
+    density = np.atleast_1d(approx.adjusted_density(adj, xs))
+    fields = {
+        "config": {"kappa": args.kappa},
+        "points": [{"x": x, "cdf": c, "density": p} for x, c, p in zip(xs, cdf, density)],
     }
     if args.t is not None:
-        rows = []
-        for t in args.t:
-            v = approx.adjusted_cf(adj, float(t))
-            rows.append(
-                {"t": float(t), "re": float(np.real(v)), "im": float(np.imag(v))}
-            )
-        payload["characteristic"] = rows
+        cf = np.atleast_1d(approx.adjusted_cf(adj, args.t))
+        fields["characteristic"] = [{"t": t, "re": v.real, "im": v.imag}
+                                    for t, v in zip(args.t, cf)]
     if args.select_alpha is not None:
-        payload["selected_order"] = approx.select_correction_order(
+        fields["selected_order"] = approx.select_correction_order(
             args.select_alpha, args.kernel_order
         )
-    _emit(payload, args.out, args.force)
-    _summary(f"approx-eval kappa={list(args.kappa)} points={len(args.x)}")
-    return 0
+    return document(**fields), f"approx-eval kappa={args.kappa} points={len(args.x)}"
 
 
-def _cmd_studentize(args: argparse.Namespace) -> int:
+def _read_sample(path: str) -> np.ndarray:
+    """The numbers of a text file, one per line; ``#`` starts a comment."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's note on an empty file
+        try:
+            x = np.loadtxt(path, ndmin=1)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not one number per line: {exc}") from exc
+    if x.size == 0:
+        raise ValidationError(f"{path} holds no values")
+    return x
+
+
+def _cmd_studentize(args: argparse.Namespace) -> tuple[dict, str]:
     kernel = model.kernel_preset(args.kernel)
-    if args.data is not None:
-        x = np.asarray(args.data, dtype=float)
-    else:
-        x = np.loadtxt(args.data_file, ndmin=1)
+    x = _read_sample(args.data_file) if args.data is None else np.asarray(args.data, dtype=float)
     st = studentize.studentized_ustat(kernel, x, args.theta)
-    payload = {
-        "schema": exper.SCHEMA_VERSION,
-        "config": {"kernel": args.kernel, "theta": args.theta, "n": st.n},
-        "u_stat": st.u_stat,
-        "sigma_hat_g": st.sigma_hat_g,
-        "value": st.value,
-    }
-    _emit(payload, args.out, args.force)
-    _summary(
-        f"studentize kernel={args.kernel} n={st.n} u={st.u_stat!r} value={st.value!r}"
-    )
-    return 0
+    config = {"kernel": args.kernel, "theta": args.theta, "n": st.n}
+    return document(
+        config=config, u_stat=st.u_stat, sigma_hat_g=st.sigma_hat_g, value=st.value
+    ), f"studentize kernel={args.kernel} n={st.n} u={st.u_stat!r} value={st.value!r}"
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[dict, str]:
     kernel = model.kernel_preset(args.kernel)
     dist = model.distribution_preset(args.dist)
-    config = {
-        "kernel": args.kernel,
-        "dist": args.dist,
-        "n": args.n,
-        "alpha": args.alpha,
-        "budget": args.budget,
-    }
+    config = {"kernel": args.kernel, "dist": args.dist, "n": args.n,
+              "alpha": args.alpha, "budget": args.budget}
+    head = f"oracle kernel={args.kernel} dist={args.dist} n={args.n}"
     if args.u_only:
-        atoms, probs, theta = oracle.exact_u_distribution(
-            kernel, dist, args.n, budget=args.budget
-        )
+        atoms, probs, theta = oracle.exact_u_distribution(kernel, dist, args.n, budget=args.budget)
         tuples, type_classes = oracle.enumeration_size(dist, args.n)
-        payload = {
-            "schema": exper.SCHEMA_VERSION,
-            "config": config,
-            "tuples": tuples,
-            "type_classes": type_classes,
-            "theta": theta,
-            "u_atoms": [float(v) for v in atoms],
-            "u_probs": [float(v) for v in probs],
-        }
-        _emit(payload, args.out, args.force)
-        _summary(
-            f"oracle kernel={args.kernel} dist={args.dist} n={args.n} "
-            f"tuples={tuples} type_classes={type_classes} atoms={atoms.size} (raw U law)"
-        )
-        return 0
-    report = oracle.exact_distribution(
-        kernel, dist, args.n, alpha=args.alpha, budget=args.budget
-    )
-    payload = {
-        "schema": exper.SCHEMA_VERSION,
-        "config": config,
-        "report": report.to_json(),
-    }
-    _emit(payload, args.out, args.force)
-    _summary(
-        f"oracle kernel={args.kernel} dist={args.dist} n={args.n} "
-        f"tuples={report.tuples} type_classes={report.type_classes} "
+        return document(
+            config=config, tuples=tuples, type_classes=type_classes, theta=theta,
+            u_atoms=atoms, u_probs=probs,
+        ), f"{head} tuples={tuples} type_classes={type_classes} atoms={atoms.size} (raw U law)"
+    report = oracle.exact_distribution(kernel, dist, args.n, alpha=args.alpha, budget=args.budget)
+    return document(config=config, report=report), (
+        f"{head} tuples={report.tuples} type_classes={report.type_classes} "
         f"kappa1={report.kappa[0]!r} dist_phi={report.dist_phi!r}"
     )
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[exper.RateReport, str]:
     cfg = _experiment_config(args)
     report = exper.run_ecdf_experiment(cfg)
-    if args.out is not None:
-        csv_path, json_path = exper.write_rate_report(report, args.out, force=args.force)
-        where = f"out={csv_path},{json_path}"
-    else:
-        sys.stdout.write(exper.json_text(report.to_json()))
-        where = "out=stdout"
+    where = "stdout" if args.out is None else ",".join(map(str, exper.rate_report_paths(args.out)))
     max_distance = max(r.distance for r in report.rows)
     slope = "none" if report.slope is None else repr(report.slope)
-    _summary(
+    return report, (
         f"simulate kernel={cfg.kernel} dist={cfg.dist} reps={cfg.reps} "
-        f"max_distance={max_distance!r} slope={slope} {where}"
+        f"max_distance={max_distance!r} slope={slope} out={where}"
     )
-    return 0
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
+def _cmd_counterexample(args: argparse.Namespace) -> tuple[exper.ComparatorStudy, str]:
     study = exper.quadratic_counterexample(
-        args.eps,
-        args.n,
-        reps=args.reps,
-        seed=args.seed,
-        threads=_resolve_threads(args.threads),
+        args.eps, args.n, reps=args.reps, seed=args.seed, threads=_resolve_threads(args.threads)
     )
-    _emit(study.to_json(), args.out, args.force)
-    _summary(
+    return study, (
         f"counterexample eps={args.eps} n={args.n} dist_phi={study.dist_phi!r} "
         f"dist_adjusted={study.dist_adjusted!r}"
     )
-    return 0
 
 
-def _cmd_example1(args: argparse.Namespace) -> int:
+def _cmd_example1(args: argparse.Namespace) -> tuple[exper.PerturbedNormalReport, str]:
     eps_grid = tuple(args.eps_grid) if args.eps_grid else exper.DEFAULT_EPS_GRID
     report = exper.perturbed_normal_study(args.a, eps_grid=eps_grid)
-    _emit(report.to_json(), args.out, args.force)
-    _summary(
+    return report, (
         f"example1 a={args.a} exponent={report.exponent!r} "
         f"bound={report.exponent_bound!r} ok={report.satisfies_bound}"
     )
-    return 0
 
 
-def _cmd_cf_check(args: argparse.Namespace) -> int:
+def _cmd_cf_check(args: argparse.Namespace) -> tuple[exper.CfReport, str]:
     cfg = _experiment_config(args)
     t_grid = tuple(args.t_grid) if args.t_grid else DEFAULT_T_GRID
     report = exper.char_function_check(cfg, t_grid)
-    _emit(report.to_json(), args.out, args.force)
-    ratios = " ".join(
-        f"n={n}:{v!r}" for n, v in sorted(report.max_ratio_by_n.items())
-    )
-    _summary(f"cf-check kernel={cfg.kernel} dist={cfg.dist} max_ratio {ratios}")
-    return 0
+    ratios = " ".join(f"n={n}:{v!r}" for n, v in sorted(report.max_ratio_by_n.items()))
+    return report, f"cf-check kernel={cfg.kernel} dist={cfg.dist} max_ratio {ratios}"
 
 
-def _cmd_smooth_check(args: argparse.Namespace) -> int:
+def _cmd_smooth_check(args: argparse.Namespace) -> tuple[exper.SmoothReport, str]:
     cfg = _experiment_config(args)
     report = exper.smooth_function_check(cfg, args.function)
-    _emit(report.to_json(), args.out, args.force)
     worst = max(r.ratio for r in report.rows)
-    _summary(
+    return report, (
         f"smooth-check kernel={cfg.kernel} dist={cfg.dist} f={args.function} "
         f"max_ratio={worst!r}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +284,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--force", action="store_true", help="overwrite an existing output file"
     )
-    # every file that --out names, checked before the command runs
-    p.set_defaults(out_paths=lambda out: (Path(out),))
+    # every file that --out names, checked before the command runs, and the
+    # writer of the command's payload to --out
+    p.set_defaults(out_paths=lambda out: (Path(out),), write=exper.write_json_report)
 
 
 def _add_projection_flags(p: argparse.ArgumentParser) -> None:
@@ -509,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference law for distances (phi only with the studentized estimator)",
     )
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate, out_paths=exper.rate_report_paths)
+    p.set_defaults(
+        handler=_cmd_simulate, out_paths=exper.rate_report_paths, write=exper.write_rate_report
+    )
 
     p = sub.add_parser(
         "counterexample", help="plain vs adjusted target on the quadratic preset"
@@ -586,7 +514,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.out is not None:
             exper.refuse_existing(args.out_paths(args.out), args.force)
-        return args.handler(args)
+        payload, summary = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(exper.json_text(payload))
+        else:
+            args.write(payload, args.out, force=args.force)
+        print(summary, file=sys.stderr)
+        return 0
     except IncompatibleOptions as exc:
         parser.error(str(exc))
     except (UStatError, FileExistsError, OSError) as exc:

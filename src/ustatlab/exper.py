@@ -20,7 +20,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroVarianceEstimate,
 )
-from .payload import SCHEMA_VERSION, Payload  # the CLI reads exper.SCHEMA_VERSION
+from .payload import SCHEMA_VERSION, Payload, encode  # tests read exper.SCHEMA_VERSION
 
 CHUNK_REPLICATES = 4096
 DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256)
@@ -768,18 +768,22 @@ def rate_csv_text(report: RateReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_text(payload: dict) -> str:
-    """``payload`` as strict JSON text (RFC 8259), which has no NaN or Infinity."""
+def json_text(payload: Any) -> str:
+    """``payload`` (a report, or any value ``encode`` takes) as strict
+    JSON text (RFC 8259), which has no NaN or Infinity."""
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(encode(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValidationError(f"payload is not strict JSON: {exc}") from exc
 
 
 def rate_report_paths(csv_path: str | Path) -> tuple[Path, Path]:
-    """The CSV table of a rate report and its JSON sidecar."""
+    """The CSV table of a rate report and its JSON sidecar, which must differ."""
     csv_path = Path(csv_path)
-    return csv_path, csv_path.with_suffix(".json")
+    json_path = csv_path.with_suffix(".json")
+    if json_path == csv_path:
+        raise ValidationError(f"{csv_path} would be both the CSV table and its JSON sidecar")
+    return csv_path, json_path
 
 
 def write_rate_report(
@@ -788,13 +792,14 @@ def write_rate_report(
     """Write the CSV table and its JSON sidecar; returns both paths."""
     csv_path, json_path = rate_report_paths(csv_path)
     # the JSON text is made first, so a payload it refuses writes neither file
-    text = json_text(report.to_json())
+    text = json_text(report)
     _atomic_write_text(csv_path, rate_csv_text(report), force)
     _atomic_write_text(json_path, text, force)
     return csv_path, json_path
 
 
-def write_json_report(payload: dict, path: str | Path, force: bool = False) -> Path:
+def write_json_report(payload: Any, path: str | Path, force: bool = False) -> Path:
+    """Write ``payload`` (a report, or any value ``encode`` takes) as JSON."""
     path = Path(path)
     _atomic_write_text(path, json_text(payload), force)
     return path

@@ -1,12 +1,14 @@
-"""JSON payloads of report dataclasses: a report's payload is its fields.
+"""JSON payloads: a report's payload is its fields, a command's its values.
 
-``Payload.to_json()`` writes each dataclass field under its own name.
-Tuples, lists and arrays become lists, dict keys become strings (a pair
-key (p, q) becomes ``"p,q"``), a complex field ``f`` becomes ``f_re`` and
-``f_im``, and nested dataclasses are written by the same rules.  Field
-metadata ``payload=False`` leaves a field out, and ``omit_none`` leaves it
-out while it is None.  A class with ``schema = True`` leads its payload with
-``SCHEMA_VERSION``.
+``encode(value)`` turns a value into plain JSON values.  Tuples, lists and
+arrays become lists, dict keys become strings (a pair key (p, q) becomes
+``"p,q"``), and a dataclass becomes its fields, each under its own name: a
+complex field ``f`` becomes ``f_re`` and ``f_im``, field metadata
+``payload=False`` leaves a field out, and ``omit_none`` leaves it out while it
+is None.  ``document(**fields)`` is a whole payload: the schema key with
+``SCHEMA_VERSION``, then the encoded fields.  A report class with
+``schema = True`` is written as a document, and ``document`` is the one place
+the schema key is written.
 """
 
 from __future__ import annotations
@@ -25,29 +27,35 @@ def _key(key: Any) -> str:
     return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
-def _value(value: Any) -> Any:
+def encode(value: Any) -> Any:
+    """``value`` as plain JSON values: lists, string-keyed dicts, numbers."""
     if isinstance(value, (float, int, str)) or value is None:
         return value
     if isinstance(value, (tuple, list)):
-        return [_value(v) for v in value]
+        return [encode(v) for v in value]
     if isinstance(value, dict):
-        return {_key(k): _value(v) for k, v in value.items()}
+        return {_key(k): encode(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return value.tolist()
     return _fields(value) if dataclasses.is_dataclass(value) else value
 
 
+def document(**fields: Any) -> dict:
+    """A payload: the schema version, then ``fields`` encoded."""
+    return {"schema": SCHEMA_VERSION, **encode(fields)}
+
+
 def _fields(obj: Any) -> dict:
-    out: dict = {"schema": SCHEMA_VERSION} if getattr(obj, "schema", False) else {}
+    raw: dict = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if not f.metadata.get("payload", True) or (value is None and f.metadata.get("omit_none")):
             continue
         if isinstance(value, complex):
-            out[f"{f.name}_re"], out[f"{f.name}_im"] = value.real, value.imag
+            raw[f"{f.name}_re"], raw[f"{f.name}_im"] = value.real, value.imag
         else:
-            out[f.name] = _value(value)
-    return out
+            raw[f.name] = value
+    return document(**raw) if isinstance(obj, Payload) and obj.schema else encode(raw)
 
 
 class Payload:

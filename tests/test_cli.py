@@ -326,6 +326,42 @@ def test_studentize_data_file_matches_inline(capsys, tmp_path):
     assert from_file == inline
 
 
+@pytest.mark.parametrize(
+    "text, reason", [("1.0\nabc\n3.0\n", "one number per line"), ("# no values\n", "no values")],
+    ids=["non-numeric", "empty"],
+)
+def test_studentize_refuses_a_bad_data_file_naming_it(capsys, tmp_path, text, reason):
+    data_file = tmp_path / "sample.txt"
+    data_file.write_text(text)
+    dest = tmp_path / "stu.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, [
+            "studentize", "--kernel", "product", "--theta", "1",
+            "--data-file", str(data_file), "--out", str(dest),
+        ])
+    assert caught == []
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(data_file) in err and reason in err
+    assert not dest.exists()
+
+
+def test_studentize_data_file_keeps_comments_and_names_a_missing_file(capsys, tmp_path):
+    data_file = tmp_path / "sample.txt"
+    data_file.write_text("# a sample\n1.0\n2.0  # second\n3.0\n")
+    payload, _ = run_json(capsys, [
+        "studentize", "--kernel", "product", "--theta", "1", "--data-file", str(data_file),
+    ])
+    assert payload["config"]["n"] == 3
+    rc, out, err = run_cli(capsys, [
+        "studentize", "--kernel", "product", "--theta", "1",
+        "--data-file", str(tmp_path / "missing.txt"),
+    ])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "missing.txt" in err
+
+
 def test_studentize_zero_variance_is_runtime_error(capsys):
     rc, out, err = run_cli(capsys, [
         "studentize", "--kernel", "variance", "--theta", "0",
@@ -476,6 +512,94 @@ def test_smooth_check_constant_function_has_zero_gap(capsys):
 
 
 # ---------------------------------------------------------------------------
+# Payload key sets of the commands that are not one report
+# ---------------------------------------------------------------------------
+
+PROJECTION_KEYS = ["dist", "kernel", "n", "seed", "strategy"]
+DECOMPOSE_KEYS = ["component_scales", "config", "kappa", "linear_scale", "schema", "sigma_g",
+                  "theta"]
+BAR_KEYS = ["beta_se", "gamma_alpha_se", "gamma_se", "kappa_se"]
+MOMENT_KEYS = ["alpha", "beta", "gamma", "gamma_alpha", "gamma_alpha_components",
+               "gamma_components", "kappa", "kernel_order", "method", "n"]
+ORACLE_CONFIG_KEYS = ["alpha", "budget", "dist", "kernel", "n"]
+EXACT_REPORT_KEYS = [
+    "alpha", "beta", "component_cross", "cov_l_t", "dist", "dist_adjusted", "dist_edgeworth2",
+    "dist_phi", "e_g3", "e_gg_eta", "e_tt_full", "gamma", "gamma_alpha",
+    "gamma_alpha_components", "gamma_components", "kappa", "kernel", "linear_component_cross",
+    "mean_s", "n", "power_cross", "prob_total", "s_atoms", "s_probs", "sigma_g", "theta",
+    "tuples", "type_classes", "u_atoms", "u_probs", "var_s",
+]
+GINI_N4 = ["--kernel", "gini", "--n", "4", "--inner-reps", "300"]
+
+# argv -> key set of the payload (""), and of each nested dict or first list item
+CLI_KEYS = [
+    (["decompose", *GINI_N4, "--dist", "bernoulli:0.3"], {
+        "": DECOMPOSE_KEYS, "config": PROJECTION_KEYS, "component_scales": ["2"],
+    }),
+    (["decompose", *GINI_N4, "--dist", "exponential", "--data", "1,2,3,4.5"], {
+        "": sorted(DECOMPOSE_KEYS + ["evaluation"]),
+        "config": sorted(PROJECTION_KEYS + ["nodes"]),
+        "component_scales": ["2"],
+        "evaluation": ["data", "linear_part", "remainder", "value"],
+    }),
+    (["decompose", *GINI_N4, "--dist", "exponential", "--strategy", "monte-carlo"], {
+        "": DECOMPOSE_KEYS, "config": sorted(PROJECTION_KEYS + ["inner_reps"]),
+    }),
+    (["moments", *GINI_N4, "--dist", "bernoulli:0.3"], {
+        "": ["config", "moments", "schema"],
+        "config": sorted(PROJECTION_KEYS + ["alpha"]),
+        "moments": MOMENT_KEYS,
+    }),
+    (["moments", *GINI_N4, "--dist", "exponential", "--strategy", "monte-carlo",
+      "--inequalities"], {
+        "": ["config", "inequalities", "moments", "schema"],
+        "config": sorted(PROJECTION_KEYS + ["alpha", "inner_reps"]),
+        "moments": sorted(MOMENT_KEYS + BAR_KEYS),
+        "inequalities": ["all_passed", "alpha", "items"],
+        "inequalities.items": ["label", "lhs", "passed", "rhs"],
+    }),
+    (["approx-eval", "--kappa", "0,0.1"], {
+        "": ["config", "points", "schema"], "config": ["kappa"],
+        "points": ["cdf", "density", "x"],
+    }),
+    (["approx-eval", "--kappa", "0,0.1", "--t", "0.5,1", "--select-alpha", "1.8"], {
+        "": ["characteristic", "config", "points", "schema", "selected_order"],
+        "characteristic": ["im", "re", "t"],
+    }),
+    (["studentize", "--kernel", "gini", "--theta", "0", "--data", "1,2,3"], {
+        "": ["config", "schema", "sigma_hat_g", "u_stat", "value"],
+        "config": ["kernel", "n", "theta"],
+    }),
+    (["oracle", "--kernel", "gini", "--dist", "bernoulli:0.3", "--n", "6"], {
+        "": ["config", "report", "schema"], "config": ORACLE_CONFIG_KEYS,
+        "report": EXACT_REPORT_KEYS, "report.power_cross": ["2"],
+        "report.linear_component_cross": ["2"],
+    }),
+    (["oracle", "--kernel", "gini", "--dist", "bernoulli:0.3", "--n", "6", "--u-only"], {
+        "": ["config", "schema", "theta", "tuples", "type_classes", "u_atoms", "u_probs"],
+        "config": ORACLE_CONFIG_KEYS,
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, keys", CLI_KEYS, ids=[" ".join(argv) for argv, _ in CLI_KEYS])
+def test_cli_payload_keys_are_pinned(capsys, monkeypatch, argv, keys):
+    written = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: written.append(obj) or dumps(obj, **kw))
+    out, _ = run_json(capsys, argv)
+    # the object handed to the JSON writer leads with the schema version
+    assert len(written) == 1 and next(iter(written[0])) == "schema"
+    assert out["schema"] == "v1"
+    for path, want in keys.items():
+        value = out
+        for key in filter(None, path.split(".")):
+            value = value[key]
+            value = value[0] if isinstance(value, list) else value
+        assert sorted(value) == want, path
+
+
+# ---------------------------------------------------------------------------
 # Output files and overwrite guard
 # ---------------------------------------------------------------------------
 
@@ -508,6 +632,19 @@ def test_simulate_out_refuses_overwrite_of_sidecar(capsys, tmp_path):
     assert rc == 1
     assert "force" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_simulate_out_refuses_a_json_name(capsys, tmp_path, force):
+    out = tmp_path / "rates.json"
+    rc, stdout, err = run_cli(capsys, [
+        "simulate", "--kernel", "variance", "--dist", "normal",
+        "--n", "8", "--reps", "2000", "--out", str(out), *force,
+    ])
+    assert rc == 1 and stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "rates.json" in err and "exists" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -689,6 +689,14 @@ def test_write_rate_report_and_force_guard(tmp_path):
     exper.write_rate_report(report, csv_path, force=True)
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_write_rate_report_refuses_a_csv_name_that_is_its_sidecar(tmp_path, force):
+    report = exper.run_ecdf_experiment(small_config(n_grid=(8,), reps=2000))
+    with pytest.raises(ValidationError, match="rates.json"):
+        exper.write_rate_report(report, tmp_path / "rates.json", force=force)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_json_report(tmp_path):
     path = exper.write_json_report({"b": 1, "a": 2}, tmp_path / "out.json")
     text = path.read_text()
