@@ -5,7 +5,9 @@ Each subcommand's handler returns ``(payload, summary)``: a report, or a
 ``main`` writes the payload as JSON to --out when given (with the writer the
 subcommand sets as ``write``), else to stdout, then the summary to stderr.
 Exit codes: 0 on success, 1 on runtime errors (validation, degenerate
-configurations, refused overwrites), 2 on usage errors.
+configurations, refused overwrites), 2 on usage errors.  A run builds only
+the parser of the subcommand it names, and the parser of all ten only for the
+top-level help and errors, which list them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -349,15 +351,22 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ustatlab",
-        description="U-statistic decompositions, adjusted normal targets, and "
-        "Monte Carlo rate experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's parser arguments and flags, in the order the full parser
+# lists them: name -> (``add_parser`` keyword arguments, function adding the
+# flags and defaults to the subparser).
+_SUBCOMMANDS: dict[str, tuple[dict, Callable[[argparse.ArgumentParser], None]]] = {}
 
-    p = sub.add_parser("decompose", help="project a kernel and report scales")
+
+def _subcommand(name: str, **parser_kwargs):
+    """Register the decorated function as the flags of subcommand ``name``."""
+    def register(add_flags):
+        _SUBCOMMANDS[name] = (parser_kwargs, add_flags)
+        return add_flags
+    return register
+
+
+@_subcommand("decompose", help="project a kernel and report scales")
+def _decompose_flags(p: argparse.ArgumentParser) -> None:
     _add_projection_flags(p)
     p.add_argument(
         "--data", type=_floats, default=None, help="evaluate the statistic on a sample"
@@ -365,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("moments", help="moment functionals of one decomposition")
+
+@_subcommand("moments", help="moment functionals of one decomposition")
+def _moments_flags(p: argparse.ArgumentParser) -> None:
     _add_projection_flags(p)
     p.add_argument("--alpha", type=float, default=2.0, help="remainder moment exponent")
     p.add_argument(
@@ -377,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("approx-eval", help="evaluate an adjusted normal law")
+
+@_subcommand("approx-eval", help="evaluate an adjusted normal law")
+def _approx_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--kappa", type=_floats, required=True, help="comma-separated coefficients"
     )
@@ -393,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_approx_eval)
 
-    p = sub.add_parser("studentize", help="studentized statistic of one sample")
+
+@_subcommand("studentize", help="studentized statistic of one sample")
+def _studentize_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", required=True)
     p.add_argument("--theta", type=float, required=True, help="centering value")
     src = p.add_mutually_exclusive_group(required=True)
@@ -402,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_studentize)
 
-    p = sub.add_parser("oracle", help="exact law by type-class enumeration")
+
+@_subcommand("oracle", help="exact law by type-class enumeration")
+def _oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -421,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("simulate", help="ECDF distance experiment over an n-grid")
+
+@_subcommand("simulate", help="ECDF distance experiment over an n-grid")
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     _add_experiment_flags(p)
     p.add_argument(
         "--estimator",
@@ -439,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_simulate, out_paths=exper.rate_report_paths, write=exper.write_rate_report
     )
 
-    p = sub.add_parser(
-        "counterexample", help="plain vs adjusted target on the quadratic preset"
-    )
+
+@_subcommand("counterexample", help="plain vs adjusted target on the quadratic preset")
+def _counterexample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=exper.DEFAULT_REPS)
@@ -450,9 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_counterexample)
 
-    p = sub.add_parser(
-        "example1", help="perturbed-normal sup-distance exponent study"
-    )
+
+@_subcommand("example1", help="perturbed-normal sup-distance exponent study")
+def _example1_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True, help="perturbation power")
     p.add_argument(
         "--eps-grid", type=_floats, default=None, help="perturbation amplitudes"
@@ -460,17 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_example1)
 
-    scoring = (
-        "Scores the standardized statistic against the adjusted law of order "
-        "--order or --target-alpha."
-    )
-    # the checks take no --target, which would otherwise abbreviate --target-alpha
-    p = sub.add_parser(
-        "cf-check",
-        allow_abbrev=False,
-        help="characteristic function envelope check",
-        description=f"Characteristic function envelope check.  {scoring}",
-    )
+
+_SCORING = (
+    "Scores the standardized statistic against the adjusted law of order "
+    "--order or --target-alpha."
+)
+
+
+# the checks take no --target, which would otherwise abbreviate --target-alpha
+@_subcommand(
+    "cf-check",
+    allow_abbrev=False,
+    help="characteristic function envelope check",
+    description=f"Characteristic function envelope check.  {_SCORING}",
+)
+def _cf_check_flags(p: argparse.ArgumentParser) -> None:
     _add_experiment_flags(p)
     p.add_argument(
         "--t-grid", type=_floats, default=None, help="transform arguments, |t| <= 6"
@@ -480,12 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_cf_check, target="adjusted", estimator="standardized"
     )
 
-    p = sub.add_parser(
-        "smooth-check",
-        allow_abbrev=False,
-        help="smooth-function expectation check",
-        description=f"Smooth-function expectation check.  {scoring}",
-    )
+
+@_subcommand(
+    "smooth-check",
+    allow_abbrev=False,
+    help="smooth-function expectation check",
+    description=f"Smooth-function expectation check.  {_SCORING}",
+)
+def _smooth_check_flags(p: argparse.ArgumentParser) -> None:
     _add_experiment_flags(p)
     p.add_argument(
         "--function",
@@ -497,20 +522,45 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_smooth_check, target="adjusted", estimator="standardized"
     )
 
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand ``command`` alone.
+
+    A one-subcommand parser parses, documents and refuses that subcommand's
+    arguments as the full parser does; only the top-level usage and help,
+    which list the subcommands, differ, so ``main`` reports top-level errors
+    with the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ustatlab",
+        description="U-statistic decompositions, adjusted normal targets, and "
+        "Monte Carlo rate experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        parser_kwargs, add_flags = _SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, **parser_kwargs))
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()`` once per process; building it costs about as much
-    as a small oracle run.  Parsing leaves the parser as it was, and every
-    default it holds is immutable, so one parser serves every call."""
-    return build_parser()
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per process and subcommand for
+    a process that runs many commands.  Parsing leaves a parser as it was,
+    and every default it holds is immutable, so one parser serves every
+    call."""
+    return build_parser(command)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named subcommand's parser is built; anything else (no
+    # arguments, -h, an unknown command) needs the full one.
+    parser = _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # the top-level parser refuses them, with every subcommand in its usage
+        args = _parser().parse_args(argv)
     try:
         if args.out is not None:
             exper.refuse_existing(args.out_paths(args.out), args.force)
@@ -522,7 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(summary, file=sys.stderr)
         return 0
     except IncompatibleOptions as exc:
-        parser.error(str(exc))
+        _parser().error(str(exc))
     except (UStatError, FileExistsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -577,8 +577,22 @@ def smooth_test_function(ident: str) -> SmoothFunction:
     with all derivatives zero.
     """
     base, _, arg = ident.partition(":")
+
+    def parameter(default: float) -> float:
+        if not arg:
+            return default
+        try:
+            value = float(arg)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise PresetError(
+                f"smooth test function {ident!r}: the parameter after ':' must be a finite number"
+            )
+        return value
+
     if base == "cos":
-        omega = float(arg) if arg else 1.0
+        omega = parameter(1.0)
         if omega <= 0.0:
             raise PresetError("cos frequency must be positive")
         return SmoothFunction(
@@ -603,7 +617,7 @@ def smooth_test_function(ident: str) -> SmoothFunction:
             ident, lambda x: np.exp(-0.5 * x * x), norm, _gauss_adjusted_mean
         )
     if base == "const":
-        level = float(arg) if arg else 1.0
+        level = parameter(1.0)
         return SmoothFunction(
             ident,
             lambda x, c=level: np.full_like(np.asarray(x, dtype=float), c),

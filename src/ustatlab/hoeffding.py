@@ -1204,8 +1204,11 @@ def moment_inequalities(
       delta = (2 - alpha)/(alpha - 1), evaluated for 3/2 < alpha < 2 and
       1 <= s < min(1/delta, k).
 
-    ``tol`` is the additive slack accepted on each comparison.
+    ``tol`` is the additive slack accepted on each comparison.  A non-finite
+    ``alpha`` is refused; a finite one outside (3/2, 2) skips the ``d:s`` items.
     """
+    if not math.isfinite(alpha):
+        raise ValidationError(f"inequality alpha must be finite, got {alpha!r}")
     b = beta(d)
     comps2 = gamma_components(d, 2.0)
     g_total = float(sum(comps2))

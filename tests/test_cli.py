@@ -6,6 +6,7 @@ child processes: one compares with commands run each in its own process, the
 other sees which modules a process running the benchmark's commands loads.
 """
 
+import argparse
 import json
 import math
 import os
@@ -92,10 +93,73 @@ def test_readme_commands_parse():
     commands = _readme_commands()
     assert len(commands) >= 10
     for line in commands:
-        try:
-            cli._parser().parse_args(shlex.split(line)[1:])
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {line}")
+        argv = shlex.split(line)[1:]
+        for parser in (cli._parser(), cli._parser(argv[0])):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
+
+
+def _help(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_one_subcommand_parser_has_the_full_parsers_help(capsys, sub):
+    own = _help(cli.build_parser(sub), [sub, "--help"], capsys)
+    assert own == _help(cli.build_parser(), [sub, "--help"], capsys)
+    assert own.startswith(f"usage: ustatlab {sub} ")
+
+
+def test_full_parser_lists_the_subcommands_in_order():
+    usage = cli.build_parser().format_usage()
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in usage
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--kernel", "variance", "--dist", "exponential", "--n", "8",
+          "--reps", "2000", "--estimator", "studentized", "--target", "adjusted"],
+         "ustatlab: error: the studentized estimator has no adjusted target; use phi\n"),
+        (["oracle", "--kernel", "gini", "--dist", "bernoulli:0.3", "--n", "4", "--bogus"],
+         "ustatlab: error: unrecognized arguments: --bogus\n"),
+    ],
+    ids=["incompatible-options", "unrecognized-arguments"],
+)
+def test_top_level_errors_print_every_subcommand_in_the_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == cli.build_parser().format_usage() + message
+
+
+def test_main_builds_only_the_named_subcommands_parser(capsys, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            rc, _, err = run_cli(capsys, ["approx-eval", "--kappa", "0.1"])
+            assert rc == 0, err
+        assert added == ["approx-eval"]
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert added[1:] == SUBCOMMANDS
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -500,6 +564,33 @@ def test_cf_check_cli_smoke(capsys):
     assert payload["max_ratio_by_n"]["16"] >= 0.0
     ts = [row["t"] for row in payload["rows"]]
     assert set(ts) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("function", ["cos:abc", "cos:nan", "cos:inf", "const:nan", "const:inf"])
+def test_smooth_check_refuses_a_nonfinite_parameter_naming_it(capsys, tmp_path, function):
+    out = tmp_path / "smooth.json"
+    rc, stdout, err = run_cli(capsys, [
+        "smooth-check", "--kernel", "gini", "--dist", "uniform", "--n", "8",
+        "--reps", "1000", "--function", function, "--out", str(out),
+    ])
+    assert rc == 1
+    assert stdout == ""
+    assert err == (f"error: smooth test function {function!r}: the parameter "
+                   "after ':' must be a finite number\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_moments_refuses_a_nonfinite_inequality_alpha(capsys, tmp_path, alpha):
+    out = tmp_path / "moments.json"
+    rc, stdout, err = run_cli(capsys, [
+        "moments", "--kernel", "variance", "--dist", "bernoulli:0.3", "--n", "5",
+        "--inequalities", "--inequality-alpha", alpha, "--out", str(out),
+    ])
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"error: inequality alpha must be finite, got {float(alpha)!r}\n"
+    assert not out.exists()
 
 
 def test_smooth_check_constant_function_has_zero_gap(capsys):

@@ -608,6 +608,19 @@ def test_moment_inequalities_pass_on_exact_configs(build):
     assert all({"label", "lhs", "rhs", "passed"} <= set(row) for row in payload["items"])
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_moment_inequalities_refuse_a_nonfinite_alpha(alpha):
+    with pytest.raises(ValidationError, match="inequality alpha must be finite"):
+        hoeffding.moment_inequalities(variance_normal(10), alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.5])
+def test_moment_inequalities_skip_d_items_outside_their_range(alpha):
+    report = hoeffding.moment_inequalities(variance_normal(10), alpha=alpha)
+    assert report.alpha == alpha
+    assert not any(item.label.startswith("d:") for item in report.items)
+
+
 def test_inequality_item_b2_is_tight():
     # n E L^2 = 1 and beta^0 = 1, so b:2 holds with equality
     report = hoeffding.moment_inequalities(variance_normal(10))
