@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import warnings
@@ -69,10 +70,18 @@ def _resolve_threads(flag_value: Optional[int]) -> int:
 
 
 def _kernel_dist_ids(args: argparse.Namespace) -> tuple[str, str]:
-    """Resolve --kernel/--dist, honoring --preset and --eps shorthands."""
+    """Resolve --kernel/--dist, or --preset with its --eps; --dist overrides a
+    preset's law.  --eps without --preset, and --preset with --kernel, are
+    refused rather than ignored or overridden."""
     kernel_id = args.kernel
     dist_id = args.dist
-    if getattr(args, "preset", None) is not None:
+    if args.preset is None and args.eps is not None:
+        raise IncompatibleOptions("--eps sets the coupling strength of --preset; give --preset too")
+    if args.preset is not None:
+        if kernel_id is not None:
+            raise IncompatibleOptions(
+                "--preset names its own kernel; give --kernel or --preset, not both"
+            )
         base_kernel, preset_dist = _PRESETS[args.preset]
         eps = args.eps if args.eps is not None else 0.0
         kernel_id = f"{base_kernel}:{eps!r}"
@@ -152,6 +161,10 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_moments(args: argparse.Namespace) -> tuple[dict, str]:
+    alpha = args.inequality_alpha
+    if args.inequalities and not math.isfinite(alpha):
+        # refused before the projection, as hoeffding.moment_inequalities refuses it
+        raise ValidationError(f"inequality alpha must be finite, got {alpha!r}")
     d, config = _projection(args, alpha=args.alpha)
     summary = hoeffding.moment_summary(d, alpha=args.alpha)
     fields = {"config": config, "moments": summary}
@@ -320,9 +333,12 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         "--preset",
         choices=sorted(_PRESETS),
         default=None,
-        help="kernel/distribution pair shorthand; combine with --eps",
+        help="kernel/distribution pair shorthand, in place of --kernel; combine "
+        "with --eps, and --dist overrides its law",
     )
-    p.add_argument("--eps", type=float, default=None, help="preset coupling strength")
+    p.add_argument(
+        "--eps", type=float, default=None, help="preset coupling strength (--preset only)"
+    )
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--n", type=int, default=None, help="single sample size")
     grid.add_argument(

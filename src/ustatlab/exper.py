@@ -650,19 +650,33 @@ def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
     """Gap between the sampled mean of f(S) and its exact adjusted-normal mean.
 
     The reported scale is beta + gamma; the derivative constant sums the
-    sup-norms of orders 2 through k + 4.
+    sup-norms of orders 2 through k + 4.  A function whose constant
+    overflows is refused before any sampling, and one whose sampled mean or
+    SE is not finite once they are taken.
     """
     f = smooth_test_function(f_ident)
     cfg = _adjusted_only(cfg, "smooth-check")
+    order = model.kernel_preset(cfg.kernel).order
+    try:
+        deriv_const = math.fsum(f.deriv_norm(m) for m in range(2, order + 5))
+    except OverflowError:
+        raise PresetError(
+            f"smooth test function {f.ident!r}: its derivative sup-norms overflow"
+        ) from None
     rows = []
     for d, adj, values, _ in _replicates(cfg):
         target = f.adjusted_mean(adj)
         fvals = np.asarray(f.fn(values), dtype=float)
-        lhs = abs(float(fvals.mean()) - target)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(fvals.mean())
+            se = float(fvals.std(ddof=1) / math.sqrt(fvals.size))
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise ValidationError(
+                f"smooth test function {f.ident!r}: its sample mean or its SE is not finite"
+            )
+        lhs = abs(mean - target)
         scale = hoeffding.beta(d) + hoeffding.gamma_var(d)
-        se = float(fvals.std(ddof=1) / math.sqrt(fvals.size))
         rows.append(SmoothRow(d.n, lhs, scale, lhs / scale, se))
-    deriv_const = math.fsum(f.deriv_norm(m) for m in range(2, d.order + 5))
     return SmoothReport(cfg, f.ident, deriv_const, tuple(rows))
 
 

@@ -50,11 +50,13 @@ the analytic closed form, the split sub-rules of quadrature, or the
 ``Kernel.pool_mean`` form (gini) prepared once on the atoms or the Monte
 Carlo inner pool; every other marginal averages the kernel over a weighted
 tail (the atom grid or the inner pool, each built once per projection) in
-blocks of cells; g and t_p follow from the marginals.  ``exact`` and
-Monte Carlo score g and t_p on a weighted tuple set: the atom grid with
-its probabilities, where h_q is read off h_q on the atom q-grid, or sampled
-tuples with their draw counts.  Quadrature takes weighted sums over its
-nodes and triangle.  All of them take their integrands from one function.
+blocks of cells; g and t_p follow from the marginals.  Every strategy but
+``analytic`` scores g and t_p on weighted tuple sets, with the integrands
+from one function: the atom grid with its probabilities, where h_q is read
+off h_q on the atom q-grid; the graded nodes and the ordered triangle of
+quadrature's fine and half rules, a weight vector per axis; or sampled
+tuples with their draw counts.  One axis-by-axis contraction sums the grids
+of exact and quadrature.
 
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
@@ -330,12 +332,6 @@ def _gauss_legendre_rules(ms: Sequence[int]) -> list[tuple[np.ndarray, np.ndarra
     return rules
 
 
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on (0, 1): the one-rule case of
-    :func:`_gauss_legendre_rules`."""
-    return _gauss_legendre_rules([m])[0]
-
-
 # the graded rules built so far, by node count
 _GRADED: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -457,63 +453,44 @@ def _integrand(
     return out
 
 
-class _GradedTables:
-    """Hoeffding tables of an order-2 kernel under the graded rule of n nodes.
+def _graded_sets(
+    kernel: Kernel, dist: Continuous, n: int, tri: int
+) -> tuple[float, float, dict[int, tuple]]:
+    """theta of an order-2 kernel under the graded rule of n nodes, its
+    absolute scale (the same weighted sum of |h_1|), and the rule's weighted
+    tuple sets by order, each (a weight vector per axis, g on each argument,
+    t_p).
 
     h_1 is split at each point (:func:`_split_marginal`, n/2 nodes a piece).
-    Order-1 integrals are weighted sums over 2n graded nodes: they cost n
-    cells a node, and the quantile tail of E g^3 on the exponential law
-    still misses 5/6 by 5e-12 at 96 nodes (2e-13 at 192).  Order-2 integrals
-    run over the tri^2 points of the ordered triangle u < v, where u = v s
-    for graded v and s of ``tri`` nodes each (Duffy, SIAM J. Numer. Anal. 19
-    (1982) 1260-1262): for a symmetric integrand F the integral is
-    2 sum_j W_j v_j sum_i W_i F(v_j s_i, v_j), and a kink of h at x = y lies
-    on the edge s = 1.  1 - v s is carried as (1 - v) + v (1 - s).  The
-    fine rule's triangle takes ``_TRIANGLE_NODES`` a side, fewer than its
-    order-1 rule, which limits its accuracy together with the pieces.
+    The order-1 set is the 2n graded nodes: they cost n cells a node, and
+    the quantile tail of E g^3 on the exponential law still misses 5/6 by
+    5e-12 at 96 nodes (2e-13 at 192).  The order-2 set is the tri^2 points
+    of the ordered triangle u < v, where u = v s for graded v and s of
+    ``tri`` nodes each (Duffy, SIAM J. Numer. Anal. 19 (1982) 1260-1262):
+    for a symmetric integrand F the integral is
+    2 sum_j W_j v_j sum_i W_i F(v_j s_i, v_j), so axis 0 (v) weighs
+    2 W_j v_j and axis 1 (s) weighs W_i, and a kink of h at x = y lies on
+    the edge s = 1.  1 - v s is carried as (1 - v) + v (1 - s).  The fine
+    rule's triangle takes ``_TRIANGLE_NODES`` a side, fewer than its order-1
+    rule, which limits its accuracy together with the pieces.
     """
-
-    def __init__(self, kernel: Kernel, dist: Continuous, n: int, tri: int) -> None:
-        u, ubar, w = _graded_rule(2 * n)
-        h1 = _split_marginal(kernel, dist, _quantile(dist, u, ubar), u, ubar, n // 2)
-        self.w = w
-        self.theta = float(w @ h1)
-        self.theta_scale = float(w @ np.abs(h1))
-        self.g = h1 - self.theta
-        self.var_g = float(w @ np.square(self.g))
-        # the triangle: v = u_j on axis 0, s = u_i on axis 1
-        u, ubar, w = _graded_rule(tri)
-        x = _quantile(dist, u, ubar)
-        tri_u = u[:, None] * u
-        tri_bar = ubar[:, None] + u[:, None] * ubar
-        tri_x = _quantile(dist, tri_u, tri_bar)
-        h1_in = _split_marginal(
-            kernel, dist, tri_x.ravel(), tri_u.ravel(), tri_bar.ravel(), n // 2
-        )
-        g_in = h1_in.reshape(tri, tri) - self.theta
-        g_out = (_split_marginal(kernel, dist, x, u, ubar, n // 2) - self.theta)[:, None]
-        # tri^2 cells, within _BLOCK_CELLS for tri up to 181
-        h = model.kernel_values(kernel, [tri_x, x[:, None]])
-        self.tri_w = w
-        self.outer = 2.0 * w * u
-        self.tri_g = [g_in, g_out]
-        self.t2 = h - g_in - g_out - self.theta
-        # Hoeffding's orthogonality: var h = 2 var g + E t_2^2.  h^2 itself
-        # grows like the square of the quantile's log at the corner v = 1,
-        # and a 64-node triangle misses var h of gini on the exponential law
-        # by 5e-12 where this misses it by 2e-13
-        self.var_h = 2.0 * self.var_g + float(np.square(self.t2) @ w @ self.outer)
-
-    def moment(self, kind: str, p: int, exponent: float) -> tuple[float, float]:
-        """The integral and its absolute scale, the same sum of |integrand|."""
-        if p == 1:
-            f = _integrand(kind, exponent, [self.g], None)
-            return float(self.w @ f), float(self.w @ np.abs(f))
-        f = _integrand(kind, exponent, self.tri_g, self.t2)
-        return (
-            float(f @ self.tri_w @ self.outer),
-            float(np.abs(f) @ self.tri_w @ self.outer),
-        )
+    u, ubar, w = _graded_rule(2 * n)
+    h1 = _split_marginal(kernel, dist, _quantile(dist, u, ubar), u, ubar, n // 2)
+    theta = float(w @ h1)
+    order1 = ([w], [h1 - theta], None)
+    # the triangle: v = u_j on axis 0, s = u_i on axis 1
+    u, ubar, tri_w = _graded_rule(tri)
+    x = _quantile(dist, u, ubar)
+    tri_u = u[:, None] * u
+    tri_bar = ubar[:, None] + u[:, None] * ubar
+    tri_x = _quantile(dist, tri_u, tri_bar)
+    h1_in = _split_marginal(kernel, dist, tri_x.ravel(), tri_u.ravel(), tri_bar.ravel(), n // 2)
+    g_in = h1_in.reshape(tri, tri) - theta
+    g_out = (_split_marginal(kernel, dist, x, u, ubar, n // 2) - theta)[:, None]
+    # tri^2 cells, within _BLOCK_CELLS for tri up to 181
+    h = model.kernel_values(kernel, [tri_x, x[:, None]])
+    order2 = ([2.0 * tri_w * u, tri_w], [g_in, g_out], h - g_in - g_out - theta)
+    return theta, float(w @ np.abs(h1)), {1: order1, 2: order2}
 
 
 def _rounding_bar(fine: float, half: float, scale: float) -> float:
@@ -557,12 +534,22 @@ def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, fl
     return mean, var, math.sqrt(var / m)
 
 
-def _prob_stats(probs: np.ndarray, vals: np.ndarray) -> tuple[float, None, None]:
-    """Mean of ``vals`` on the atom grid, an axis per argument, under the product of
-    ``probs`` on each axis, weighted one axis at a time; exact, so no spread or bar."""
-    while vals.ndim:
-        vals = vals @ probs
-    return float(vals), None, None
+def _grid_sum(weights: Sequence[np.ndarray], vals: np.ndarray) -> float:
+    """The sum of ``vals`` on a grid, an axis per argument, under the product of
+    ``weights[i]`` on axis i, weighted one axis at a time from the last."""
+    for w in reversed(weights):
+        vals = vals @ w
+    return float(vals)
+
+
+def _grid_score(weights: Sequence[np.ndarray], vals: np.ndarray, *half) -> tuple:
+    """The weighted sum of ``vals`` on a grid, with no spread: exact, so no bar,
+    or given the half rule's (weights, vals) the quadrature bar
+    |Q_N - Q_(N/2)|, floored at rounding of the grid's sum of |vals|."""
+    val = _grid_sum(weights, vals)
+    if not half:
+        return val, None, None
+    return val, None, _rounding_bar(val, _grid_sum(*half), _grid_sum(weights, np.abs(vals)))
 
 
 def _weighted_marginal(
@@ -627,10 +614,12 @@ class ProjectionSet:
     kernels whose rule fits the cell budget, which order-2 kernels do and
     higher orders do not.  ``inner_reps`` matters only for Monte Carlo.
 
-    Only ``__init__`` and ``_integrate`` test the strategy.  Exact and Monte
-    Carlo share one weighted-tuple path: ``_tuple_set`` gives a moment's
-    tuples (the atom grid with its probabilities, or sampled tuples with
-    their counts) with g and t_p on them, and ``_score`` weighs them.
+    Only ``__init__`` and ``_integrate`` test the strategy, and
+    ``_integrate`` only to take the closed forms.  Every other strategy takes
+    one weighted-tuple path: ``_tuple_sets`` gives a moment's tuple sets
+    with g and t_p on them (the atom grid with its probabilities, quadrature's
+    fine and half rules, or sampled tuples with their counts), and ``_score``
+    weighs them.
     """
 
     def __init__(
@@ -681,10 +670,10 @@ class ProjectionSet:
         # the error bar of theta: None where theta is exact
         self.theta_se: Optional[float] = None
         self._moments: dict[tuple, tuple[float, Optional[float]]] = {}
-        # exact's (atoms, probs), whose grids are its tails; quadrature's two rules
+        # exact's (atoms, probs), whose grids are its tails
         self._nodes: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._rules: list[_GradedTables] = []
-        # tuple sets (weights, g on each argument, t_p) by (stream, p), exact's by p
+        # the tuple sets of each moment, each (weights, g on each argument, t_p):
+        # Monte Carlo's by (stream, p), exact's and quadrature's by p
         self._draws: dict = {}
         # the weighted tail tuples of each marginal by tail length, and h_1 of
         # an order-2 kernel: the pool form prepared on the length-1 tail, or
@@ -701,11 +690,13 @@ class ProjectionSet:
             self._h1 = lambda x: forms.g_fn(x) + forms.theta
             self.theta, self.var_g, self.var_h = forms.theta, forms.var_g, forms.var_h
         elif strategy == "quadrature":
-            self._rules = [_GradedTables(kernel, dist, n, tri) for n, tri in _GRADED_RULES]
             self._h1 = _point_marginal(kernel, dist)
-            fine, half = self._rules
-            self.theta, self.var_g, self.var_h = fine.theta, fine.var_g, fine.var_h
-            self.theta_se = _rounding_bar(fine.theta, half.theta, fine.theta_scale)
+            (self.theta, scale, fine), (half_theta, _, half) = [
+                _graded_sets(kernel, dist, n, tri) for n, tri in _GRADED_RULES
+            ]
+            self.theta_se = _rounding_bar(self.theta, half_theta, scale)
+            self._draws = {p: [fine[p], half[p]] for p in fine}
+            self._tuple_sets, self._score = lambda stream, p, m: self._draws[p], _grid_score
         elif strategy == "exact":
             s, probs = dist.atoms.size, dist.probs
             self._nodes = (dist.atoms, probs)
@@ -716,10 +707,7 @@ class ProjectionSet:
             for q in range(k - 1, 0, -1):
                 self._tables[q] = self._tables[q + 1] @ probs
             self.theta = float(self._tables[1] @ probs)
-            self._tuple_set, self._score = self._grid_set, _prob_stats
-            # Hoeffding's orthogonality: var h = sum_p C(k, p) E t_p^2, t_1 = g
-            sq = [self.moment("abs_t" if p > 1 else "abs_g", p, 2.0)[0] for p in range(1, k + 1)]
-            self.var_g, self.var_h = sq[0], sum(math.comb(k, p) * v for p, v in enumerate(sq, 1))
+            self._tuple_sets, self._score = self._grid_set, _grid_score
         else:
             m = self.inner_reps
             if m < 2:
@@ -735,7 +723,14 @@ class ProjectionSet:
             self.theta, self.var_h, self.theta_se = _count_stats(w, h)
             cols, w = self._sample(STREAM_SIGMA, 1, m)
             _, self.var_g, _ = _count_stats(w, self.g_values(cols[0]))
-            self._tuple_set, self._score = self._sampled_set, _count_stats
+            self._tuple_sets, self._score = self._sampled_set, _count_stats
+        if strategy in ("exact", "quadrature"):
+            # Hoeffding's orthogonality: var h = sum_p C(k, p) E t_p^2, t_1 = g.
+            # Under quadrature h^2 itself grows like the square of the quantile's
+            # log at the corner v = 1, and a 64-node triangle misses var h of
+            # gini on the exponential law by 5e-12 where this misses it by 2e-13
+            sq = [self.moment("abs_t" if p > 1 else "abs_g", p, 2.0)[0] for p in range(1, k + 1)]
+            self.var_g, self.var_h = sq[0], sum(math.comb(k, p) * v for p, v in enumerate(sq, 1))
 
     def _tail(self, length: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Weighted tuples over which a marginal averages its last ``length`` arguments:
@@ -791,32 +786,32 @@ class ProjectionSet:
                 # adding 0.0 turns an exact -0.0 into 0.0
                 val = forms.t2_coef * forms.e_g_centered**2 + 0.0
             return val, None
-        if self._rules:
-            (val, scale), (half, _) = (rule.moment(kind, p, exponent) for rule in self._rules)
-            return val, _rounding_bar(val, half, scale)
         return self._tuple_moment(kind, p, exponent)
 
     def _tuple_moment(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
-        """The integrand's mean over a p-tuple set, scored by ``_score``, and its
-        bar.  Monte Carlo draws the set from stream ``STREAM_MOMENT_BASE`` plus
-        the kind's offset in ``_MOMENT_STREAMS``; exact ignores the stream."""
+        """The integrand's mean over the p-tuple sets, scored by ``_score``, and its bar.
+        Monte Carlo draws its set from stream ``STREAM_MOMENT_BASE`` plus the
+        kind's offset in ``_MOMENT_STREAMS``; exact and quadrature ignore it."""
         fixed, per_order = _MOMENT_STREAMS[kind]
         stream = STREAM_MOMENT_BASE + fixed + per_order * p
-        w, g, t = self._tuple_set(stream, p, self.inner_reps)
-        mean, _, bar = self._score(w, _integrand(kind, exponent, g, t))
+        sets = self._tuple_sets(stream, p, self.inner_reps)
+        # each set's weights and integrand, in one argument list
+        args = [a for w, g, t in sets for a in (w, _integrand(kind, exponent, g, t))]
+        mean, _, bar = self._score(*args)
         return mean, bar
 
-    def _grid_set(self, stream: int, p: int, m: int) -> tuple:
-        """Exact: the atom p-grid's probabilities, g on each axis and t_p as
-        (s,)*p tables; h_q on the axes B is ``_tables[q]`` spread over them."""
+    def _grid_set(self, stream: int, p: int, m: int) -> list[tuple]:
+        """Exact: the atom p-grid's probabilities on each axis, g on each axis and
+        t_p as (s,)*p tables; h_q on the axes B is ``_tables[q]`` spread over them."""
         if p not in self._draws:
             s = self.dist.atoms.size
             h = lambda b: self._tables[len(b)].reshape([s if i in b else 1 for i in range(p)])
             t = None if p == 1 else self._component(p, h)
-            self._draws[p] = (self.dist.probs, [h((i,)) - self.theta for i in range(p)], t)
+            g = [h((i,)) - self.theta for i in range(p)]
+            self._draws[p] = [([self.dist.probs] * p, g, t)]
         return self._draws[p]
 
-    def _sampled_set(self, stream: int, p: int, m: int) -> tuple:
+    def _sampled_set(self, stream: int, p: int, m: int) -> list[tuple]:
         """Monte Carlo: m sampled p-tuples with their counts, g on each column and t_p."""
         if (stream, p) not in self._draws:
             cols, w = self._sample(stream, p, m)
@@ -824,7 +819,7 @@ class ProjectionSet:
             t = None if p == 1 else self._component(
                 p, lambda b: h1s[b[0]] if len(b) == 1 else self._on_columns(cols, b)
             )
-            self._draws[stream, p] = (w, [h1 - self.theta for h1 in h1s], t)
+            self._draws[stream, p] = [(w, [h1 - self.theta for h1 in h1s], t)]
         return self._draws[stream, p]
 
     def _sample(self, stream: int, p: int, m: int) -> tuple[list[np.ndarray], np.ndarray]:

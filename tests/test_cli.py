@@ -289,6 +289,35 @@ def test_simulate_refuses_adjusted_options_on_other_targets(capsys, options):
     assert "--order and --target-alpha set the adjusted target" in captured.err
 
 
+@pytest.mark.parametrize("command", ["simulate", "cf-check", "smooth-check"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--kernel", "variance", "--dist", "normal", "--eps", "0.7"],
+         "--eps sets the coupling strength of --preset; give --preset too"),
+        (["--preset", "quadratic", "--kernel", "gini", "--eps", "0.5"],
+         "--preset names its own kernel; give --kernel or --preset, not both"),
+    ],
+    ids=["eps-without-preset", "preset-with-kernel"],
+)
+def test_preset_options_are_refused_rather_than_ignored(capsys, command, options, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *options, "--n", "8", "--reps", "1000"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == cli.build_parser().format_usage() + f"ustatlab: error: {message}\n"
+
+
+def test_simulate_preset_takes_its_law_from_dist(capsys):
+    payload, _ = run_json(capsys, [
+        "simulate", "--preset", "quadratic", "--eps", "0.5", "--dist", "exponential",
+        "--n", "8", "--reps", "1000",
+    ])
+    assert payload["config"]["kernel"] == "quadratic:0.5"
+    assert payload["config"]["dist"] == "exponential"
+
+
 def test_simulate_requires_kernel_and_dist_or_preset(capsys):
     rc, out, err = run_cli(capsys, ["simulate", "--n", "8", "--reps", "2000"])
     assert rc == 1
@@ -591,6 +620,60 @@ def test_moments_refuses_a_nonfinite_inequality_alpha(capsys, tmp_path, alpha):
     assert stdout == ""
     assert err == f"error: inequality alpha must be finite, got {float(alpha)!r}\n"
     assert not out.exists()
+
+
+def test_moments_refuses_a_nonfinite_inequality_alpha_before_the_projection(
+    capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose ran")
+
+    monkeypatch.setattr(hoeffding, "decompose", refuse)
+    rc, stdout, err = run_cli(capsys, [
+        "moments", "--kernel", "gini", "--dist", "exponential", "--n", "64",
+        "--inequalities", "--inequality-alpha", "nan",
+    ])
+    assert rc == 1
+    assert stdout == ""
+    assert err == "error: inequality alpha must be finite, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "function, reason",
+    [
+        ("cos:1e300", "its derivative sup-norms overflow"),
+        ("cos:1e60", "its derivative sup-norms overflow"),
+        ("const:1e308", "its sample mean or its SE is not finite"),
+        ("const:1e300", "its sample mean or its SE is not finite"),
+    ],
+)
+def test_smooth_check_refuses_a_function_that_overflows_naming_it(
+    capsys, tmp_path, function, reason
+):
+    out = tmp_path / "smooth.json"
+    rc, stdout, err = run_cli(capsys, [
+        "smooth-check", "--kernel", "gini", "--dist", "uniform", "--n", "8",
+        "--reps", "1000", "--function", function, "--out", str(out),
+    ])
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"error: smooth test function {function!r}: {reason}\n"
+    assert not out.exists()
+
+
+def test_smooth_check_refuses_overflowing_sup_norms_before_sampling(capsys, monkeypatch):
+    from ustatlab import exper
+
+    def refuse(cfg):
+        raise AssertionError("replicates were drawn")
+
+    monkeypatch.setattr(exper, "_replicates", refuse)
+    rc, _, err = run_cli(capsys, [
+        "smooth-check", "--kernel", "gini", "--dist", "uniform", "--n", "8",
+        "--reps", "1000", "--function", "cos:1e300",
+    ])
+    assert rc == 1
+    assert err == "error: smooth test function 'cos:1e300': its derivative sup-norms overflow\n"
 
 
 def test_smooth_check_constant_function_has_zero_gap(capsys):

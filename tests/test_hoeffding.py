@@ -928,6 +928,70 @@ def test_quadrature_matches_closed_forms_within_its_bars(dist_ident):
         assert abs(val - want) <= bar, i
 
 
+@functools.cache
+def _forced_quadrature(kernel_id, dist_ident):
+    """Decompositions of a quad_coefs kernel at n = 25 under quadrature and analytic."""
+    kernel, dist = model.kernel_preset(kernel_id), model.distribution_preset(dist_ident)
+    return tuple(
+        hoeffding.decompose(kernel, dist, 25, strategy=s) for s in ("quadrature", "analytic")
+    )
+
+
+# theta, var g, the moment integrals ("kind:exponent") and moment_summary fields
+_FORCED_QUANTITIES = (
+    "theta", "var_g", "abs_g:1.7", "abs_g:2", "abs_g:3", "g3", "abs_t:1.8", "abs_t:2",
+    "aligned", "beta", "gamma", "gamma_alpha", "kappa2",
+)
+
+
+def _forced_value(d, name):
+    """(value, bar) of quantity ``name`` of the decomposition ``d``."""
+    proj = d.projection
+    kind, _, exponent = name.partition(":")
+    if kind == "theta":
+        return d.theta, proj.theta_se
+    if kind == "var_g":
+        return proj.var_g, proj.moment("abs_g", 1, 2.0)[1]
+    if kind in ("abs_g", "g3", "abs_t", "aligned"):
+        p = 1 if kind in ("abs_g", "g3") else 2
+        return proj.moment(kind, p, float(exponent or 1.0))
+    s = hoeffding.moment_summary(d, alpha=1.8)
+    if kind == "kappa2":
+        return s.kappa[1], s.kappa_se and s.kappa_se[1]
+    return getattr(s, kind), getattr(s, f"{kind}_se")
+
+
+def _forced_cases():
+    for kernel_id in ("variance", "quadratic:0.5", "product", "quadratic:0"):
+        for dist_ident in ("exponential", "normal", "uniform"):
+            if (kernel_id, dist_ident) == ("product", "normal"):
+                continue  # g = mu (x - mu) vanishes: degenerate
+            for name in _FORCED_QUANTITIES:
+                marks = ()
+                if (kernel_id, dist_ident) == ("quadratic:0", "exponential") and name in (
+                    "aligned", "kappa2"
+                ):
+                    # kappa_2 is the aligned integral scaled to n
+                    marks = pytest.mark.xfail(
+                        strict=True,
+                        reason="t_2 = 0 exactly, and quadrature's t_2 is the rounding "
+                        "residue of h - g - g - theta: E[g g t_2] reads 5.8e-18 against "
+                        "a bar of 5.5e-18, whose rounding floor scales with the residue",
+                    )
+                yield pytest.param(kernel_id, dist_ident, name, marks=marks)
+
+
+@pytest.mark.parametrize("kernel_id, dist_ident, name", _forced_cases())
+def test_forced_quadrature_matches_the_analytic_forms_within_its_bar(
+    kernel_id, dist_ident, name
+):
+    quad, analytic = _forced_quadrature(kernel_id, dist_ident)
+    assert quad.projection.strategy == "quadrature"
+    val, bar = _forced_value(quad, name)
+    want, _ = _forced_value(analytic, name)
+    assert abs(val - want) <= bar, (val, want, bar)
+
+
 def test_quadrature_bar_covers_the_kink_of_abs_g_cubed():
     # |g|^3 is kinked at the root x0 of g = x - 2 + 2 exp(-x), which the rule
     # does not split at; the reference does, with the exact g on each piece
@@ -949,7 +1013,7 @@ def test_quadrature_bar_covers_the_kink_of_abs_g_cubed():
 def test_quadrature_bar_has_a_rounding_floor(monkeypatch):
     # where both rules agree exactly the bar is a few epsilons of the scale
     proj = gini_continuous("uniform").projection
-    monkeypatch.setattr(proj, "_rules", [proj._rules[0], proj._rules[0]])
+    monkeypatch.setattr(proj, "_draws", {p: [fine, fine] for p, (fine, _) in proj._draws.items()})
     proj._moments.clear()
     for kind, p, exponent in [("abs_g", 1, 2.0), ("abs_t", 2, 2.0), ("aligned", 2, 1.0)]:
         val, bar = proj.moment(kind, p, exponent)
@@ -991,7 +1055,7 @@ def test_graded_rule_carries_the_complement():
 def test_gauss_legendre_rule(m):
     from numpy.polynomial.legendre import leggauss
 
-    nodes, weights = hoeffding._gauss_legendre(m)
+    nodes, weights = hoeffding._gauss_legendre_rules([m])[0]
     assert nodes.shape == weights.shape == (m,)
     assert np.all(np.diff(nodes) > 0.0)
     assert 0.0 < nodes[0] and nodes[-1] < 1.0
@@ -1026,12 +1090,14 @@ def test_gauss_legendre_rules_built_together_equal_rules_built_alone():
 @pytest.mark.parametrize(
     "kernel", [model.gini_kernel(), model.Kernel("max", 2, np.maximum)], ids=["gini", "max"]
 )
-def test_quadrature_triangle_is_converged(kernel, dist_ident):
+def test_quadrature_triangle_is_converged(kernel, dist_ident, monkeypatch):
     # the fine rule's triangle against one of as many nodes as its order-1 half
     dist = model.distribution_preset(dist_ident)
     nodes = hoeffding.QUADRATURE_NODES
-    fine = hoeffding._GradedTables(kernel, dist, nodes, hoeffding._TRIANGLE_NODES)
-    ref = hoeffding._GradedTables(kernel, dist, nodes, nodes)
+    fine = hoeffding.ProjectionSet(kernel, dist, strategy="quadrature")
+    rules = ((nodes, nodes), hoeffding._GRADED_RULES[1])
+    monkeypatch.setattr(hoeffding, "_GRADED_RULES", rules)
+    ref = hoeffding.ProjectionSet(kernel, dist, strategy="quadrature")
     for kind, exponent in [("abs_t", 2.0), ("aligned", 1.0)]:
         got, want = fine.moment(kind, 2, exponent)[0], ref.moment(kind, 2, exponent)[0]
         assert abs(got - want) <= 1e-13, kind
