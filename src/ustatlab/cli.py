@@ -162,6 +162,11 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_moments(args: argparse.Namespace) -> tuple[dict, str]:
     alpha = args.inequality_alpha
+    if alpha is not None and not args.inequalities:
+        raise IncompatibleOptions(
+            "--inequality-alpha sets the alpha of --inequalities; give --inequalities too"
+        )
+    alpha = 1.8 if alpha is None else alpha
     if args.inequalities and not math.isfinite(alpha):
         # refused before the projection, as hoeffding.moment_inequalities refuses it
         raise ValidationError(f"inequality alpha must be finite, got {alpha!r}")
@@ -169,7 +174,7 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, str]:
     summary = hoeffding.moment_summary(d, alpha=args.alpha)
     fields = {"config": config, "moments": summary}
     if args.inequalities:
-        fields["inequalities"] = hoeffding.moment_inequalities(d, alpha=args.inequality_alpha)
+        fields["inequalities"] = hoeffding.moment_inequalities(d, alpha=alpha)
     return document(**fields), (
         f"moments kernel={args.kernel} dist={args.dist} n={args.n} "
         f"beta={summary.beta!r} gamma={summary.gamma!r}"
@@ -177,6 +182,10 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_approx_eval(args: argparse.Namespace) -> tuple[dict, str]:
+    if args.kernel_order is not None and args.select_alpha is None:
+        raise IncompatibleOptions(
+            "--kernel-order sets the kernel order of --select-alpha; give --select-alpha too"
+        )
     adj = approx.AdjustedNormal(tuple(args.kappa))
     xs = np.asarray(args.x, dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(args.t or ()))):
@@ -193,7 +202,7 @@ def _cmd_approx_eval(args: argparse.Namespace) -> tuple[dict, str]:
                                     for t, v in zip(args.t, cf)]
     if args.select_alpha is not None:
         fields["selected_order"] = approx.select_correction_order(
-            args.select_alpha, args.kernel_order
+            args.select_alpha, 2 if args.kernel_order is None else args.kernel_order
         )
     return document(**fields), f"approx-eval kappa={args.kappa} points={len(args.x)}"
 
@@ -400,7 +409,9 @@ def _moments_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="include the structural inequality checks",
     )
-    p.add_argument("--inequality-alpha", type=float, default=1.8)
+    p.add_argument(
+        "--inequality-alpha", type=float, default=None, help="alpha of the d:s items (default 1.8)"
+    )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_moments)
 
@@ -418,7 +429,9 @@ def _approx_eval_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="report the correction order selected for this exponent",
     )
-    p.add_argument("--kernel-order", type=int, default=2)
+    p.add_argument(
+        "--kernel-order", type=int, default=None, help="kernel order of --select-alpha (default 2)"
+    )
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_approx_eval)
 

@@ -33,8 +33,8 @@ Four evaluation strategies are supported:
   theta, var g, var h, h_1 and the moment integrals.  E|t_2|^alpha, and
   E|g|^q where g is linear, come from the law's E|X - mu|^r
   (``model.abs_central_moment``); E|g|^q of a kernel with a square term is
-  an atom sum on finite support and otherwise the graded rule of
-  quadrature, cut at the roots of g, with the quadrature error bar;
+  scored on tuple sets, the atoms or, on a continuous law, quadrature's two
+  graded rules on the pieces between the roots of g, with the graded bar;
 * ``quadrature``: order-2 kernels on continuous laws with ``ppf``, ``isf``
   and ``cdf``, by a graded rule on the quantile scale: Gauss-Legendre t
   mapped by u = t^4 / (t^4 + (1 - t)^4), with 1 - u carried separately.
@@ -50,23 +50,22 @@ the analytic closed form, the split sub-rules of quadrature, or the
 ``Kernel.pool_mean`` form (gini) prepared once on the atoms or the Monte
 Carlo inner pool; every other marginal averages the kernel over a weighted
 tail (the atom grid or the inner pool, each built once per projection) in
-blocks of cells; g and t_p follow from the marginals.  Every strategy but
-``analytic`` scores g and t_p on weighted tuple sets, with the integrands
+blocks of cells; g and t_p follow from the marginals.  Every integral
+without a closed form is scored on weighted tuple sets, with the integrands
 from one function: the atom grid with its probabilities, where h_q is read
-off h_q on the atom q-grid; the graded nodes and the ordered triangle of
-quadrature's fine and half rules, a weight vector per axis; or sampled
-tuples with their draw counts.  One axis-by-axis contraction sums the grids
-of exact and quadrature.
+off h_q on the atom q-grid; quadrature's graded nodes and ordered triangle,
+and analytic's graded pieces, in a fine and a half rule with a weight
+vector per axis; or sampled tuples with their draw counts.  One
+axis-by-axis contraction sums every grid, and one function scores it.
 
 The projection does not depend on n.  It computes each raw integral
 (E|g|^q, E|t_p|^alpha, E[g(x_1)..g(x_p) t_p]) once, together with its error
-bar: the Monte Carlo standard error, or for quadrature the gap
-|Q_N - Q_(N/2)| to the rule at half the nodes (its triangle keeps 48 nodes
-where the fine rule's has 64), floored at a few machine epsilons of the
-integral's absolute scale.  The functionals above
-only scale those integrals to a sample size; decompositions that differ only
-in n can share one projection.  Error bars are reported by
-:func:`moment_summary`.
+bar: the Monte Carlo standard error, or for a graded rule the gap
+|Q_N - Q_(N/2)| to the rule at half the nodes (quadrature's triangle keeps
+48 nodes where the fine rule's has 64), floored at a few machine epsilons
+of the integral's absolute scale.  The functionals above only scale those
+integrals to a sample size; decompositions that differ only in n can share
+one projection.  Error bars are reported by :func:`moment_summary`.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ _QUADRATURE_CELLS = 4_000_000
 # The least length at which a marginal's sub-rule piece places its nodes:
 # times the smallest graded node it stays a normal float.
 _MIN_PIECE = 1e-200
-# No quadrature error bar reads below this many machine epsilons times the
+# No graded rule's error bar reads below this many machine epsilons times the
 # integral's absolute scale, the weighted sum of |integrand|: where both
 # rules reach rounding their gap can read exactly 0.
 _ROUNDING_EPS = 16
@@ -455,11 +454,10 @@ def _integrand(
 
 def _graded_sets(
     kernel: Kernel, dist: Continuous, n: int, tri: int
-) -> tuple[float, float, dict[int, tuple]]:
-    """theta of an order-2 kernel under the graded rule of n nodes, its
-    absolute scale (the same weighted sum of |h_1|), and the rule's weighted
-    tuple sets by order, each (a weight vector per axis, g on each argument,
-    t_p).
+) -> tuple[tuple, dict[int, tuple]]:
+    """The graded rule of n nodes for an order-2 kernel: theta's set (h_1 on
+    the order-1 nodes, with their weights) and the weighted tuple sets by
+    order, each (a weight vector per axis, g on each argument, t_p).
 
     h_1 is split at each point (:func:`_split_marginal`, n/2 nodes a piece).
     The order-1 set is the 2n graded nodes: they cost n cells a node, and
@@ -476,7 +474,7 @@ def _graded_sets(
     """
     u, ubar, w = _graded_rule(2 * n)
     h1 = _split_marginal(kernel, dist, _quantile(dist, u, ubar), u, ubar, n // 2)
-    theta = float(w @ h1)
+    theta = _grid_sum([w], h1)
     order1 = ([w], [h1 - theta], None)
     # the triangle: v = u_j on axis 0, s = u_i on axis 1
     u, ubar, tri_w = _graded_rule(tri)
@@ -490,38 +488,31 @@ def _graded_sets(
     # tri^2 cells, within _BLOCK_CELLS for tri up to 181
     h = model.kernel_values(kernel, [tri_x, x[:, None]])
     order2 = ([2.0 * tri_w * u, tri_w], [g_in, g_out], h - g_in - g_out - theta)
-    return theta, float(w @ np.abs(h1)), {1: order1, 2: order2}
+    return ([w], h1), {1: order1, 2: order2}
 
 
-def _rounding_bar(fine: float, half: float, scale: float) -> float:
-    """|Q_N - Q_(N/2)|, floored at ``_ROUNDING_EPS`` epsilons of ``scale``."""
-    return max(abs(fine - half), _ROUNDING_EPS * np.finfo(float).eps * scale)
-
-
-def _abs_g_moment(dist: Continuous, forms: SeparableForms, q: float) -> tuple[float, float]:
-    """E|g|^q for g = lin z + b(z^2 - var), z = x - mu and b != 0, with its bar.
-
-    |g|^q is kinked at the roots z = (-lin +- sqrt(lin^2 + 4 b^2 var)) / (2b),
-    so [0, 1] is cut at F of each and every piece sums 2N graded nodes,
-    placed as :func:`_split_marginal` places its pieces, with 1 - u carried.
-    The bar is the gap to N nodes a piece, floored at rounding.
-    """
+def _abs_g_sets(forms: SeparableForms, dist: Distribution) -> list[tuple]:
+    """Analytic E|g|^q's order-1 tuple sets: the atoms with their probabilities,
+    or on a continuous law, where g = lin z + b(z^2 - var) with b != 0 and
+    |g|^q is kinked at z = (-lin +- sqrt(lin^2 + 4 b^2 var)) / (2b), one set
+    per rule of ``_GRADED_RULES``.  Its axis 0 holds the non-empty pieces of
+    [0, 1] cut at F of each root, weighted by their lengths, and axis 1 the
+    2n graded nodes of a piece, placed as :func:`_split_marginal` places its
+    pieces, with 1 - u carried."""
+    if isinstance(dist, FiniteDiscrete):
+        return [([dist.probs], [forms.g_fn(dist.atoms)], None)]
     lin, b = forms.lin, forms.b
     disc = math.sqrt(lin * lin + 4.0 * b * b * dist.var)
     roots = np.sort([(-lin - disc) / (2.0 * b), (-lin + disc) / (2.0 * b)]) + forms.mu
-    cut = [0.0, *np.asarray(dist.cdf(roots), dtype=float).tolist(), 1.0]
-    sums = []
-    for m in (2 * QUADRATURE_NODES, QUADRATURE_NODES):
-        s, sbar, w = _graded_rule(m)
-        total = 0.0
-        for lo, hi in zip(cut, cut[1:]):
-            length = hi - lo
-            if length > 0.0:
-                x = _quantile(dist, lo + length * s, (1.0 - hi) + length * sbar)
-                total += length * float(w @ np.abs(forms.g_fn(x)) ** q)
-        sums.append(total)
-    fine, half = sums
-    return fine, _rounding_bar(fine, half, fine)
+    cut = np.concatenate(([0.0], dist.cdf(roots), [1.0]))
+    keep = np.diff(cut) > 0.0
+    lo, hi = cut[:-1][keep, None], cut[1:][keep, None]
+    sets = []
+    for n, _ in _GRADED_RULES:
+        s, sbar, w = _graded_rule(2 * n)
+        x = _quantile(dist, lo + (hi - lo) * s, (1.0 - hi) + (hi - lo) * sbar)
+        sets.append(([(hi - lo)[:, 0], w], [forms.g_fn(x)], None))
+    return sets
 
 
 def _count_stats(counts: np.ndarray, vals: np.ndarray) -> tuple[float, float, float]:
@@ -544,12 +535,14 @@ def _grid_sum(weights: Sequence[np.ndarray], vals: np.ndarray) -> float:
 
 def _grid_score(weights: Sequence[np.ndarray], vals: np.ndarray, *half) -> tuple:
     """The weighted sum of ``vals`` on a grid, with no spread: exact, so no bar,
-    or given the half rule's (weights, vals) the quadrature bar
-    |Q_N - Q_(N/2)|, floored at rounding of the grid's sum of |vals|."""
+    or given the half rule's (weights, vals) the graded rule's bar
+    |Q_N - Q_(N/2)|, floored at ``_ROUNDING_EPS`` epsilons of the grid's sum
+    of |vals|."""
     val = _grid_sum(weights, vals)
     if not half:
         return val, None, None
-    return val, None, _rounding_bar(val, _grid_sum(*half), _grid_sum(weights, np.abs(vals)))
+    floor = _ROUNDING_EPS * np.finfo(float).eps * _grid_sum(weights, np.abs(vals))
+    return val, None, max(abs(val - _grid_sum(*half)), floor)
 
 
 def _weighted_marginal(
@@ -615,11 +608,11 @@ class ProjectionSet:
     higher orders do not.  ``inner_reps`` matters only for Monte Carlo.
 
     Only ``__init__`` and ``_integrate`` test the strategy, and
-    ``_integrate`` only to take the closed forms.  Every other strategy takes
+    ``_integrate`` only to take the closed forms.  Every other integral takes
     one weighted-tuple path: ``_tuple_sets`` gives a moment's tuple sets
-    with g and t_p on them (the atom grid with its probabilities, quadrature's
-    fine and half rules, or sampled tuples with their counts), and ``_score``
-    weighs them.
+    with g and t_p on them (the atom grid with its probabilities, the fine
+    and half graded rules of quadrature or of analytic E|g|^q, or sampled
+    tuples with their counts), and ``_score`` weighs them.
     """
 
     def __init__(
@@ -689,12 +682,13 @@ class ProjectionSet:
             self.forms = forms
             self._h1 = lambda x: forms.g_fn(x) + forms.theta
             self.theta, self.var_g, self.var_h = forms.theta, forms.var_g, forms.var_h
+            self._tuple_sets, self._score = self._abs_g_set, _grid_score
         elif strategy == "quadrature":
             self._h1 = _point_marginal(kernel, dist)
-            (self.theta, scale, fine), (half_theta, _, half) = [
+            (h1_fine, fine), (h1_half, half) = [
                 _graded_sets(kernel, dist, n, tri) for n, tri in _GRADED_RULES
             ]
-            self.theta_se = _rounding_bar(self.theta, half_theta, scale)
+            self.theta, _, self.theta_se = _grid_score(*h1_fine, *h1_half)
             self._draws = {p: [fine[p], half[p]] for p in fine}
             self._tuple_sets, self._score = lambda stream, p, m: self._draws[p], _grid_score
         elif strategy == "exact":
@@ -757,36 +751,36 @@ class ProjectionSet:
 
         ``kind`` is ``"abs_g"`` (E|g|^exponent, p = 1), ``"abs_t"``
         (E|t_p|^exponent), ``"aligned"`` (E[g(x_1)..g(x_p) t_p], at p = 2 also
-        the order-2 Edgeworth input E[g g t_2]) or ``"g3"`` (E g^3, p = 1).
-        The error bar is the Monte Carlo SE, or under quadrature
-        |Q_N - Q_(N/2)| with a rounding floor.  Each integral is computed
-        once per projection; callers scale it to a sample size.
+        the order-2 Edgeworth input E[g g t_2]), both for 2 <= p <= k, or
+        ``"g3"`` (E g^3, p = 1); any other kind or p is refused.  The error
+        bar is the Monte Carlo SE, or of a graded rule |Q_N - Q_(N/2)| with a
+        rounding floor.  Each integral is computed once per projection;
+        callers scale it to a sample size.
         """
         key = (kind, p, exponent)
         if key not in self._moments:
+            k, order1 = self.kernel.order, kind in ("abs_g", "g3")
+            if kind not in _MOMENT_STREAMS or not (p == 1 if order1 else 2 <= p <= k):
+                raise ValidationError(f"no {kind!r} moment at p = {p} for kernel order k = {k}")
             self._moments[key] = self._integrate(kind, p, exponent)
         return self._moments[key]
 
     def _integrate(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
         forms, dist = self.forms, self.dist
-        if forms is not None:
-            if kind == "abs_g" and forms.b == 0.0:
-                # g = lin*(x - mu)
-                val = abs(forms.lin) ** exponent * model.abs_central_moment(dist, exponent)
-            elif kind == "abs_g" and isinstance(dist, FiniteDiscrete):
-                val = float(np.dot(np.abs(forms.g_fn(dist.atoms)) ** exponent, dist.probs))
-            elif kind == "abs_g":
-                return _abs_g_moment(dist, forms, exponent)
-            elif kind == "abs_t":
-                abs_centered = model.abs_central_moment(dist, exponent)
-                val = abs(forms.t2_coef) ** exponent * abs_centered**2
-            elif kind == "g3":
-                val = forms.e_g3
-            else:  # "aligned": E[g g t_2] for order-2 kernels
-                # adding 0.0 turns an exact -0.0 into 0.0
-                val = forms.t2_coef * forms.e_g_centered**2 + 0.0
-            return val, None
-        return self._tuple_moment(kind, p, exponent)
+        if forms is None or (kind == "abs_g" and forms.b != 0.0):
+            return self._tuple_moment(kind, p, exponent)
+        if kind == "abs_g":
+            # g = lin*(x - mu)
+            val = abs(forms.lin) ** exponent * model.abs_central_moment(dist, exponent)
+        elif kind == "abs_t":
+            abs_centered = model.abs_central_moment(dist, exponent)
+            val = abs(forms.t2_coef) ** exponent * abs_centered**2
+        elif kind == "g3":
+            val = forms.e_g3
+        else:  # "aligned": E[g g t_2] for order-2 kernels
+            # adding 0.0 turns an exact -0.0 into 0.0
+            val = forms.t2_coef * forms.e_g_centered**2 + 0.0
+        return val, None
 
     def _tuple_moment(self, kind: str, p: int, exponent: float) -> tuple[float, Optional[float]]:
         """The integrand's mean over the p-tuple sets, scored by ``_score``, and its bar.
@@ -799,6 +793,12 @@ class ProjectionSet:
         args = [a for w, g, t in sets for a in (w, _integrand(kind, exponent, g, t))]
         mean, _, bar = self._score(*args)
         return mean, bar
+
+    def _abs_g_set(self, stream: int, p: int, m: int) -> list[tuple]:
+        """Analytic: E|g|^q's sets (:func:`_abs_g_sets`), built on first use."""
+        if p not in self._draws:
+            self._draws[p] = _abs_g_sets(self.forms, self.dist)
+        return self._draws[p]
 
     def _grid_set(self, stream: int, p: int, m: int) -> list[tuple]:
         """Exact: the atom p-grid's probabilities on each axis, g on each axis and

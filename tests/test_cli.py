@@ -309,6 +309,26 @@ def test_preset_options_are_refused_rather_than_ignored(capsys, command, options
     assert captured.err == cli.build_parser().format_usage() + f"ustatlab: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moments", "--kernel", "gini", "--dist", "bernoulli:0.3", "--n", "5",
+          "--inequality-alpha", "nan"],
+         "--inequality-alpha sets the alpha of --inequalities; give --inequalities too"),
+        (["approx-eval", "--kappa", "0,0.1", "--kernel-order", "7"],
+         "--kernel-order sets the kernel order of --select-alpha; give --select-alpha too"),
+    ],
+    ids=["inequality-alpha", "kernel-order"],
+)
+def test_options_without_the_option_they_shape_are_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == cli.build_parser().format_usage() + f"ustatlab: error: {message}\n"
+
+
 def test_simulate_preset_takes_its_law_from_dist(capsys):
     payload, _ = run_json(capsys, [
         "simulate", "--preset", "quadratic", "--eps", "0.5", "--dist", "exponential",

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,17 +224,37 @@ VARIANCE_ABS_G = {
         2.5: 0.682616505425875013522492,
         3.0: 1.086445362840688304446051,
     },
+    "uniform": {
+        1.7: 0.00348901802558383676538206,
+        2.5: 0.0003090562788164439511900579,
+    },
 }
 
 
-@pytest.mark.parametrize("q", [1.7, 2.5, 3.0])
-@pytest.mark.parametrize("law", sorted(VARIANCE_ABS_G))
+@pytest.mark.parametrize(
+    "law, q",
+    [(law, q) for law in sorted(VARIANCE_ABS_G) for q in sorted({2.0, *VARIANCE_ABS_G[law]})],
+)
 def test_analytic_abs_g_with_a_square_term_lies_within_its_bar(law, q):
     proj = hoeffding.ProjectionSet(model.variance_kernel(), model.distribution_preset(law))
     assert proj.strategy == "analytic"
-    want = VARIANCE_ABS_G[law][q]
+    # at q = 2 the graded sum is var g, a closed form
+    want = proj.var_g if q == 2.0 else VARIANCE_ABS_G[law][q]
     val, bar = proj.moment("abs_g", 1, q)
     assert abs(val - want) <= bar <= 1e-9 * want
+
+
+@pytest.mark.parametrize("q", [1.7, 2.0, 2.5, 3.0])
+def test_analytic_abs_g_with_a_square_term_on_atoms_is_their_exact_sum(q):
+    # g = ((x - mu)^2 - var) / 2 on the atoms -1, 0, 2.5, each of probability 1/3
+    dist = model.distribution_preset("uniform-atoms:-1,0,2.5")
+    proj = hoeffding.ProjectionSet(model.variance_kernel(), dist, strategy="analytic")
+    mu = sum(dist.atoms) / 3.0
+    var = sum((a - mu) ** 2 for a in dist.atoms) / 3.0
+    want = sum(abs(((a - mu) ** 2 - var) / 2.0) ** q for a in dist.atoms) / 3.0
+    val, bar = proj.moment("abs_g", 1, q)
+    assert val == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert bar is None
 
 
 def test_analytic_abs_g3_of_variance_on_uniform_matches_closed_form():
@@ -1187,6 +1208,28 @@ def test_kappa_validates_order():
         hoeffding.kappa(d, 3)
     with pytest.raises(ValidationError):
         hoeffding.kappa(d, 0)
+
+
+@pytest.mark.parametrize(
+    "kernel, law, strategy",
+    [
+        (model.gini_kernel(), "bernoulli:0.3", "exact"),
+        (model.variance_kernel(), "exponential", "analytic"),
+        (model.gini_kernel(), "exponential", "quadrature"),
+        (model.gini_kernel(), "exponential", "monte-carlo"),
+    ],
+    ids=["exact", "analytic", "quadrature", "monte-carlo"],
+)
+def test_moment_refuses_an_unknown_kind_or_order(kernel, law, strategy):
+    # orders 1 for abs_g and g3, 2..k for abs_t and aligned; k = 2 here
+    proj = hoeffding.ProjectionSet(
+        kernel, model.distribution_preset(law), strategy=strategy, inner_reps=500
+    )
+    for kind, p in [("abs_t", 3), ("aligned", 3), ("abs_t", 1), ("aligned", 1),
+                    ("abs_g", 2), ("g3", 2), ("abs_g", 0), ("abs_h", 1)]:
+        message = f"no {kind!r} moment at p = {p} for kernel order k = 2"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            proj.moment(kind, p, 2.0)
 
 
 def test_unknown_strategy_rejected():
