@@ -1,13 +1,15 @@
 """Monte Carlo experiment driver: ECDF rate studies and comparator checks.
 
 Replicates are drawn and evaluated in fixed chunks of ``CHUNK_REPLICATES``.
-Chunk ``c`` at sample size ``n`` is one block of ``m * n`` draws from stream
-index ``c`` of the counter-based generator, reshaped to ``m`` rows of ``n``;
-replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  An experiment scores
-the chunks of every n of its grid in one thread pool, which starts at most
-one worker per chunk; each n's values are joined in chunk order whichever
-worker scored them.  Neither the chunk size nor the layout depends on the
-worker count, so reports are byte-identical for any number of threads.
+Chunk ``c`` at sample size ``n`` is ``m * n`` draws from stream index ``c``
+of the counter-based generator, read as ``m`` rows of ``n``; replicate
+``c * CHUNK_REPLICATES + j`` is row ``j``.  A chunk is drawn and scored in
+row blocks of at most ``model.ROW_BLOCK_CELLS`` draws, so its memory does
+not grow with ``n``.  An experiment scores the chunks of every n of its
+grid in one thread pool, which starts at most one worker per chunk; each
+n's values are joined in chunk order whichever worker scored them.  Neither
+the chunk size, the block size nor the layout depends on the worker count,
+so reports are byte-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -152,13 +154,18 @@ def _score_chunk(
     """(statistic values, rows dropped) of one chunk of replicates at ``d.n``."""
     kernel, n, theta = d.kernel, d.n, d.theta
     lo, hi = bounds
-    chunk = lo // CHUNK_REPLICATES
-    # the block is fresh, so the row forms may take it as scratch
-    rows = model.sample(d.dist, (hi - lo) * n, seed, chunk).reshape(hi - lo, n)
-    if estimator == "standardized":
-        u = kernel.rows.u(rows)
+    u = np.empty(hi - lo)
+    var_hat = np.empty(hi - lo) if estimator == "studentized" else None
+    # rows are drawn and scored a block at a time; the row forms take each
+    # block as scratch, since row_blocks refills it for the next
+    for first, rows in model.row_blocks(d.dist, hi - lo, n, seed, lo // CHUNK_REPLICATES):
+        part = slice(first, first + rows.shape[0])
+        if var_hat is None:
+            u[part] = kernel.rows.u(rows)
+        else:
+            u[part], var_hat[part] = _row_jackknife_stats(kernel, rows)
+    if var_hat is None:
         return math.sqrt(n) * (u - theta) / (kernel.order * d.sigma_g), 0
-    u, var_hat = _row_jackknife_stats(kernel, rows)
     keep = var_hat > 0.0
     dropped = int(var_hat.size - np.count_nonzero(keep))
     s = math.sqrt(n) * (u[keep] - theta) / (2.0 * np.sqrt(var_hat[keep]))

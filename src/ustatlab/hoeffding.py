@@ -1094,13 +1094,15 @@ def cross_moment_mc(d: DecomposedStatistic, p: int, reps: int, seed: int) -> tup
 
     This is the O(n^k)-per-replicate cross-check path for :func:`kappa`;
     unlike the aligned formula it also picks up repeated-index terms, e.g.
-    E[L^2 T] = 2 kappa_2 when the remainder is a pure order-2 sum.  All
-    replicates are drawn as one ``(reps, n)`` block from stream 0.
+    E[L^2 T] = 2 kappa_2 when the remainder is a pure order-2 sum.  The
+    ``reps`` rows of n are the draws of stream 0, taken in row blocks.
     """
     if reps < 2:
         raise ValidationError("reps must be at least 2")
-    rows = model.sample(d.dist, reps * d.n, seed).reshape(reps, d.n)
-    vals = np.array([d.linear_part(x) ** p * d.remainder(x) for x in rows])
+    blocks = model.row_blocks(d.dist, reps, d.n, seed)
+    vals = np.array(
+        [d.linear_part(x) ** p * d.remainder(x) for _, rows in blocks for x in rows]
+    )
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(reps))
 
 

@@ -8,10 +8,13 @@ Design notes
   is a pure function of ``(seed, s, i)``.  Distinct streams never share
   state and regenerating any prefix of a stream reproduces it exactly.
 * A generator is built per block of draws, not per replicate.  Monte Carlo
-  experiments draw a whole chunk of replicates as one block from one
-  stream: stream ``c`` holds chunk ``c`` (see ``exper``), so chunk streams
-  are small integers.  Streams from ``1 << 40`` upward are reserved for the
-  inner draws and moment estimates of ``hoeffding``.
+  experiments draw a whole chunk of replicates from one stream: stream ``c``
+  holds chunk ``c`` (see ``exper``), so chunk streams are small integers.
+  ``row_blocks`` hands the chunk over in row blocks of at most
+  ``ROW_BLOCK_CELLS`` draws, drawn in turn into one reused buffer, so a
+  chunk never holds all of its draws at once.  Streams from ``1 << 40``
+  upward are reserved for the inner draws and moment estimates of
+  ``hoeffding``.
 * Built-in kernels are written so that evaluation is exactly (bit-for-bit)
   invariant under argument permutation.
 * Kernel closed forms (``Kernel.quad_coefs``, ``Kernel.rows`` and
@@ -46,6 +49,9 @@ DEFAULT_SUBSET_BUDGET = 10**8
 # index subsets per block of subset_blocks: a block of order-k index columns
 # and the kernel values on it stay a few MB
 SUBSET_BLOCK = 32768
+# draws per block of row_blocks: one 1 MiB buffer of float64, which stays in
+# cache while the row forms make their passes over it
+ROW_BLOCK_CELLS = 131072
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -98,7 +104,9 @@ class FiniteDiscrete:
 class Continuous:
     """Absolutely continuous distribution with an analytic moment table.
 
-    ``sampler(gen, n)`` returns a fresh array of ``n`` draws from ``gen``.
+    ``sampler(gen, out)`` fills the float64 array ``out`` with draws from
+    ``gen``, in order, and returns nothing that callers read; filling ``a``
+    and then ``b`` draws the same values as filling their concatenation.
     ``central_moments[p]`` stores the p-th central moment for p up to 6,
     and ``abs_central_moment(r)`` gives E|X - mean|^r for real r >= 0; the
     analytic projection in ``hoeffding`` needs them all, and a law missing
@@ -113,7 +121,7 @@ class Continuous:
     """
 
     ident: str
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    sampler: Callable[[np.random.Generator, np.ndarray], object]
     mean: float
     var: float
     central_moments: dict[int, float] = field(default_factory=dict)
@@ -126,6 +134,17 @@ class Continuous:
 Distribution = FiniteDiscrete | Continuous
 
 
+def _fill(dist: Distribution, gen: np.random.Generator, out: np.ndarray) -> None:
+    """Overwrite ``out`` with the next ``out.size`` draws of ``gen``."""
+    if isinstance(dist, FiniteDiscrete):
+        gen.random(out=out)
+        idx = np.searchsorted(np.cumsum(dist.probs), out, side="right")
+        # clip takes an index past the last edge (a rounded cumsum) to the last atom
+        np.take(dist.atoms, idx, out=out, mode="clip")
+    else:
+        dist.sampler(gen, out)
+
+
 def sample(dist: Distribution, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Draw ``n`` iid observations for stream ``stream`` of ``seed``.
 
@@ -133,12 +152,33 @@ def sample(dist: Distribution, n: int, seed: int, stream: int = 0) -> np.ndarray
     """
     if n < 0:
         raise ValidationError("sample size must be nonnegative")
+    out = np.empty(n)
+    _fill(dist, stream_generator(seed, stream), out)
+    return out
+
+
+def row_blocks(
+    dist: Distribution, rows: int, n: int, seed: int, stream: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``rows`` rows of ``n`` draws of stream ``stream``, in row blocks.
+
+    Yields ``(first_row, block)``: ``block`` is a ``(m, n)`` view of one
+    buffer of at most ``ROW_BLOCK_CELLS`` cells (one row if a row is
+    longer), refilled for each block, so the caller uses a block, may
+    overwrite it, and keeps none of it.  The blocks are drawn in turn from
+    the stream's one generator: joined, they are exactly
+    ``sample(dist, rows * n, seed, stream).reshape(rows, n)``.
+    """
+    if rows < 0 or n < 1:
+        raise ValidationError("row_blocks needs rows >= 0 and n >= 1")
     gen = stream_generator(seed, stream)
-    if isinstance(dist, FiniteDiscrete):
-        edges = np.cumsum(dist.probs)
-        idx = np.searchsorted(edges, gen.random(n), side="right")
-        return dist.atoms[np.minimum(idx, dist.atoms.size - 1)]
-    return np.asarray(dist.sampler(gen, n), dtype=float)
+    step = max(1, min(rows, ROW_BLOCK_CELLS // n))
+    buf = np.empty((step, n))
+    flat = buf.reshape(-1)
+    for first in range(0, rows, step):
+        m = min(step, rows - first)
+        _fill(dist, gen, flat[: m * n])
+        yield first, buf[:m]
 
 
 def mean(dist: Distribution) -> float:
@@ -207,7 +247,7 @@ def _exponential_abs_moment(r: float) -> float:
 def _make_normal() -> Continuous:
     return Continuous(
         ident="normal",
-        sampler=lambda gen, n: gen.standard_normal(n),
+        sampler=lambda gen, out: gen.standard_normal(out=out),
         mean=0.0,
         var=1.0,
         central_moments={2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0},
@@ -221,7 +261,7 @@ def _make_normal() -> Continuous:
 def _make_exponential() -> Continuous:
     return Continuous(
         ident="exponential",
-        sampler=lambda gen, n: gen.standard_exponential(n),
+        sampler=lambda gen, out: gen.standard_exponential(out=out),
         mean=1.0,
         var=1.0,
         central_moments={2: 1.0, 3: 2.0, 4: 9.0, 5: 44.0, 6: 265.0},
@@ -235,7 +275,7 @@ def _make_exponential() -> Continuous:
 def _make_uniform01() -> Continuous:
     return Continuous(
         ident="uniform",
-        sampler=lambda gen, n: gen.random(n),
+        sampler=lambda gen, out: gen.random(out=out),
         mean=0.5,
         var=1.0 / 12.0,
         central_moments={2: 1.0 / 12.0, 3: 0.0, 4: 1.0 / 80.0, 5: 0.0, 6: 1.0 / 448.0},

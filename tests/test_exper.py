@@ -313,23 +313,23 @@ def test_studentized_reports_byte_identical_across_threads():
 
 
 def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
-    # replicate c * CHUNK_REPLICATES + j is row j of one block drawn from
-    # stream c; the last chunk here is short
+    # replicate c * CHUNK_REPLICATES + j is row j of the draws of stream c;
+    # the last chunk here is short
     cfg = small_config(n_grid=(8,), reps=exper.CHUNK_REPLICATES + 37)
     drawn = []
-    sample = model.sample
+    row_blocks = model.row_blocks
 
-    def capture(dist, n, seed, stream=0):
-        drawn.append((stream, n))
-        return sample(dist, n, seed, stream)
+    def capture(dist, rows, n, seed, stream=0):
+        drawn.append((stream, rows, n))
+        return row_blocks(dist, rows, n, seed, stream)
 
-    monkeypatch.setattr(model, "sample", capture)
+    monkeypatch.setattr(model, "row_blocks", capture)
     ((d, _, values, dropped),) = exper._replicates(cfg)
     assert dropped == 0
     sizes = [exper.CHUNK_REPLICATES, 37]
-    assert drawn == [(c, m * 8) for c, m in enumerate(sizes)]
+    assert drawn == [(c, m, 8) for c, m in enumerate(sizes)]
     rows = np.concatenate(
-        [sample(d.dist, m * 8, cfg.seed, c).reshape(m, 8) for c, m in enumerate(sizes)]
+        [model.sample(d.dist, m * 8, cfg.seed, c).reshape(m, 8) for c, m in enumerate(sizes)]
     )
     want = math.sqrt(8) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
     np.testing.assert_array_equal(values, want)
@@ -337,24 +337,25 @@ def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
 
 @pytest.mark.parametrize("estimator", ["standardized", "studentized"])
 def test_one_generator_per_chunk(monkeypatch, estimator):
-    # over a whole run, the block of each (n, chunk) is drawn once, from one
-    # generator: stream c holds chunk c at every n
-    make, sample = model.stream_generator, model.sample
+    # over a whole run, the rows of each (n, chunk) are drawn once, from one
+    # generator: stream c holds chunk c at every n.  At n = 100 a chunk
+    # spans several row blocks, which still share the chunk's generator.
+    make, row_blocks = model.stream_generator, model.row_blocks
     opened, drawn = [], []
 
     def counting_generator(seed, stream=0):
         opened.append(stream)
         return make(seed, stream)
 
-    def counting_sample(dist, size, seed, stream=0):
-        drawn.append((size, stream))
-        return sample(dist, size, seed, stream)
+    def counting_blocks(dist, rows, n, seed, stream=0):
+        drawn.append((rows * n, stream))
+        return row_blocks(dist, rows, n, seed, stream)
 
     monkeypatch.setattr(model, "stream_generator", counting_generator)
-    monkeypatch.setattr(model, "sample", counting_sample)
+    monkeypatch.setattr(model, "row_blocks", counting_blocks)
     for threads in (1, 2):
         cfg = small_config(
-            kernel="variance", n_grid=(8, 16), reps=9000, estimator=estimator,
+            kernel="variance", n_grid=(8, 16, 100), reps=9000, estimator=estimator,
             threads=threads,
         )
         opened.clear()
@@ -364,6 +365,44 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
         want = [((hi - lo) * n, c) for n in cfg.n_grid for c, (lo, hi) in enumerate(bounds)]
         assert sorted(drawn) == sorted(want)
         assert sorted(opened) == sorted(c for _, c in want)
+
+
+@pytest.mark.parametrize("estimator", ["standardized", "studentized"])
+@pytest.mark.parametrize(
+    "kernel, dist, n, cells",
+    [
+        ("variance", "exponential", 100, model.ROW_BLOCK_CELLS),
+        ("product", "exponential", 257, model.ROW_BLOCK_CELLS),
+        ("quadratic:0.5", "uniform", 1500, model.ROW_BLOCK_CELLS),
+        ("gini", "exponential", 300, model.ROW_BLOCK_CELLS),
+        # bernoulli rows of n = 3 are often constant: a zero variance
+        # estimate, dropped from blocks of 333 rows
+        ("variance", "bernoulli:0.3", 3, 1000),
+        ("gini", "bernoulli:0.3", 3, 1000),
+    ],
+)
+def test_blocked_scoring_equals_whole_chunk_scoring(
+    monkeypatch, kernel, dist, n, cells, estimator
+):
+    # a chunk scored block by block gives the values and dropped count of the
+    # row forms on the whole chunk's sample, bit for bit
+    monkeypatch.setattr(model, "ROW_BLOCK_CELLS", cells)
+    d = hoeffding.decompose(model.kernel_preset(kernel), model.distribution_preset(dist), n)
+    seed, lo, hi = 4, exper.CHUNK_REPLICATES, exper.CHUNK_REPLICATES + 3001
+    got, dropped = exper._score_chunk(d, (lo, hi), seed, estimator)
+    rows = model.sample(d.dist, (hi - lo) * n, seed, 1).reshape(hi - lo, n)
+    if estimator == "standardized":
+        want = math.sqrt(n) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
+        want_dropped = 0
+    else:
+        u, var_hat = exper._row_jackknife_stats(d.kernel, rows)
+        keep = var_hat > 0.0
+        want = math.sqrt(n) * (u[keep] - d.theta) / (2 * np.sqrt(var_hat[keep]))
+        want_dropped = int(keep.size - keep.sum())
+    np.testing.assert_array_equal(got, want)
+    assert dropped == want_dropped
+    if dist.startswith("bernoulli") and estimator == "studentized":
+        assert dropped > 0
 
 
 def test_one_run_builds_one_executor(monkeypatch):

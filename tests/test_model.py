@@ -54,6 +54,47 @@ def test_negative_sample_size_rejected():
         model.sample(model.distribution_preset("normal"), -1, 0)
 
 
+_STEP = model.ROW_BLOCK_CELLS // 100
+
+
+@pytest.mark.parametrize(
+    "ident",
+    ["normal", "exponential", "uniform", "bernoulli:0.3", "uniform-atoms:1,2,5", "rademacher"],
+)
+@pytest.mark.parametrize(
+    "rows, n, sizes",
+    [
+        (37, 100, [37]),  # shorter than one block
+        (_STEP, 100, [_STEP]),  # exactly one block
+        (2 * _STEP + 11, 100, [_STEP, _STEP, 11]),  # a partial trailing block
+    ],
+)
+def test_row_blocks_join_to_the_chunk_draw(monkeypatch, ident, rows, n, sizes):
+    dist = model.distribution_preset(ident)
+    make, opened = model.stream_generator, []
+
+    def counting(seed, stream=0):
+        opened.append(stream)
+        return make(seed, stream)
+
+    monkeypatch.setattr(model, "stream_generator", counting)
+    blocks = [(first, block.copy()) for first, block in model.row_blocks(dist, rows, n, 5, 3)]
+    assert opened == [3]
+    assert [first for first, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert [block.shape for _, block in blocks] == [(m, n) for m in sizes]
+    want = model.sample(dist, rows * n, 5, 3).reshape(rows, n)
+    np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), want)
+
+
+def test_row_blocks_take_one_row_when_a_row_exceeds_the_block(monkeypatch):
+    monkeypatch.setattr(model, "ROW_BLOCK_CELLS", 64)
+    dist = model.distribution_preset("normal")
+    blocks = [block.copy() for _, block in model.row_blocks(dist, 3, 100, 1, 2)]
+    assert [b.shape for b in blocks] == [(1, 100)] * 3
+    want = model.sample(dist, 300, 1, 2).reshape(3, 100)
+    np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+
 # ---------------------------------------------------------------------------
 # Distributions
 # ---------------------------------------------------------------------------
