@@ -28,6 +28,7 @@ from .errors import ConfigError, IncompatibleOptions, UStatError, ValidationErro
 from .payload import document
 
 THREADS_ENV_VAR = "USTATLAB_THREADS"
+_THREADS_HELP = f"worker threads (default: ${THREADS_ENV_VAR} or 1)"
 
 _PRESETS = {
     "quadratic": ("quadratic", "normal"),
@@ -56,13 +57,17 @@ def _ints(text: str) -> list[int]:
 
 
 def _default_threads() -> int:
+    """$USTATLAB_THREADS, or 1; refused as the same --threads value is."""
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        _parser().error(f"environment variable {THREADS_ENV_VAR}: invalid int value: {raw!r}")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {THREADS_ENV_VAR}={raw}")
+    return threads
 
 
 def _resolve_threads(flag_value: Optional[int]) -> int:
@@ -368,12 +373,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
         help="moment exponent that selects the adjusted law's correction order "
         "(simulate: --target adjusted only)",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker threads (default: ${THREADS_ENV_VAR} or 1)",
-    )
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
 
 # Each subcommand's parser arguments and flags, in the order the full parser
@@ -494,7 +494,7 @@ def _counterexample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=exper.DEFAULT_REPS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_counterexample)
 

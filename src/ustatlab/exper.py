@@ -7,9 +7,11 @@ of the counter-based generator, read as ``m`` rows of ``n``; replicate
 row blocks of at most ``model.ROW_BLOCK_CELLS`` draws, so its memory does
 not grow with ``n``.  An experiment scores the chunks of every n of its
 grid in one thread pool, which starts at most one worker per chunk; each
-n's values are joined in chunk order whichever worker scored them.  Neither
-the chunk size, the block size nor the layout depends on the worker count,
-so reports are byte-identical for any number of threads.
+n's values are joined in chunk order whichever worker scored them, and
+handed on, largest n first, as soon as its chunks are done; reports list
+the n in grid order.  Neither the chunk size, the block size nor the layout
+depends on the worker count, so reports are byte-identical for any number
+of threads.
 """
 
 from __future__ import annotations
@@ -232,28 +234,35 @@ def _adjusted_only(cfg: ExperimentConfig, command: str) -> ExperimentConfig:
 def _replicates(
     cfg: ExperimentConfig,
 ) -> Iterator[tuple[hoeffding.DecomposedStatistic, approx.AdjustedNormal, np.ndarray, int]]:
-    """``(d, _target(d, cfg), values, dropped)`` at each n of the grid, in order.
+    """``(d, _target(d, cfg), values, dropped)`` at each n, largest n first.
 
     Every target is built before any replicate is drawn, so a target the
     configuration cannot have fails without sampling.  One pool of
     ``min(threads, chunks)`` workers scores every chunk of the grid, largest
-    n first, so the last chunks of one n leave no worker idle.
+    n first, so the last chunks of one n leave no worker idle.  Each n is
+    yielded once its own chunks are done, so the caller scores it while the
+    pool still draws the smaller n.
     """
     decs = list(_resolve(cfg).values())
     targets = [_target(d, cfg) for d in decs]
     bounds = _chunk_bounds(cfg.reps)
     pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(decs) * len(bounds)))
     try:
-        futures = {
-            d.n: [pool.submit(_score_chunk, d, b, cfg.seed, cfg.estimator) for b in bounds]
-            for d in reversed(decs)
-        }
-        for d, target in zip(decs, targets):
-            yield d, target, *_gather([f.result() for f in futures[d.n]])
+        jobs = [
+            (d, target, [pool.submit(_score_chunk, d, b, cfg.seed, cfg.estimator) for b in bounds])
+            for d, target in reversed(list(zip(decs, targets)))
+        ]
+        for d, target, chunks in jobs:
+            yield d, target, *_gather([f.result() for f in chunks])
     finally:
         # after a refused n, or a consumer that stops early, chunks not yet
         # started are dropped rather than scored
         pool.shutdown(cancel_futures=True)
+
+
+def _grid_order(by_n: dict[int, Any]) -> dict[int, Any]:
+    """``by_n`` with its keys in grid order, which ``_replicates`` reverses."""
+    return dict(sorted(by_n.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +337,12 @@ def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
             values, lambda x: approx.adjusted_cdf(target, x)
         )
         rows.append(RateRow(d.n, distance, approx.dkw_se(values.size), dropped))
+    rows.sort(key=lambda r: r.n)
     fit = None
     usable = [r for r in rows if r.distance > 0.0]
     if len(usable) >= 3:
         fit = RateFit(*fit_rate([r.n for r in usable], [r.distance for r in usable]))
-    return RateReport(cfg, d.theta, d.sigma_g, tuple(rows), kappa_by_n, fit)
+    return RateReport(cfg, d.theta, d.sigma_g, tuple(rows), _grid_order(kappa_by_n), fit)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +694,7 @@ def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
         lhs = abs(mean - target)
         scale = hoeffding.beta(d) + hoeffding.gamma_var(d)
         rows.append(SmoothRow(d.n, lhs, scale, lhs / scale, se))
+    rows.sort(key=lambda r: r.n)
     return SmoothReport(cfg, f.ident, deriv_const, tuple(rows))
 
 
@@ -759,15 +770,9 @@ def char_function_check(
                 best_se = se / envelope
         max_ratio_by_n[n] = best_ratio
         max_ratio_se_by_n[n] = best_se
-    return CfReport(
-        cfg,
-        tuple(rows),
-        max_ratio_by_n,
-        max_ratio_se_by_n,
-        beta_by_n,
-        gamma_by_n,
-        kappa_by_n,
-    )
+    rows.sort(key=lambda r: r.n)  # stable: each n's rows stay in t order
+    by_n = (max_ratio_by_n, max_ratio_se_by_n, beta_by_n, gamma_by_n, kappa_by_n)
+    return CfReport(cfg, tuple(rows), *map(_grid_order, by_n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,7 @@ import pytest
 
 from ustatlab import cli, hoeffding, model
 
-SUBCOMMANDS = [
-    "decompose",
-    "moments",
-    "approx-eval",
-    "studentize",
-    "oracle",
-    "simulate",
-    "counterexample",
-    "example1",
-    "cf-check",
-    "smooth-check",
-]
+SUBCOMMANDS = list(cli._SUBCOMMANDS)
 
 
 def run_cli(capsys, argv):
@@ -54,7 +43,9 @@ def test_top_level_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
-    assert "usage" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ustatlab ")
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
@@ -62,7 +53,7 @@ def test_subcommand_help_exits_zero(capsys, sub):
     with pytest.raises(SystemExit) as exc:
         cli.main([sub, "--help"])
     assert exc.value.code == 0
-    assert "usage" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith(f"usage: ustatlab {sub} ")
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -845,17 +836,29 @@ def test_simulate_out_refuses_a_json_name(capsys, tmp_path, force):
 # Thread configuration
 # ---------------------------------------------------------------------------
 
-def test_thread_default_comes_from_environment(monkeypatch):
+def test_thread_default_comes_from_environment(capsys, monkeypatch):
     monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
     assert cli._default_threads() == 1
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "4")
     assert cli._default_threads() == 4
     assert cli._resolve_threads(None) == 4
     assert cli._resolve_threads(2) == 2
+    # a malformed value is refused as the same --threads value is, naming
+    # the variable: not an integer is a usage error, below 1 a runtime error
+    argv = ["counterexample", "--eps", "0.5", "--n", "10", "--reps", "1000"]
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "zebra")
-    assert cli._default_threads() == 1
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "0")
-    assert cli._default_threads() == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"{cli.THREADS_ENV_VAR}: invalid int value: 'zebra'" in capsys.readouterr().err
+    for raw in ("0", "-2"):
+        monkeypatch.setenv(cli.THREADS_ENV_VAR, raw)
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert "threads must be at least 1" in err and f"{cli.THREADS_ENV_VAR}={raw}" in err
+    # --threads overrides the variable, malformed or not
+    rc, _, err = run_cli(capsys, argv + ["--threads", "1"])
+    assert rc == 0, err
 
 
 def test_thread_count_keeps_payload_bytes_stable(capsys, monkeypatch):

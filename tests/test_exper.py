@@ -422,6 +422,32 @@ def test_one_run_builds_one_executor(monkeypatch):
     assert len(built) == 1
 
 
+def test_each_n_is_yielded_in_submission_order_and_reported_in_grid_order(monkeypatch):
+    # the pool starts its tasks first in, first out, so the n whose chunks
+    # went in first is done first; it is handed on then, not after the
+    # smaller n, and the reports put every n back in grid order
+    submitted = []
+    submit = exper.ThreadPoolExecutor.submit
+
+    def recording(self, fn, d, *args):
+        submitted.append(d.n)
+        return submit(self, fn, d, *args)
+
+    monkeypatch.setattr(exper.ThreadPoolExecutor, "submit", recording)
+    cfg = small_config(reps=5000, threads=2)
+    assert [d.n for d, *_ in exper._replicates(cfg)] == [32, 16, 8]
+    assert submitted == [32, 32, 16, 16, 8, 8]
+    report = exper.run_ecdf_experiment(cfg)
+    assert [r.n for r in report.rows] == list(report.kappa_by_n) == [8, 16, 32]
+    cf = exper.char_function_check(cfg, (0.5, 1.0))
+    assert [(r.n, r.t) for r in cf.rows] == [(n, t) for n in (8, 16, 32) for t in (0.5, 1.0)]
+    for by_n in (cf.max_ratio_by_n, cf.max_ratio_se_by_n, cf.beta_by_n, cf.gamma_by_n,
+                 cf.kappa_by_n):
+        assert list(by_n) == [8, 16, 32]
+    smooth = exper.smooth_function_check(cfg, "cos")
+    assert [r.n for r in smooth.rows] == [8, 16, 32]
+
+
 @pytest.mark.parametrize("threads, reps, workers", [(64, 5000, 4), (3, 5000, 3), (64, 2000, 2)])
 def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, workers):
     # a stub pool records its worker count and runs each task in the caller,

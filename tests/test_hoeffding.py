@@ -928,7 +928,9 @@ def test_quadrature_kappa2_within_its_bar(n):
     want = -1.0 / (6.0 * math.sqrt(1.0 / 3.0) * math.sqrt(n))
     s = hoeffding.moment_summary(d)
     assert abs(s.kappa[1] - want) <= s.kappa_se[1]
-    assert s.kappa[1] == pytest.approx(want, rel=1e-12)
+    # abs=0: pytest's default absolute tolerance of 1e-12 would outweigh
+    # the relative one here, where |kappa_2| < 0.1
+    assert s.kappa[1] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("dist_ident", sorted(GINI_CLOSED_FORMS))
