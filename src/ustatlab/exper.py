@@ -1,17 +1,20 @@
 """Monte Carlo experiment driver: ECDF rate studies and comparator checks.
 
 Replicates are drawn and evaluated in fixed chunks of ``CHUNK_REPLICATES``.
-Chunk ``c`` at sample size ``n`` is ``m * n`` draws from stream index ``c``
-of the counter-based generator, read as ``m`` rows of ``n``; replicate
-``c * CHUNK_REPLICATES + j`` is row ``j``.  A chunk is drawn and scored in
-row blocks of at most ``model.ROW_BLOCK_CELLS`` draws, so its memory does
-not grow with ``n``.  An experiment scores the chunks of every n of its
-grid in one thread pool, which starts at most one worker per chunk; each
-n's values are joined in chunk order whichever worker scored them, and
-handed on, largest n first, as soon as its chunks are done; reports list
-the n in grid order.  Neither the chunk size, the block size nor the layout
-depends on the worker count, so reports are byte-identical for any number
-of threads.
+Chunk ``c`` at sample size ``n`` is the first ``m * n`` draws of stream
+index ``c`` of the counter-based generator, read as ``m`` rows of ``n``;
+replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  So the chunk at every
+smaller n is a prefix of the chunk at the largest n: a chunk's stream is
+drawn once, to the largest n of the grid (or of an n-group of it), and
+every n reads its rows from that one pass, in row blocks within the
+``model.ROW_BLOCK_CELLS`` budget, so a chunk's memory does not grow with
+``n``.  An experiment scores its chunks in one thread pool, one task per
+chunk and n-group, with at most one worker per task; each n's values are
+joined in chunk order whichever worker scored them, and handed on, largest
+n first, as soon as its chunks are done; reports list the n in grid order.
+Neither the values, the chunk size, the block size nor the layout depends
+on the worker count or the n-groups, so reports are byte-identical for any
+number of threads.
 """
 
 from __future__ import annotations
@@ -148,30 +151,65 @@ def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
 
 
 def _score_chunk(
-    d: hoeffding.DecomposedStatistic,
+    decs: Sequence[hoeffding.DecomposedStatistic],
     bounds: tuple[int, int],
     seed: int,
     estimator: str,
-) -> tuple[np.ndarray, int]:
-    """(statistic values, rows dropped) of one chunk of replicates at ``d.n``."""
-    kernel, n, theta = d.kernel, d.n, d.theta
+) -> list[tuple[np.ndarray, int]]:
+    """(statistic values, rows dropped) of one chunk of replicates at each n.
+
+    ``decs`` are the decompositions of one n-group, in grid order; the
+    chunk's stream is drawn once, to their largest n.
+    """
     lo, hi = bounds
-    u = np.empty(hi - lo)
-    var_hat = np.empty(hi - lo) if estimator == "studentized" else None
+    studentized = estimator == "studentized"
+    u = {d.n: np.empty(hi - lo) for d in decs}
+    var_hat = {d.n: np.empty(hi - lo) if studentized else None for d in decs}
+    kernel = decs[0].kernel
     # rows are drawn and scored a block at a time; the row forms take each
     # block as scratch, since row_blocks refills it for the next
-    for first, rows in model.row_blocks(d.dist, hi - lo, n, seed, lo // CHUNK_REPLICATES):
+    blocks = model.row_blocks(
+        decs[0].dist, hi - lo, [d.n for d in decs], seed, lo // CHUNK_REPLICATES
+    )
+    for n, first, rows in blocks:
         part = slice(first, first + rows.shape[0])
-        if var_hat is None:
-            u[part] = kernel.rows.u(rows)
+        if studentized:
+            u[n][part], var_hat[n][part] = _row_jackknife_stats(kernel, rows)
         else:
-            u[part], var_hat[part] = _row_jackknife_stats(kernel, rows)
+            u[n][part] = kernel.rows.u(rows)
+    return [_statistic_values(d, u[d.n], var_hat[d.n]) for d in decs]
+
+
+def _statistic_values(
+    d: hoeffding.DecomposedStatistic, u: np.ndarray, var_hat: Optional[np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """(statistic values, rows dropped) from the rows' U-statistics at ``d.n``."""
+    n = d.n
     if var_hat is None:
-        return math.sqrt(n) * (u - theta) / (kernel.order * d.sigma_g), 0
+        return math.sqrt(n) * (u - d.theta) / (d.kernel.order * d.sigma_g), 0
     keep = var_hat > 0.0
     dropped = int(var_hat.size - np.count_nonzero(keep))
-    s = math.sqrt(n) * (u[keep] - theta) / (2.0 * np.sqrt(var_hat[keep]))
+    s = math.sqrt(n) * (u[keep] - d.theta) / (2.0 * np.sqrt(var_hat[keep]))
     return s, dropped
+
+
+def _n_groups(grid: Sequence[int], parts: int) -> list[list[int]]:
+    """``grid`` split into ``parts`` contiguous n-groups of about equal sum of n.
+
+    Groups are cut from the largest n down and listed largest first, so a
+    doubling grid puts its largest n alone in the first group.
+    """
+    parts = min(parts, len(grid))
+    groups: list[list[int]] = []
+    rest = list(grid)
+    while len(groups) < parts - 1:
+        share = sum(rest) / (parts - len(groups))
+        group = [rest.pop()]
+        # leave at least one n for each group still to cut
+        while len(rest) > parts - len(groups) - 1 and sum(group) < share:
+            group.insert(0, rest.pop())
+        groups.append(group)
+    return groups + [rest]
 
 
 def _gather(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
@@ -237,23 +275,35 @@ def _replicates(
     """``(d, _target(d, cfg), values, dropped)`` at each n, largest n first.
 
     Every target is built before any replicate is drawn, so a target the
-    configuration cannot have fails without sampling.  One pool of
-    ``min(threads, chunks)`` workers scores every chunk of the grid, largest
-    n first, so the last chunks of one n leave no worker idle.  Each n is
-    yielded once its own chunks are done, so the caller scores it while the
-    pool still draws the smaller n.
+    configuration cannot have fails without sampling.  A task scores one
+    chunk at every n of one n-group, from one pass over the chunk's stream
+    (see ``_n_groups``).  The grid is one n-group unless there are fewer
+    full chunks than threads; then it is cut into about ``threads / full
+    chunks`` n-groups (at worst one n each), so that every worker gets a
+    full chunk's rows and a short last chunk leaves none idle.  The cut
+    depends only on the chunk and thread counts, and no value depends on
+    it.  One pool of ``min(threads, tasks)`` workers takes the n-groups
+    largest n first; each n-group's n are yielded once its chunks are done,
+    so the caller scores them while the pool still draws the smaller n.
     """
-    decs = list(_resolve(cfg).values())
-    targets = [_target(d, cfg) for d in decs]
+    resolved = _resolve(cfg)
+    targets = {n: _target(d, cfg) for n, d in resolved.items()}
     bounds = _chunk_bounds(cfg.reps)
-    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(decs) * len(bounds)))
+    full = cfg.reps // CHUNK_REPLICATES
+    groups = [
+        [resolved[n] for n in group]
+        for group in _n_groups(cfg.n_grid, math.ceil(cfg.threads / max(1, full)))
+    ]
+    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(groups) * len(bounds)))
     try:
         jobs = [
-            (d, target, [pool.submit(_score_chunk, d, b, cfg.seed, cfg.estimator) for b in bounds])
-            for d, target in reversed(list(zip(decs, targets)))
+            (decs, [pool.submit(_score_chunk, decs, b, cfg.seed, cfg.estimator) for b in bounds])
+            for decs in groups
         ]
-        for d, target, chunks in jobs:
-            yield d, target, *_gather([f.result() for f in chunks])
+        for decs, chunks in jobs:
+            parts = [f.result() for f in chunks]
+            for i, d in reversed(list(enumerate(decs))):
+                yield d, targets[d.n], *_gather([p[i] for p in parts])
     finally:
         # after a refused n, or a consumer that stops early, chunks not yet
         # started are dropped rather than scored

@@ -1099,9 +1099,9 @@ def cross_moment_mc(d: DecomposedStatistic, p: int, reps: int, seed: int) -> tup
     """
     if reps < 2:
         raise ValidationError("reps must be at least 2")
-    blocks = model.row_blocks(d.dist, reps, d.n, seed)
+    blocks = model.row_blocks(d.dist, reps, (d.n,), seed)
     vals = np.array(
-        [d.linear_part(x) ** p * d.remainder(x) for _, rows in blocks for x in rows]
+        [d.linear_part(x) ** p * d.remainder(x) for _, _, rows in blocks for x in rows]
     )
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(reps))
 

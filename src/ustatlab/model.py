@@ -10,11 +10,13 @@ Design notes
 * A generator is built per block of draws, not per replicate.  Monte Carlo
   experiments draw a whole chunk of replicates from one stream: stream ``c``
   holds chunk ``c`` (see ``exper``), so chunk streams are small integers.
-  ``row_blocks`` hands the chunk over in row blocks of at most
-  ``ROW_BLOCK_CELLS`` draws, drawn in turn into one reused buffer, so a
-  chunk never holds all of its draws at once.  Streams from ``1 << 40``
-  upward are reserved for the inner draws and moment estimates of
-  ``hoeffding``.
+  The rows of a chunk at size n are the stream's first rows * n draws, so
+  the rows of every smaller n are a prefix of those of the largest n.
+  ``row_blocks`` draws the chunk's stream once, to the largest n of a grid,
+  in turn into one reused buffer, and hands every n its rows in row blocks
+  read from that one pass, so a chunk never holds all of its draws at once.
+  Streams from ``1 << 40`` upward are reserved for the inner draws and
+  moment estimates of ``hoeffding``.
 * Built-in kernels are written so that evaluation is exactly (bit-for-bit)
   invariant under argument permutation.
 * Kernel closed forms (``Kernel.quad_coefs``, ``Kernel.rows`` and
@@ -49,8 +51,9 @@ DEFAULT_SUBSET_BUDGET = 10**8
 # index subsets per block of subset_blocks: a block of order-k index columns
 # and the kernel values on it stay a few MB
 SUBSET_BLOCK = 32768
-# draws per block of row_blocks: one 1 MiB buffer of float64, which stays in
-# cache while the row forms make their passes over it
+# draws per block of row_blocks: a 1 MiB budget of float64, split between
+# the stream buffer and the scratch that smaller n are copied into, so each
+# block stays in cache while the row forms make their passes over it
 ROW_BLOCK_CELLS = 131072
 
 _UINT64_MASK = (1 << 64) - 1
@@ -158,27 +161,56 @@ def sample(dist: Distribution, n: int, seed: int, stream: int = 0) -> np.ndarray
 
 
 def row_blocks(
-    dist: Distribution, rows: int, n: int, seed: int, stream: int = 0
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``rows`` rows of ``n`` draws of stream ``stream``, in row blocks.
+    dist: Distribution, rows: int, ns: Sequence[int], seed: int, stream: int = 0
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``rows`` rows of each n of ``ns`` from one pass over stream ``stream``.
 
-    Yields ``(first_row, block)``: ``block`` is a ``(m, n)`` view of one
-    buffer of at most ``ROW_BLOCK_CELLS`` cells (one row if a row is
-    longer), refilled for each block, so the caller uses a block, may
-    overwrite it, and keeps none of it.  The blocks are drawn in turn from
-    the stream's one generator: joined, they are exactly
+    Row j at size n is draws ``j*n`` to ``(j+1)*n`` of the stream, so the
+    rows of every n are a prefix of the rows of the largest n, and the
+    stream is drawn once, ``rows * max(ns)`` draws, into one buffer of
+    whole rows of the largest n, refilled block by block.  Yields
+    ``(n, first_row, block)``, where ``block`` is an ``(m, n)`` view that
+    the caller uses, may overwrite, and keeps none of: each smaller n's
+    rows are copied out of the buffer into one scratch buffer (a row that
+    straddles two buffer fills is carried over), and the largest n is
+    yielded last, in place.  The buffer and the scratch share
+    ``ROW_BLOCK_CELLS`` cells, half each (the buffer takes them all for a
+    one-element grid); either holds one row if a row is longer.  For each
+    n, the blocks join to exactly
     ``sample(dist, rows * n, seed, stream).reshape(rows, n)``.
     """
-    if rows < 0 or n < 1:
-        raise ValidationError("row_blocks needs rows >= 0 and n >= 1")
+    ns = tuple(int(n) for n in ns)
+    if rows < 0 or not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValidationError("row_blocks needs rows >= 0 and increasing sizes n >= 1")
+    *smaller, top = ns
+    cells = ROW_BLOCK_CELLS // 2 if smaller else ROW_BLOCK_CELLS
+    caps = {n: max(1, min(rows, cells // n)) for n in smaller}
+    scratch = np.empty(max((caps[n] * n for n in smaller), default=0))
+    carry = {n: np.empty(n) for n in smaller}
     gen = stream_generator(seed, stream)
-    step = max(1, min(rows, ROW_BLOCK_CELLS // n))
-    buf = np.empty((step, n))
+    step = max(1, min(rows, cells // top))
+    buf = np.empty((step, top))
     flat = buf.reshape(-1)
     for first in range(0, rows, step):
         m = min(step, rows - first)
-        _fill(dist, gen, flat[: m * n])
-        yield first, buf[:m]
+        _fill(dist, gen, flat[: m * top])
+        lo, hi = first * top, (first + m) * top  # the draws in the buffer
+        for n in smaller:
+            end = min(hi, rows * n)
+            pos = lo - lo % n  # where the row under way at lo began
+            while pos < end:
+                # the first k draws of the row at pos came in the last fill
+                k = max(0, lo - pos)
+                take = min(caps[n], (end - pos) // n) * n
+                if take == 0:  # part of a row: carry it to the next fill
+                    carry[n][k : end - pos] = flat[pos + k - lo : end - lo]
+                    break
+                out = scratch[:take]
+                out[:k] = carry[n][:k]
+                out[k:] = flat[pos + k - lo : pos + take - lo]
+                yield n, pos // n, out.reshape(-1, n)
+                pos += take
+        yield top, first, buf[:m]
 
 
 def mean(dist: Distribution) -> float:

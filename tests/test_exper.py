@@ -3,6 +3,7 @@
 import json
 import math
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,46 +314,55 @@ def test_studentized_reports_byte_identical_across_threads():
 
 
 def test_replicate_rows_are_chunk_stream_blocks(monkeypatch):
-    # replicate c * CHUNK_REPLICATES + j is row j of the draws of stream c;
+    # replicate c * CHUNK_REPLICATES + j at size n is row j of the first
+    # rows * n draws of stream c, one pass of which serves the whole grid;
     # the last chunk here is short
-    cfg = small_config(n_grid=(8,), reps=exper.CHUNK_REPLICATES + 37)
+    cfg = small_config(n_grid=(8, 12), reps=exper.CHUNK_REPLICATES + 37)
     drawn = []
     row_blocks = model.row_blocks
 
-    def capture(dist, rows, n, seed, stream=0):
-        drawn.append((stream, rows, n))
-        return row_blocks(dist, rows, n, seed, stream)
+    def capture(dist, rows, ns, seed, stream=0):
+        drawn.append((stream, rows, tuple(ns)))
+        return row_blocks(dist, rows, ns, seed, stream)
 
     monkeypatch.setattr(model, "row_blocks", capture)
-    ((d, _, values, dropped),) = exper._replicates(cfg)
-    assert dropped == 0
+    replicates = {d.n: (d, values, dropped) for d, _, values, dropped in exper._replicates(cfg)}
     sizes = [exper.CHUNK_REPLICATES, 37]
-    assert drawn == [(c, m, 8) for c, m in enumerate(sizes)]
-    rows = np.concatenate(
-        [model.sample(d.dist, m * 8, cfg.seed, c).reshape(m, 8) for c, m in enumerate(sizes)]
-    )
-    want = math.sqrt(8) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
-    np.testing.assert_array_equal(values, want)
+    assert drawn == [(c, m, (8, 12)) for c, m in enumerate(sizes)]
+    for n, (d, values, dropped) in replicates.items():
+        assert dropped == 0
+        rows = np.concatenate(
+            [model.sample(d.dist, m * n, cfg.seed, c).reshape(m, n) for c, m in enumerate(sizes)]
+        )
+        want = math.sqrt(n) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
+        np.testing.assert_array_equal(values, want)
+
+
+def _count_stream_draws(monkeypatch):
+    """The streams opened and the [(stream, draws)] of every ``model._fill``."""
+    make, fill = model.stream_generator, model._fill
+    opened, drawn = [], []
+
+    def counting_generator(seed, stream=0):
+        gen = make(seed, stream)
+        opened.append((gen, stream))  # kept, so that fills find it by identity
+        return gen
+
+    def counting_fill(dist, gen, out):
+        drawn.append((next(s for g, s in opened if g is gen), out.size))
+        fill(dist, gen, out)
+
+    monkeypatch.setattr(model, "stream_generator", counting_generator)
+    monkeypatch.setattr(model, "_fill", counting_fill)
+    return opened, drawn
 
 
 @pytest.mark.parametrize("estimator", ["standardized", "studentized"])
 def test_one_generator_per_chunk(monkeypatch, estimator):
-    # over a whole run, the rows of each (n, chunk) are drawn once, from one
-    # generator: stream c holds chunk c at every n.  At n = 100 a chunk
-    # spans several row blocks, which still share the chunk's generator.
-    make, row_blocks = model.stream_generator, model.row_blocks
-    opened, drawn = [], []
-
-    def counting_generator(seed, stream=0):
-        opened.append(stream)
-        return make(seed, stream)
-
-    def counting_blocks(dist, rows, n, seed, stream=0):
-        drawn.append((rows * n, stream))
-        return row_blocks(dist, rows, n, seed, stream)
-
-    monkeypatch.setattr(model, "stream_generator", counting_generator)
-    monkeypatch.setattr(model, "row_blocks", counting_blocks)
+    # over a whole run, each chunk's stream is opened once and drawn once, to
+    # the grid's largest n: stream c holds chunk c at every n.  At n = 100 a
+    # chunk spans several row blocks, which still share the chunk's generator.
+    opened, drawn = _count_stream_draws(monkeypatch)
     for threads in (1, 2):
         cfg = small_config(
             kernel="variance", n_grid=(8, 16, 100), reps=9000, estimator=estimator,
@@ -362,47 +372,69 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
         drawn.clear()
         exper.run_ecdf_experiment(cfg)
         bounds = exper._chunk_bounds(cfg.reps)
-        want = [((hi - lo) * n, c) for n in cfg.n_grid for c, (lo, hi) in enumerate(bounds)]
-        assert sorted(drawn) == sorted(want)
-        assert sorted(opened) == sorted(c for _, c in want)
+        assert sorted(s for _, s in opened) == list(range(len(bounds)))
+        for c, (lo, hi) in enumerate(bounds):
+            assert sum(size for s, size in drawn if s == c) == (hi - lo) * 100
+
+
+def test_mc_rate_grid_draws_each_chunk_to_its_largest_n_only(monkeypatch):
+    # the benchmark's rate run: 30,000 replicates on n = 8 ... 256 and two
+    # threads draw rows * 256 variates per chunk, not rows * (8 + ... + 256)
+    _, drawn = _count_stream_draws(monkeypatch)
+    cfg = exper.ExperimentConfig(
+        "variance", "exponential", (8, 16, 32, 64, 128, 256), 30_000, seed=0, threads=2
+    )
+    exper.run_ecdf_experiment(cfg)
+    per_stream = {}
+    for stream, size in drawn:
+        per_stream[stream] = per_stream.get(stream, 0) + size
+    bounds = exper._chunk_bounds(cfg.reps)
+    assert per_stream == {c: (hi - lo) * 256 for c, (lo, hi) in enumerate(bounds)}
+    assert sum(per_stream.values()) == 30_000 * 256
 
 
 @pytest.mark.parametrize("estimator", ["standardized", "studentized"])
 @pytest.mark.parametrize(
-    "kernel, dist, n, cells",
+    "kernel, dist, ns, cells",
     [
-        ("variance", "exponential", 100, model.ROW_BLOCK_CELLS),
-        ("product", "exponential", 257, model.ROW_BLOCK_CELLS),
-        ("quadratic:0.5", "uniform", 1500, model.ROW_BLOCK_CELLS),
-        ("gini", "exponential", 300, model.ROW_BLOCK_CELLS),
+        ("variance", "exponential", (8, 100), model.ROW_BLOCK_CELLS),
+        ("product", "exponential", (3, 100, 257), model.ROW_BLOCK_CELLS),
+        ("quadratic:0.5", "uniform", (9, 301, 1500), model.ROW_BLOCK_CELLS),
+        ("gini", "exponential", (7, 300), 1000),
         # bernoulli rows of n = 3 are often constant: a zero variance
-        # estimate, dropped from blocks of 333 rows
-        ("variance", "bernoulli:0.3", 3, 1000),
-        ("gini", "bernoulli:0.3", 3, 1000),
+        # estimate, dropped from blocks of 166 rows; rows of 7 straddle the
+        # fills of 55 rows of 9
+        ("variance", "bernoulli:0.3", (3, 7, 9), 1000),
+        ("gini", "bernoulli:0.3", (3, 9, 301), 1000),
     ],
 )
 def test_blocked_scoring_equals_whole_chunk_scoring(
-    monkeypatch, kernel, dist, n, cells, estimator
+    monkeypatch, kernel, dist, ns, cells, estimator
 ):
-    # a chunk scored block by block gives the values and dropped count of the
-    # row forms on the whole chunk's sample, bit for bit
+    # a chunk scored block by block, at every n from one pass over its
+    # stream, gives each n the values and dropped count of the row forms on
+    # that n's whole chunk sample, bit for bit
     monkeypatch.setattr(model, "ROW_BLOCK_CELLS", cells)
-    d = hoeffding.decompose(model.kernel_preset(kernel), model.distribution_preset(dist), n)
+    d0 = hoeffding.decompose(model.kernel_preset(kernel), model.distribution_preset(dist), ns[0])
+    decs = [replace(d0, n=n) for n in ns]
     seed, lo, hi = 4, exper.CHUNK_REPLICATES, exper.CHUNK_REPLICATES + 3001
-    got, dropped = exper._score_chunk(d, (lo, hi), seed, estimator)
-    rows = model.sample(d.dist, (hi - lo) * n, seed, 1).reshape(hi - lo, n)
-    if estimator == "standardized":
-        want = math.sqrt(n) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
-        want_dropped = 0
-    else:
-        u, var_hat = exper._row_jackknife_stats(d.kernel, rows)
-        keep = var_hat > 0.0
-        want = math.sqrt(n) * (u[keep] - d.theta) / (2 * np.sqrt(var_hat[keep]))
-        want_dropped = int(keep.size - keep.sum())
-    np.testing.assert_array_equal(got, want)
-    assert dropped == want_dropped
+    scored = exper._score_chunk(decs, (lo, hi), seed, estimator)
+    assert len(scored) == len(ns)
+    for d, (got, dropped) in zip(decs, scored):
+        n = d.n
+        rows = model.sample(d.dist, (hi - lo) * n, seed, 1).reshape(hi - lo, n)
+        if estimator == "standardized":
+            want = math.sqrt(n) * (d.kernel.rows.u(rows) - d.theta) / (2 * d.sigma_g)
+            want_dropped = 0
+        else:
+            u, var_hat = exper._row_jackknife_stats(d.kernel, rows)
+            keep = var_hat > 0.0
+            want = math.sqrt(n) * (u[keep] - d.theta) / (2 * np.sqrt(var_hat[keep]))
+            want_dropped = int(keep.size - keep.sum())
+        np.testing.assert_array_equal(got, want)
+        assert dropped == want_dropped
     if dist.startswith("bernoulli") and estimator == "studentized":
-        assert dropped > 0
+        assert scored[0][1] > 0
 
 
 def test_one_run_builds_one_executor(monkeypatch):
@@ -423,20 +455,22 @@ def test_one_run_builds_one_executor(monkeypatch):
 
 
 def test_each_n_is_yielded_in_submission_order_and_reported_in_grid_order(monkeypatch):
-    # the pool starts its tasks first in, first out, so the n whose chunks
-    # went in first is done first; it is handed on then, not after the
-    # smaller n, and the reports put every n back in grid order
+    # the pool starts its tasks first in, first out, so the n-group whose
+    # chunks went in first is done first; its n are handed on then, largest
+    # first, not after the smaller n, and the reports put every n back in
+    # grid order.  5,000 replicates make one full chunk, so two threads cut
+    # the grid into two n-groups.
     submitted = []
     submit = exper.ThreadPoolExecutor.submit
 
-    def recording(self, fn, d, *args):
-        submitted.append(d.n)
-        return submit(self, fn, d, *args)
+    def recording(self, fn, decs, *args):
+        submitted.append(tuple(d.n for d in decs))
+        return submit(self, fn, decs, *args)
 
     monkeypatch.setattr(exper.ThreadPoolExecutor, "submit", recording)
     cfg = small_config(reps=5000, threads=2)
     assert [d.n for d, *_ in exper._replicates(cfg)] == [32, 16, 8]
-    assert submitted == [32, 32, 16, 16, 8, 8]
+    assert submitted == [(32,), (32,), (8, 16), (8, 16)]
     report = exper.run_ecdf_experiment(cfg)
     assert [r.n for r in report.rows] == list(report.kappa_by_n) == [8, 16, 32]
     cf = exper.char_function_check(cfg, (0.5, 1.0))
@@ -448,29 +482,61 @@ def test_each_n_is_yielded_in_submission_order_and_reported_in_grid_order(monkey
     assert [r.n for r in smooth.rows] == [8, 16, 32]
 
 
-@pytest.mark.parametrize("threads, reps, workers", [(64, 5000, 4), (3, 5000, 3), (64, 2000, 2)])
-def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, workers):
-    # a stub pool records its worker count and runs each task in the caller,
-    # so no thread is started whatever the requested count
-    built = []
+@pytest.mark.parametrize(
+    "grid, parts, groups",
+    [
+        ((8, 16, 32, 64, 128, 256), 1, [[8, 16, 32, 64, 128, 256]]),
+        ((8, 16, 32, 64, 128, 256), 2, [[256], [8, 16, 32, 64, 128]]),
+        ((8, 16, 32, 64, 128, 256), 3, [[256], [128], [8, 16, 32, 64]]),
+        ((8, 16, 32, 64, 128, 256), 64, [[256], [128], [64], [32], [16], [8]]),
+        ((3, 9, 301, 1501), 2, [[1501], [3, 9, 301]]),
+        ((100, 101, 102, 103), 2, [[102, 103], [100, 101]]),
+        ((8,), 4, [[8]]),
+    ],
+)
+def test_n_groups_are_contiguous_runs_of_the_grid_largest_first(grid, parts, groups):
+    assert exper._n_groups(grid, parts) == groups
+
+
+@pytest.mark.parametrize(
+    "threads, reps, grid, workers, groups",
+    [
+        # fewer full chunks than threads: the grid is cut into n-groups
+        (64, 5000, (8, 16), 4, [(16,), (8,)]),
+        (3, 5000, (8, 16), 3, [(16,), (8,)]),
+        (64, 2000, (8, 16), 2, [(16,), (8,)]),
+        (2, 5000, (8, 16, 32), 2, [(32,), (8, 16)]),
+        # a full chunk per thread, or one thread: one pass per chunk
+        (2, 9000, (8, 16, 32), 2, [(8, 16, 32)]),
+        (1, 2000, (8, 16, 32), 1, [(8, 16, 32)]),
+    ],
+)
+def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, grid, workers,
+                                                 groups):
+    # a stub pool records its worker count and tasks and runs each task in
+    # the caller, so no thread is started whatever the requested count
+    built, submitted = [], []
 
     class StubPool:
         def __init__(self, max_workers):
             built.append(max_workers)
 
-        def submit(self, fn, /, *args):
+        def submit(self, fn, /, decs, *args):
+            submitted.append(tuple(d.n for d in decs))
             future = Future()
-            future.set_result(fn(*args))
+            future.set_result(fn(decs, *args))
             return future
 
         def shutdown(self, wait=True, *, cancel_futures=False):
             pass
 
     monkeypatch.setattr(exper, "ThreadPoolExecutor", StubPool)
-    # two sample sizes of ceil(reps / CHUNK_REPLICATES) chunks each
-    cfg = small_config(n_grid=(8, 16), reps=reps, threads=threads)
+    cfg = small_config(n_grid=grid, reps=reps, threads=threads)
     exper.run_ecdf_experiment(cfg)
     assert built == [workers]
+    # one task per chunk and n-group, the n-groups largest n first
+    chunks = len(exper._chunk_bounds(reps))
+    assert submitted == [g for g in groups for _ in range(chunks)]
 
 
 def test_experiment_shares_one_projection_across_n(monkeypatch):

@@ -78,21 +78,80 @@ def test_row_blocks_join_to_the_chunk_draw(monkeypatch, ident, rows, n, sizes):
         return make(seed, stream)
 
     monkeypatch.setattr(model, "stream_generator", counting)
-    blocks = [(first, block.copy()) for first, block in model.row_blocks(dist, rows, n, 5, 3)]
+    blocks = [
+        (m, first, block.copy()) for m, first, block in model.row_blocks(dist, rows, (n,), 5, 3)
+    ]
     assert opened == [3]
-    assert [first for first, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
-    assert [block.shape for _, block in blocks] == [(m, n) for m in sizes]
+    assert {m for m, _, _ in blocks} == {n}
+    assert [first for _, first, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert [block.shape for _, _, block in blocks] == [(m, n) for m in sizes]
     want = model.sample(dist, rows * n, 5, 3).reshape(rows, n)
-    np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), want)
+    np.testing.assert_array_equal(np.concatenate([b for _, _, b in blocks]), want)
 
 
 def test_row_blocks_take_one_row_when_a_row_exceeds_the_block(monkeypatch):
     monkeypatch.setattr(model, "ROW_BLOCK_CELLS", 64)
     dist = model.distribution_preset("normal")
-    blocks = [block.copy() for _, block in model.row_blocks(dist, 3, 100, 1, 2)]
+    blocks = [block.copy() for _, _, block in model.row_blocks(dist, 3, (100,), 1, 2)]
     assert [b.shape for b in blocks] == [(1, 100)] * 3
     want = model.sample(dist, 300, 1, 2).reshape(3, 100)
     np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+
+@pytest.mark.parametrize("ident", ["exponential", "uniform-atoms:1,2,5"])
+@pytest.mark.parametrize(
+    "rows, ns",
+    [
+        (37, (3, 9, 100, 301)),  # rows of 3, 9 and 100 straddle fills of 301
+        (20, (8, 16, 32, 64)),  # a doubling grid: no row straddles
+        (5, (499, 700, 1001)),  # rows longer than half the budget
+        (6, (2, 1000, 1001)),  # a smaller n almost as long as the largest
+        (0, (4, 9)),
+    ],
+)
+def test_row_blocks_draw_the_largest_n_once_and_read_each_n_from_its_prefix(
+    monkeypatch, ident, rows, ns
+):
+    # one pass over the stream, rows * max(ns) draws, gives every n the rows
+    # of its own draw, row block by row block; the blocks of the largest n,
+    # scored in place, come last in each fill
+    monkeypatch.setattr(model, "ROW_BLOCK_CELLS", 1000)
+    dist = model.distribution_preset(ident)
+    make, fill, opened, drawn = model.stream_generator, model._fill, [], []
+
+    def counting_generator(seed, stream=0):
+        opened.append(stream)
+        return make(seed, stream)
+
+    def counting_fill(dist, gen, out):
+        drawn.append(out.size)
+        fill(dist, gen, out)
+
+    monkeypatch.setattr(model, "stream_generator", counting_generator)
+    monkeypatch.setattr(model, "_fill", counting_fill)
+    got = {n: [] for n in ns}
+    order = []
+    for n, first, block in model.row_blocks(dist, rows, ns, 5, 3):
+        assert first == sum(b.shape[0] for b in got[n])
+        # a block holds at most half the budget, or one row of a longer row
+        assert block.shape[1] == n and block.size <= max(500, n)
+        got[n].append(block.copy())
+        order.append(n)
+        block[...] = np.nan  # the caller may overwrite what it is given
+    assert opened == [3]
+    assert sum(drawn) == rows * ns[-1]
+    if rows:
+        assert order[-1] == ns[-1]
+        assert order.count(ns[-1]) == len(drawn)
+    for n in ns:
+        want = model.sample(dist, rows * n, 5, 3).reshape(rows, n)
+        np.testing.assert_array_equal(np.concatenate(got[n] or [want[:0]]), want)
+
+
+@pytest.mark.parametrize("ns", [(), (0, 4), (8, 8), (16, 8)])
+def test_row_blocks_refuse_a_grid_that_is_not_increasing_from_one(ns):
+    with pytest.raises(ValidationError):
+        next(model.row_blocks(model.distribution_preset("normal"), 4, ns, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +250,7 @@ def test_abs_central_moments_of_the_presets(r):
         cases["exponential"] = (math.gamma(r + 1.0) + below[r]) / math.e
     for ident, want in cases.items():
         got = model.abs_central_moment(model.distribution_preset(ident), r)
-        assert got == pytest.approx(want, rel=1e-14), (ident, r)
+        assert got == pytest.approx(want, rel=1e-14, abs=0), (ident, r)
     # integer even orders are the central moments themselves
     if r % 2 == 0:
         for ident in ("normal", "exponential", "uniform"):
@@ -235,8 +294,8 @@ def test_gaussian_abs_moment_values():
     assert model.gaussian_abs_moment(3.0) == pytest.approx(
         2.0 * math.sqrt(2.0 / math.pi), rel=1e-14
     )
-    assert model.gaussian_abs_moment(2.0) == pytest.approx(1.0, rel=1e-14)
-    assert model.gaussian_abs_moment(0.0) == pytest.approx(1.0, rel=1e-14)
+    assert model.gaussian_abs_moment(2.0) == pytest.approx(1.0, rel=1e-14, abs=0)
+    assert model.gaussian_abs_moment(0.0) == pytest.approx(1.0, rel=1e-14, abs=0)
     # even orders are the double factorials, exactly
     assert [model.gaussian_abs_moment(r) for r in (0, 2, 4, 6, 8.0)] == [1, 1, 3, 15, 105]
 
@@ -387,15 +446,15 @@ def test_symmetrize_produces_symmetric_kernel():
 def test_u_statistic_order2_hand_value():
     # variance kernel on (1, 2, 4): pairs (1,2),(1,4),(2,4) -> (0.5 + 4.5 + 2)/3
     u = model.u_statistic(model.variance_kernel(), np.array([1.0, 2.0, 4.0]))
-    assert u == pytest.approx(7.0 / 3.0, rel=1e-15)
+    assert u == pytest.approx(7.0 / 3.0, rel=1e-15, abs=0)
     # equals the ddof=1 sample variance
-    assert u == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1), rel=1e-14)
+    assert u == pytest.approx(np.var([1.0, 2.0, 4.0], ddof=1), rel=1e-14, abs=0)
 
 
 def test_u_statistic_sums_over_several_blocks():
     x = np.random.default_rng(3).normal(size=400)  # 79,800 pairs: 3 blocks
     u = model.u_statistic(model.variance_kernel(), x)
-    assert u == pytest.approx(np.var(x, ddof=1), rel=1e-13)
+    assert u == pytest.approx(np.var(x, ddof=1), rel=1e-13, abs=0)
 
 
 def test_u_statistic_matches_bruteforce_order3():
