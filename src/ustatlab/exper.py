@@ -5,16 +5,14 @@ Chunk ``c`` at sample size ``n`` is the first ``m * n`` draws of stream
 index ``c`` of the counter-based generator, read as ``m`` rows of ``n``;
 replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  So the chunk at every
 smaller n is a prefix of the chunk at the largest n: a chunk's stream is
-drawn once, to the largest n of the grid (or of an n-group of it), and
-every n reads its rows from that one pass, in row blocks within the
-``model.ROW_BLOCK_CELLS`` budget, so a chunk's memory does not grow with
-``n``.  An experiment scores its chunks in one thread pool, one task per
-chunk and n-group, with at most one worker per task; each n's values are
-joined in chunk order whichever worker scored them, and handed on, largest
-n first, as soon as its chunks are done; reports list the n in grid order.
-Neither the values, the chunk size, the block size nor the layout depends
-on the worker count or the n-groups, so reports are byte-identical for any
-number of threads.
+drawn once, to the largest n of the grid, and every n reads its rows from
+that one pass, in row blocks within the ``model.ROW_BLOCK_CELLS`` budget,
+so a chunk's memory does not grow with ``n``.  An experiment scores its
+chunks in one thread pool, one task per chunk over the whole grid, with at
+most one worker per chunk; once every chunk is done, each n's values are
+joined in chunk order and handed on in grid order.  Neither the values,
+the chunk size, the block size nor the layout depends on the worker count,
+so reports are byte-identical for any number of threads.
 """
 
 from __future__ import annotations
@@ -158,8 +156,8 @@ def _score_chunk(
 ) -> list[tuple[np.ndarray, int]]:
     """(statistic values, rows dropped) of one chunk of replicates at each n.
 
-    ``decs`` are the decompositions of one n-group, in grid order; the
-    chunk's stream is drawn once, to their largest n.
+    ``decs`` are the decompositions of the grid, in grid order; the chunk's
+    stream is drawn once, to the grid's largest n.
     """
     lo, hi = bounds
     studentized = estimator == "studentized"
@@ -191,25 +189,6 @@ def _statistic_values(
     dropped = int(var_hat.size - np.count_nonzero(keep))
     s = math.sqrt(n) * (u[keep] - d.theta) / (2.0 * np.sqrt(var_hat[keep]))
     return s, dropped
-
-
-def _n_groups(grid: Sequence[int], parts: int) -> list[list[int]]:
-    """``grid`` split into ``parts`` contiguous n-groups of about equal sum of n.
-
-    Groups are cut from the largest n down and listed largest first, so a
-    doubling grid puts its largest n alone in the first group.
-    """
-    parts = min(parts, len(grid))
-    groups: list[list[int]] = []
-    rest = list(grid)
-    while len(groups) < parts - 1:
-        share = sum(rest) / (parts - len(groups))
-        group = [rest.pop()]
-        # leave at least one n for each group still to cut
-        while len(rest) > parts - len(groups) - 1 and sum(group) < share:
-            group.insert(0, rest.pop())
-        groups.append(group)
-    return groups + [rest]
 
 
 def _gather(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
@@ -272,47 +251,28 @@ def _adjusted_only(cfg: ExperimentConfig, command: str) -> ExperimentConfig:
 def _replicates(
     cfg: ExperimentConfig,
 ) -> Iterator[tuple[hoeffding.DecomposedStatistic, approx.AdjustedNormal, np.ndarray, int]]:
-    """``(d, _target(d, cfg), values, dropped)`` at each n, largest n first.
+    """``(d, _target(d, cfg), values, dropped)`` at each n, in grid order.
 
     Every target is built before any replicate is drawn, so a target the
-    configuration cannot have fails without sampling.  A task scores one
-    chunk at every n of one n-group, from one pass over the chunk's stream
-    (see ``_n_groups``).  The grid is one n-group unless there are fewer
-    full chunks than threads; then it is cut into about ``threads / full
-    chunks`` n-groups (at worst one n each), so that every worker gets a
-    full chunk's rows and a short last chunk leaves none idle.  The cut
-    depends only on the chunk and thread counts, and no value depends on
-    it.  One pool of ``min(threads, tasks)`` workers takes the n-groups
-    largest n first; each n-group's n are yielded once its chunks are done,
-    so the caller scores them while the pool still draws the smaller n.
+    configuration cannot have fails without sampling.  One pool of
+    ``min(threads, chunks)`` workers takes one task per chunk, which scores
+    the chunk at every n of the grid from one pass over its stream; the n
+    are yielded once every chunk is done.
     """
     resolved = _resolve(cfg)
     targets = {n: _target(d, cfg) for n, d in resolved.items()}
+    decs = list(resolved.values())
     bounds = _chunk_bounds(cfg.reps)
-    full = cfg.reps // CHUNK_REPLICATES
-    groups = [
-        [resolved[n] for n in group]
-        for group in _n_groups(cfg.n_grid, math.ceil(cfg.threads / max(1, full)))
-    ]
-    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(groups) * len(bounds)))
+    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(bounds)))
     try:
-        jobs = [
-            (decs, [pool.submit(_score_chunk, decs, b, cfg.seed, cfg.estimator) for b in bounds])
-            for decs in groups
-        ]
-        for decs, chunks in jobs:
-            parts = [f.result() for f in chunks]
-            for i, d in reversed(list(enumerate(decs))):
-                yield d, targets[d.n], *_gather([p[i] for p in parts])
+        chunks = [pool.submit(_score_chunk, decs, b, cfg.seed, cfg.estimator) for b in bounds]
+        parts = [f.result() for f in chunks]
     finally:
-        # after a refused n, or a consumer that stops early, chunks not yet
-        # started are dropped rather than scored
+        # after a chunk that fails, chunks not yet started are dropped
+        # rather than scored
         pool.shutdown(cancel_futures=True)
-
-
-def _grid_order(by_n: dict[int, Any]) -> dict[int, Any]:
-    """``by_n`` with its keys in grid order, which ``_replicates`` reverses."""
-    return dict(sorted(by_n.items()))
+    for i, d in enumerate(decs):
+        yield d, targets[d.n], *_gather([p[i] for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +347,11 @@ def run_ecdf_experiment(cfg: ExperimentConfig) -> RateReport:
             values, lambda x: approx.adjusted_cdf(target, x)
         )
         rows.append(RateRow(d.n, distance, approx.dkw_se(values.size), dropped))
-    rows.sort(key=lambda r: r.n)
     fit = None
     usable = [r for r in rows if r.distance > 0.0]
     if len(usable) >= 3:
         fit = RateFit(*fit_rate([r.n for r in usable], [r.distance for r in usable]))
-    return RateReport(cfg, d.theta, d.sigma_g, tuple(rows), _grid_order(kappa_by_n), fit)
+    return RateReport(cfg, d.theta, d.sigma_g, tuple(rows), kappa_by_n, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +703,6 @@ def smooth_function_check(cfg: ExperimentConfig, f_ident: str) -> SmoothReport:
         lhs = abs(mean - target)
         scale = hoeffding.beta(d) + hoeffding.gamma_var(d)
         rows.append(SmoothRow(d.n, lhs, scale, lhs / scale, se))
-    rows.sort(key=lambda r: r.n)
     return SmoothReport(cfg, f.ident, deriv_const, tuple(rows))
 
 
@@ -820,9 +778,9 @@ def char_function_check(
                 best_se = se / envelope
         max_ratio_by_n[n] = best_ratio
         max_ratio_se_by_n[n] = best_se
-    rows.sort(key=lambda r: r.n)  # stable: each n's rows stay in t order
-    by_n = (max_ratio_by_n, max_ratio_se_by_n, beta_by_n, gamma_by_n, kappa_by_n)
-    return CfReport(cfg, tuple(rows), *map(_grid_order, by_n))
+    return CfReport(
+        cfg, tuple(rows), max_ratio_by_n, max_ratio_se_by_n, beta_by_n, gamma_by_n, kappa_by_n
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_edgeworth_correction_shrinks_like_inverse_sqrt_n():
     x = 0.7
     d1 = approx.adjusted_cdf(approx.edgeworth2(1.0, 2.0, 1.5, 100), x) - approx.normal_cdf(x)
     d2 = approx.adjusted_cdf(approx.edgeworth2(1.0, 2.0, 1.5, 400), x) - approx.normal_cdf(x)
-    assert float(d1 / d2) == pytest.approx(2.0, rel=1e-12)
+    assert float(d1 / d2) == pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 def test_step_function_distance_hand_case():

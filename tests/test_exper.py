@@ -59,7 +59,7 @@ def test_row_jackknife_fast_paths_match_reference(ident):
     # the reference sums over pairs, which a kernel without row forms does
     bare = model.Kernel(ident, 2, kernel.fn)
     for r in range(rows.shape[0]):
-        assert u[r] == pytest.approx(model.u_statistic(kernel, rows[r]), rel=1e-11)
+        assert u[r] == pytest.approx(model.u_statistic(kernel, rows[r]), rel=1e-11, abs=0)
         assert var_hat[r] == pytest.approx(
             studentize.jackknife_variance(bare, rows[r]), rel=1e-10
         )
@@ -288,8 +288,8 @@ def test_rerun_is_deterministic():
 
 
 def test_studentized_reports_byte_identical_across_threads():
-    # one pool scores the chunks of every n, largest n first; each n's values
-    # still join in chunk order.  9,000 replicates leave a short last chunk.
+    # one pool scores every chunk over the whole grid; each n's values join
+    # in chunk order.  9,000 replicates leave a short last chunk.
     base = dict(
         kernel="variance",
         dist="exponential",
@@ -377,6 +377,25 @@ def test_one_generator_per_chunk(monkeypatch, estimator):
             assert sum(size for s, size in drawn if s == c) == (hi - lo) * 100
 
 
+@pytest.mark.parametrize("threads, reps", [(2, 4000), (2, 5000), (3, 5000), (4, 9000)])
+def test_small_run_draws_each_chunk_once_whatever_the_threads(monkeypatch, threads, reps):
+    # a run with fewer full chunks than threads still opens each chunk's
+    # stream once and draws it once, to the grid's largest n: no thread
+    # re-draws a chunk to score part of the grid
+    opened, drawn = _count_stream_draws(monkeypatch)
+    cfg = small_config(
+        kernel="variance", dist="exponential", n_grid=(8, 100, 300), reps=reps,
+        estimator="studentized", threads=threads,
+    )
+    exper.run_ecdf_experiment(cfg)
+    bounds = exper._chunk_bounds(reps)
+    assert sorted(s for _, s in opened) == list(range(len(bounds)))
+    per_stream = {}
+    for stream, size in drawn:
+        per_stream[stream] = per_stream.get(stream, 0) + size
+    assert per_stream == {c: (hi - lo) * 300 for c, (lo, hi) in enumerate(bounds)}
+
+
 def test_mc_rate_grid_draws_each_chunk_to_its_largest_n_only(monkeypatch):
     # the benchmark's rate run: 30,000 replicates on n = 8 ... 256 and two
     # threads draw rows * 256 variates per chunk, not rows * (8 + ... + 256)
@@ -454,12 +473,11 @@ def test_one_run_builds_one_executor(monkeypatch):
     assert len(built) == 1
 
 
-def test_each_n_is_yielded_in_submission_order_and_reported_in_grid_order(monkeypatch):
-    # the pool starts its tasks first in, first out, so the n-group whose
-    # chunks went in first is done first; its n are handed on then, largest
-    # first, not after the smaller n, and the reports put every n back in
-    # grid order.  5,000 replicates make one full chunk, so two threads cut
-    # the grid into two n-groups.
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_each_n_is_yielded_and_reported_in_grid_order(monkeypatch, threads):
+    # every task scores one chunk over the whole grid, so each n is handed
+    # on in grid order, and the reports keep that order.  5,000 replicates
+    # make one full chunk and a short one, fewer full chunks than threads
     submitted = []
     submit = exper.ThreadPoolExecutor.submit
 
@@ -468,9 +486,9 @@ def test_each_n_is_yielded_in_submission_order_and_reported_in_grid_order(monkey
         return submit(self, fn, decs, *args)
 
     monkeypatch.setattr(exper.ThreadPoolExecutor, "submit", recording)
-    cfg = small_config(reps=5000, threads=2)
-    assert [d.n for d, *_ in exper._replicates(cfg)] == [32, 16, 8]
-    assert submitted == [(32,), (32,), (8, 16), (8, 16)]
+    cfg = small_config(reps=5000, threads=threads)
+    assert [d.n for d, *_ in exper._replicates(cfg)] == [8, 16, 32]
+    assert submitted == [(8, 16, 32), (8, 16, 32)]
     report = exper.run_ecdf_experiment(cfg)
     assert [r.n for r in report.rows] == list(report.kappa_by_n) == [8, 16, 32]
     cf = exper.char_function_check(cfg, (0.5, 1.0))
@@ -483,36 +501,19 @@ def test_each_n_is_yielded_in_submission_order_and_reported_in_grid_order(monkey
 
 
 @pytest.mark.parametrize(
-    "grid, parts, groups",
+    "threads, reps, grid, workers",
     [
-        ((8, 16, 32, 64, 128, 256), 1, [[8, 16, 32, 64, 128, 256]]),
-        ((8, 16, 32, 64, 128, 256), 2, [[256], [8, 16, 32, 64, 128]]),
-        ((8, 16, 32, 64, 128, 256), 3, [[256], [128], [8, 16, 32, 64]]),
-        ((8, 16, 32, 64, 128, 256), 64, [[256], [128], [64], [32], [16], [8]]),
-        ((3, 9, 301, 1501), 2, [[1501], [3, 9, 301]]),
-        ((100, 101, 102, 103), 2, [[102, 103], [100, 101]]),
-        ((8,), 4, [[8]]),
+        # fewer chunks than threads: one worker per chunk
+        (64, 5000, (8, 16), 2),
+        (3, 5000, (8, 16), 2),
+        (64, 2000, (8, 16), 1),
+        # fewer threads than chunks, or one thread: one worker per thread
+        (2, 5000, (8, 16, 32), 2),
+        (2, 9000, (8, 16, 32), 2),
+        (1, 2000, (8, 16, 32), 1),
     ],
 )
-def test_n_groups_are_contiguous_runs_of_the_grid_largest_first(grid, parts, groups):
-    assert exper._n_groups(grid, parts) == groups
-
-
-@pytest.mark.parametrize(
-    "threads, reps, grid, workers, groups",
-    [
-        # fewer full chunks than threads: the grid is cut into n-groups
-        (64, 5000, (8, 16), 4, [(16,), (8,)]),
-        (3, 5000, (8, 16), 3, [(16,), (8,)]),
-        (64, 2000, (8, 16), 2, [(16,), (8,)]),
-        (2, 5000, (8, 16, 32), 2, [(32,), (8, 16)]),
-        # a full chunk per thread, or one thread: one pass per chunk
-        (2, 9000, (8, 16, 32), 2, [(8, 16, 32)]),
-        (1, 2000, (8, 16, 32), 1, [(8, 16, 32)]),
-    ],
-)
-def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, grid, workers,
-                                                 groups):
+def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, grid, workers):
     # a stub pool records its worker count and tasks and runs each task in
     # the caller, so no thread is started whatever the requested count
     built, submitted = [], []
@@ -521,10 +522,10 @@ def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, gri
         def __init__(self, max_workers):
             built.append(max_workers)
 
-        def submit(self, fn, /, decs, *args):
-            submitted.append(tuple(d.n for d in decs))
+        def submit(self, fn, /, decs, bounds, *args):
+            submitted.append((tuple(d.n for d in decs), bounds))
             future = Future()
-            future.set_result(fn(decs, *args))
+            future.set_result(fn(decs, bounds, *args))
             return future
 
         def shutdown(self, wait=True, *, cancel_futures=False):
@@ -533,10 +534,10 @@ def test_pool_workers_are_bounded_by_chunk_tasks(monkeypatch, threads, reps, gri
     monkeypatch.setattr(exper, "ThreadPoolExecutor", StubPool)
     cfg = small_config(n_grid=grid, reps=reps, threads=threads)
     exper.run_ecdf_experiment(cfg)
-    assert built == [workers]
-    # one task per chunk and n-group, the n-groups largest n first
-    chunks = len(exper._chunk_bounds(reps))
-    assert submitted == [g for g in groups for _ in range(chunks)]
+    bounds = exper._chunk_bounds(reps)
+    assert built == [workers] == [min(threads, len(bounds))]
+    # one task per chunk, each over the whole grid
+    assert submitted == [(grid, b) for b in bounds]
 
 
 def test_experiment_shares_one_projection_across_n(monkeypatch):
@@ -788,6 +789,22 @@ def test_cf_check_symmetry_and_zero():
     )
     payload = report.to_json()
     assert len(payload["rows"]) == 5
+
+
+@pytest.mark.parametrize("check", ["cf", "smooth"])
+def test_check_reports_byte_identical_across_threads(check):
+    # 5,000 replicates make one full chunk and a short one, so two and three
+    # threads run one worker per chunk; each n's values join in chunk order
+    payloads = []
+    for threads in (1, 2, 3):
+        if check == "cf":
+            cfg = small_config(reps=5000, threads=threads)
+            report = exper.char_function_check(cfg, (0.5, 1.0))
+        else:
+            cfg = small_config(kernel="gini", dist="uniform", reps=5000, threads=threads)
+            report = exper.smooth_function_check(cfg, "cos")
+        payloads.append(exper.json_text(report.to_json()))
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_cf_check_validation():

@@ -32,8 +32,8 @@ def test_large_n_run_traces_under_16_mib(estimator, n_grid):
 
 def test_block_split_studentized_payload_is_byte_identical_across_threads(capsys, tmp_path):
     # at n = 100 and 300 a chunk spans several row blocks and ends in a
-    # partial one; 5,000 replicates leave a short last chunk, and make one
-    # full chunk, so two and three threads cut the grid into n-groups
+    # partial one; 5,000 replicates leave a short last chunk, and make two
+    # chunks, so three threads run one worker per chunk
     assert 4096 * 100 > model.ROW_BLOCK_CELLS
     written = []
     for threads in ("1", "2", "3"):

@@ -312,7 +312,7 @@ def test_gaussian_negative_moment_against_quadrature():
             points=[0.0],
             limit=400,
         )
-        assert closed == pytest.approx(val, rel=1e-9), a
+        assert closed == pytest.approx(val, rel=1e-9, abs=0), a
 
 
 def test_gaussian_negative_moment_range():
@@ -404,14 +404,14 @@ def test_generated_row_forms_match_pairwise_sums(coefs, fn, n, shift):
     bare = model.Kernel("hand-quadratic", 2, fn)
     for r, row in enumerate(rows):
         want_q, want_u = studentize._leave_one_out_means(bare, row)
-        assert u[r] == pytest.approx(want_u, rel=1e-12)
-        assert ju[r] == pytest.approx(want_u, rel=1e-12)
+        assert u[r] == pytest.approx(want_u, rel=1e-12, abs=0)
+        assert ju[r] == pytest.approx(want_u, rel=1e-12, abs=0)
         # q within rtol of the reference moves the deviation vector by at
         # most rtol * |q| in norm, so its root sum of squares moves no more
         want_ss = np.sum(np.square(want_q - want_u))
         assert abs(math.sqrt(ss[r]) - math.sqrt(want_ss)) <= 1e-12 * np.linalg.norm(want_q)
         if not shift:
-            assert u[r] == pytest.approx(model.u_statistic(kernel, row), rel=1e-12)
+            assert u[r] == pytest.approx(model.u_statistic(kernel, row), rel=1e-12, abs=0)
 
 
 def test_generated_loo_is_exact_on_zero_one_rows():
@@ -464,7 +464,7 @@ def test_u_statistic_matches_bruteforce_order3():
     expected = np.mean(
         [model.eval_kernel(k, combo) for combo in itertools.combinations(x, 3)]
     )
-    assert model.u_statistic(k, x) == pytest.approx(expected, rel=1e-12)
+    assert model.u_statistic(k, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_u_statistic_matches_bruteforce_order4():
@@ -474,7 +474,7 @@ def test_u_statistic_matches_bruteforce_order4():
     expected = np.mean(
         [model.eval_kernel(k, combo) for combo in itertools.combinations(x, 4)]
     )
-    assert model.u_statistic(k, x) == pytest.approx(expected, rel=1e-12)
+    assert model.u_statistic(k, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_u_statistic_insufficient_sample():

@@ -38,7 +38,7 @@ def test_leave_one_out_means_match_bruteforce():
     assert u == pytest.approx(model.u_statistic(k, x), rel=1e-13, abs=0)
     for i in range(x.size):
         vals = [model.eval_kernel(k, (x[i], x[j])) for j in range(x.size) if j != i]
-        assert q[i] == pytest.approx(np.mean(vals), rel=1e-12)
+        assert q[i] == pytest.approx(np.mean(vals), rel=1e-12, abs=0)
 
 
 def test_pair_sums_match_row_forms():
@@ -96,8 +96,8 @@ def test_scale_equivariance_of_product_kernel():
     c = 3.7
     base = studentize.studentized_ustat(k, x, theta=1.0)
     scaled = studentize.studentized_ustat(k, c * x, theta=c * c * 1.0)
-    assert scaled.value == pytest.approx(base.value, rel=1e-12)
-    assert scaled.sigma_hat_g == pytest.approx(c * c * base.sigma_hat_g, rel=1e-12)
+    assert scaled.value == pytest.approx(base.value, rel=1e-12, abs=0)
+    assert scaled.sigma_hat_g == pytest.approx(c * c * base.sigma_hat_g, rel=1e-12, abs=0)
 
 
 def test_shift_invariance_of_variance_kernel():
@@ -106,7 +106,7 @@ def test_shift_invariance_of_variance_kernel():
     x = rng.normal(size=20)
     base = studentize.studentized_ustat(k, x, theta=1.0)
     shifted = studentize.studentized_ustat(k, x + 5.0, theta=1.0)
-    assert shifted.value == pytest.approx(base.value, rel=1e-10)
+    assert shifted.value == pytest.approx(base.value, rel=1e-10, abs=0)
 
 
 def test_constant_sample_raises_zero_variance():
