@@ -122,16 +122,19 @@ _MOMENT_STREAMS = {
     "g3": (512, 0),
 }
 
-# Kernel cells per block of ``_weighted_marginal``, which evaluates the
-# marginals of kernels without a pool form and of orders 3 and up.  At 8
-# bytes a cell each temporary takes up to 256 KiB, small enough for the
-# allocator to reuse the same memory for every block.  Larger blocks fault in
-# fresh pages and cost far more.  On the Monte Carlo ``moments`` run of |x - y|
-# under the exponential law, before gini took its pool form (5k inner draws,
-# 1 BLAS thread), blocks of 20k-40k cells took 0.15-0.21 s with no system
-# time and about 100 page faults; blocks of 60k cells took 1.0 s, with
-# 0.7-0.8 s of system time and 500k faults; blocks of 4M cells took 0.6-1.0 s,
-# with 0.25-0.5 s of system time and 34k-53k faults.
+# The kernel-cell scale of the row blocks of ``_split_marginal`` and of
+# ``_weighted_marginal``, which evaluates the marginals of kernels without a
+# pool form and of orders 3 and up.  Both keep each temporary to a quarter of
+# it, 64 KiB at 8 bytes a cell, unless 4 rows are longer.  Larger blocks
+# fault in fresh pages and cost far more.  On the Monte Carlo ``moments`` run
+# of |x - y| under the exponential law, before gini took its pool form (5k
+# inner draws, 1 BLAS thread), blocks of 60k cells took 1.0 s, with 0.7-0.8 s
+# of system time and 500k faults; blocks of 4M cells took 0.6-1.0 s, with
+# 0.25-0.5 s of system time and 34k-53k faults.  Blocks of up to 32k cells
+# were trimmed and faulted in again depending on the row length: the six
+# marginals of the variance kernel's Monte Carlo moments took 70k faults and
+# 0.18 s at 2k inner draws, and 279k faults and 0.49 s at 4k, against 2
+# faults and 0.07 and 0.16 s in blocks of at most 8k cells, or 4 rows.
 _BLOCK_CELLS = 32_768
 
 # Graded nodes of the quadrature strategy: its fine rule sums order-1
@@ -468,22 +471,30 @@ def _graded_sets(
     for a symmetric integrand F the integral is
     2 sum_j W_j v_j sum_i W_i F(v_j s_i, v_j), so axis 0 (v) weighs
     2 W_j v_j and axis 1 (s) weighs W_i, and a kink of h at x = y lies on
-    the edge s = 1.  1 - v s is carried as (1 - v) + v (1 - s).  The fine
-    rule's triangle takes ``_TRIANGLE_NODES`` a side, fewer than its order-1
-    rule, which limits its accuracy together with the pieces.
+    the edge s = 1.  1 - v s is carried as (1 - v) + v (1 - s).  The point
+    v_j s_i = u_j u_i is symmetric in (i, j), so its quantile and h_1 are
+    computed once, on the tri(tri+1)/2 points j >= i, and mirrored: g_in is
+    exactly symmetric, and its upper half differs from a direct evaluation
+    only by the rounding of 1 - u_i u_j.  The fine rule's triangle takes
+    ``_TRIANGLE_NODES`` a side, fewer than its order-1 rule, which limits
+    its accuracy together with the pieces.
     """
     u, ubar, w = _graded_rule(2 * n)
     h1 = _split_marginal(kernel, dist, _quantile(dist, u, ubar), u, ubar, n // 2)
     theta = _grid_sum([w], h1)
     order1 = ([w], [h1 - theta], None)
-    # the triangle: v = u_j on axis 0, s = u_i on axis 1
+    # the triangle: v = u_j on axis 0, s = u_i on axis 1; its points j >= i
     u, ubar, tri_w = _graded_rule(tri)
     x = _quantile(dist, u, ubar)
-    tri_u = u[:, None] * u
-    tri_bar = ubar[:, None] + u[:, None] * ubar
-    tri_x = _quantile(dist, tri_u, tri_bar)
-    h1_in = _split_marginal(kernel, dist, tri_x.ravel(), tri_u.ravel(), tri_bar.ravel(), n // 2)
-    g_in = h1_in.reshape(tri, tri) - theta
+    j, i = np.tril_indices(tri)
+    low_u = u[j] * u[i]
+    low_bar = ubar[j] + u[j] * ubar[i]
+    low_x = _quantile(dist, low_u, low_bar)
+    low_h1 = _split_marginal(kernel, dist, low_x, low_u, low_bar, n // 2)
+    tri_x, g_in = np.empty((tri, tri)), np.empty((tri, tri))
+    for out, low in ((tri_x, low_x), (g_in, low_h1 - theta)):
+        out[j, i] = low
+        out[i, j] = low
     g_out = (_split_marginal(kernel, dist, x, u, ubar, n // 2) - theta)[:, None]
     # tri^2 cells, within _BLOCK_CELLS for tri up to 181
     h = model.kernel_values(kernel, [tri_x, x[:, None]])
@@ -554,8 +565,9 @@ def _weighted_marginal(
     """E over the tail coordinates, vectorized over the leading columns.
 
     The kernel is evaluated on blocks of whole rows (one row per leading
-    point) of at most ``_BLOCK_CELLS`` cells, or 4 rows when one row is
-    longer than a quarter of that.  Each block is a whole multiple of 4 rows:
+    point) of at most ``_BLOCK_CELLS / 4`` cells, so that no temporary passes
+    64 KiB (see :func:`_split_marginal`), or 4 rows when one row is longer
+    than a quarter of that.  Each block is a whole multiple of 4 rows:
     OpenBLAS's gemv sums rows in groups of four, so the sums do not depend on
     the block size, while blocks of 1, 2, 3 or 6 rows move results by an
     ulp.  A trailing block of one row is a dot product and can move its
@@ -565,7 +577,7 @@ def _weighted_marginal(
     n_pts = lead[0].size
     n_tail = weights.size
     out = np.empty(n_pts)
-    step = 4 * max(1, _BLOCK_CELLS // (4 * max(1, n_tail)))
+    step = 4 * max(1, _BLOCK_CELLS // (16 * max(1, n_tail)))
     for lo in range(0, n_pts, step):
         hi = min(n_pts, lo + step)
         args = [c[lo:hi, None] for c in lead] + [t[None, :] for t in tail_cols]
@@ -577,16 +589,17 @@ def _quadrature_cells(order: int) -> int:
     """Kernel cells of the graded rule and its half rule at kernel order ``order``.
 
     A rule of n nodes and a triangle of T nodes a side spends n cells (n/2 a
-    piece) on h_1 at each of its 2n order-1 nodes, T triangle nodes and T^2
-    triangle points, and one more at each triangle point:
-    (2n + T) n + T^2 (n + 1) cells, 421,888 for the fine rule (n = 96,
-    T = 64) and 119,808 for the half rule (n = T = 48).  On the ordered
-    k-simplex the same count, T^k points with h_1 by a (k - 1)-fold sub-rule
-    of n^(k-1) cells each, is far past the budget from order 3 on, so only
-    order 2 takes this rule.
+    piece) on h_1 at each of its 2n order-1 nodes, T triangle nodes and
+    T(T+1)/2 distinct triangle points, and one more at each of the T^2
+    triangle points: (2n + T) n + T(T+1)/2 n + T^2 cells, 228,352 for the
+    fine rule (n = 96, T = 64) and 65,664 for the half rule (n = T = 48).  On
+    the ordered k-simplex the same count, with the C(T + k - 1, k) points
+    distinct up to the order of their coordinates each taking a
+    (k - 1)-fold sub-rule of n^(k-1) cells, is far past the budget from
+    order 3 on, so only order 2 takes this rule.
     """
     return sum(
-        (2 * n + tri) * n ** (order - 1) + tri**order * (n ** (order - 1) + 1)
+        (2 * n + tri + math.comb(tri + order - 1, order)) * n ** (order - 1) + tri**order
         for n, tri in _GRADED_RULES
     )
 

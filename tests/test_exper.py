@@ -585,9 +585,9 @@ def test_experiment_shares_one_projection_across_n(monkeypatch):
     grid_cells = sum(cells)
     # each of the two graded rules, of n = 96 and 48 nodes with triangles of
     # T = 64 and 48 nodes a side, spends n cells of h_1 at each of its 2n
-    # order-1 nodes, T triangle nodes and T^2 triangle points, and one kernel
-    # cell at each triangle point
-    assert grid_cells == 421_888 + 119_808 == hoeffding._quadrature_cells(2)
+    # order-1 nodes, T triangle nodes and T(T+1)/2 distinct triangle points,
+    # and one kernel cell at each of the T^2 triangle points
+    assert grid_cells == 228_352 + 65_664 == hoeffding._quadrature_cells(2)
     cells.clear()
     exper.run_ecdf_experiment(
         small_config(kernel="gini", dist="uniform", target=adjusted, n_grid=(8,))

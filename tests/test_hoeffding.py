@@ -522,6 +522,32 @@ def test_monte_carlo_marginals_evaluate_cache_sized_blocks(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("n_tail", [500, 2048, 2049, 3001])
+def test_weighted_marginal_blocks_keep_temporaries_to_64_kib(n_tail, monkeypatch):
+    # 8,192 cells at 8 bytes, or 4 rows when one row is longer than 2,048
+    rng = np.random.default_rng(n_tail)
+    x, tail = rng.exponential(size=1000), rng.exponential(size=n_tail)
+    w = rng.uniform(size=n_tail)
+    shapes = []
+    kernel_values = model.kernel_values
+
+    def recording(kernel, columns):
+        out = kernel_values(kernel, columns)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(model, "kernel_values", recording)
+    got = hoeffding._weighted_marginal(ABS_KERNEL, [x], [tail], w)
+    monkeypatch.undo()
+    rows = max(4, hoeffding._BLOCK_CELLS // 4 // n_tail // 4 * 4)
+    tail_block = [(1000 % rows, n_tail)] if 1000 % rows else []
+    assert shapes == [(rows, n_tail)] * (1000 // rows) + tail_block
+    assert all(r * n_tail <= hoeffding._BLOCK_CELLS // 4 for r, _ in shapes if r > 4)
+    # a row's sum does not depend on the block it is in
+    one_by_four = np.concatenate([np.abs(x[i:i + 4, None] - tail) @ w for i in range(0, 1000, 4)])
+    assert np.array_equal(got, one_by_four)
+
+
 def _pool_case(name):
     """(pool, weights, points) of one pool-form comparison."""
     exp = model.distribution_preset("exponential")
@@ -560,6 +586,44 @@ def test_gini_pool_form_matches_blocked_marginal(case):
     # y - c exact.  Prefix sums of the raw w y miss by about 1e-7 relative
     # there, since each partial sum carries rounding of order 1e6 eps.
     np.testing.assert_allclose(prepared, blocked, rtol=1e-12, atol=0.0)
+
+
+def _unsorted_pool_mean(pool, w, x):
+    """Gini's pool form with the keys searched as given, not in sorted order."""
+    order = np.argsort(pool, kind="stable")
+    c = pool[order[0]]
+    v = pool[order] - c
+    w_pre = model._prefix_sums(w[order])
+    s_pre = model._prefix_sums(w[order] * v)
+    z = x - c
+    k = np.searchsorted(v, z, side="right")
+    return z * (2.0 * w_pre[k] - w_pre[-1]) - 2.0 * s_pre[k] + s_pre[-1]
+
+
+@pytest.mark.parametrize("case", ["shuffled", "2-d", "pool-points", "outside", "scalar"])
+def test_gini_pool_form_searches_in_key_order_bit_identically(case):
+    exp = model.distribution_preset("exponential")
+    pool = np.round(model.sample(exp, 2000, 0, 1), 2)  # with tied pool points
+    w = model.stream_generator(0, 3).uniform(size=pool.size)
+    w /= w.sum()
+    perm = model.stream_generator(0, 4).permutation
+    x = model.sample(exp, 3000, 0, 2)
+    if case == "shuffled":
+        x = perm(np.concatenate([x, np.sort(x)[::3]]))
+    elif case == "2-d":
+        x = x.reshape(50, 60)
+    elif case == "pool-points":
+        # keys equal to a pool point count it (side="right"), ties included
+        x = perm(np.concatenate([pool[::5], pool[:100], x[:500]]))
+    elif case == "outside":
+        x = perm(np.concatenate([pool.min() - np.linspace(0.0, 5.0, 40), [pool.min()],
+                                 pool.max() + np.linspace(0.0, 5.0, 40), x[:100]]))
+    else:
+        x = float(x[0])
+    got = model.gini_kernel().pool_mean(pool, w)(x)
+    want = _unsorted_pool_mean(pool, w, x)
+    assert np.shape(got) == np.shape(want) == np.shape(x)
+    assert np.array_equal(got, want)
 
 
 def test_kernel_rejects_pool_mean_off_order_2():
@@ -998,8 +1062,8 @@ def _forced_cases():
                     marks = pytest.mark.xfail(
                         strict=True,
                         reason="t_2 = 0 exactly, and quadrature's t_2 is the rounding "
-                        "residue of h - g - g - theta: E[g g t_2] reads 5.8e-18 against "
-                        "a bar of 5.5e-18, whose rounding floor scales with the residue",
+                        "residue of h - g - g - theta: E[g g t_2] reads 5.9e-18 against "
+                        "a bar of 5.6e-18, whose rounding floor scales with the residue",
                     )
                 yield pytest.param(kernel_id, dist_ident, name, marks=marks)
 
@@ -1145,6 +1209,42 @@ def test_quantile_matches_the_masked_split(dist_ident):
         want[~lower] = dist.isf(vbar[~lower])
         assert np.array_equal(hoeffding._quantile(dist, v, vbar), want)
 
+
+@pytest.mark.parametrize("rule", hoeffding._GRADED_RULES, ids=["fine", "half"])
+@pytest.mark.parametrize(
+    "kernel", [model.gini_kernel(), model.Kernel("max", 2, np.maximum)], ids=["gini", "max"]
+)
+@pytest.mark.parametrize("dist_ident", ["exponential", "normal"])
+def test_graded_triangle_takes_h1_once_per_distinct_point(rule, kernel, dist_ident,
+                                                          monkeypatch):
+    n, tri = rule
+    dist = model.distribution_preset(dist_ident)
+    sizes = []
+    split = hoeffding._split_marginal
+
+    def counting(kernel, dist, x, *rest):
+        sizes.append(x.size)
+        return split(kernel, dist, x, *rest)
+
+    monkeypatch.setattr(hoeffding, "_split_marginal", counting)
+    theta_set, sets = hoeffding._graded_sets(kernel, dist, n, tri)
+    monkeypatch.undo()
+    # h_1 at the 2n order-1 nodes, the distinct triangle points, the T nodes
+    assert sizes == [2 * n, tri * (tri + 1) // 2, tri]
+    _, (g_in, _), _ = sets[2]
+    assert np.array_equal(g_in, g_in.T)
+    # against h_1 at every one of the T^2 points: the same on j >= i, and
+    # within the rounding of 1 - u_i u_j above the diagonal
+    u, ubar, _ = hoeffding._graded_rule(tri)
+    tri_u, tri_bar = u[:, None] * u, ubar[:, None] + u[:, None] * ubar
+    tri_x = hoeffding._quantile(dist, tri_u, tri_bar)
+    every = split(kernel, dist, tri_x.ravel(), tri_u.ravel(), tri_bar.ravel(), n // 2)
+    every = every.reshape(tri, tri) - hoeffding._grid_sum(*theta_set)
+    j, i = np.tril_indices(tri)
+    assert np.array_equal(g_in[j, i], every[j, i])
+    np.testing.assert_allclose(g_in, every, rtol=0.0, atol=1e-13)
+
+
 def test_quadrature_cell_budget(monkeypatch):
     cells = []
     kernel_values = model.kernel_values
@@ -1159,11 +1259,11 @@ def test_quadrature_cell_budget(monkeypatch):
     hoeffding.moment_summary(d)
     hoeffding.order2_edgeworth_inputs(d)
     # a rule of n nodes and a triangle of T nodes a side spends n cells of
-    # h_1 at each of its 2n order-1 nodes, T triangle nodes and T^2 triangle
-    # points, and one kernel cell at each triangle point: 421,888 for the
-    # fine rule (n = 96, T = 64), 119,808 for the half rule (n = T = 48); the
-    # moments add none
-    assert sum(cells) == 421_888 + 119_808 == hoeffding._quadrature_cells(2)
+    # h_1 at each of its 2n order-1 nodes, T triangle nodes and T(T+1)/2
+    # distinct triangle points, and one kernel cell at each of the T^2
+    # triangle points: 228,352 for the fine rule (n = 96, T = 64), 65,664 for
+    # the half rule (n = T = 48); the moments add none
+    assert sum(cells) == 228_352 + 65_664 == hoeffding._quadrature_cells(2)
     assert sum(cells) <= hoeffding._QUADRATURE_CELLS
     assert max(cells) <= hoeffding._BLOCK_CELLS
 
