@@ -7,12 +7,14 @@ replicate ``c * CHUNK_REPLICATES + j`` is row ``j``.  So the chunk at every
 smaller n is a prefix of the chunk at the largest n: a chunk's stream is
 drawn once, to the largest n of the grid, and every n reads its rows from
 that one pass, in row blocks within the ``model.ROW_BLOCK_CELLS`` budget,
-so a chunk's memory does not grow with ``n``.  An experiment scores its
-chunks in one thread pool, one task per chunk over the whole grid, with at
-most one worker per chunk; once every chunk is done, each n's values are
-joined in chunk order and handed on in grid order.  Neither the values,
-the chunk size, the block size nor the layout depends on the worker count,
-so reports are byte-identical for any number of threads.
+so a chunk's memory does not grow with ``n``.  Each block is scored as it
+is drawn, and a chunk's values at each n are joined once it is done.  An
+experiment scores its chunks in one thread pool, one task per chunk over
+the whole grid, with at most one worker per chunk; once every chunk is
+done, each n's values are joined in chunk order and handed on in grid
+order.  Neither the values, the chunk size, the block size nor the layout
+depends on the worker count, so reports are byte-identical for any number
+of threads.
 """
 
 from __future__ import annotations
@@ -127,20 +129,6 @@ def _resolve(cfg: ExperimentConfig) -> dict[int, hoeffding.DecomposedStatistic]:
 # Per-row statistic evaluation
 # ---------------------------------------------------------------------------
 
-def _row_jackknife_stats(
-    kernel: model.Kernel, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(U-statistic, jackknife variance of the linear scale) per row.
-
-    Order-2 kernels only.  ``rows`` is overwritten, as by ``kernel.rows``.
-    """
-    n = rows.shape[1]
-    if n < 3:
-        raise InsufficientSample("jackknife variance needs n >= 3")
-    u, ss = kernel.rows.jackknife(rows)
-    return u, studentize.jackknife_from_means(u, ss, n)
-
-
 def _chunk_bounds(reps: int) -> list[tuple[int, int]]:
     return [
         (lo, min(lo + CHUNK_REPLICATES, reps))
@@ -157,34 +145,29 @@ def _score_chunk(
     """(statistic values, rows dropped) of one chunk of replicates at each n.
 
     ``decs`` are the decompositions of the grid, in grid order; the chunk's
-    stream is drawn once, to the grid's largest n.
+    stream is drawn once, to the grid's largest n, and each block of rows
+    is scored as it is drawn.
     """
     lo, hi = bounds
-    studentized = estimator == "studentized"
-    u = {d.n: np.empty(hi - lo) for d in decs}
-    var_hat = {d.n: np.empty(hi - lo) if studentized else None for d in decs}
-    kernel = decs[0].kernel
-    # rows are drawn and scored a block at a time; the row forms take each
-    # block as scratch, since row_blocks refills it for the next
-    blocks = model.row_blocks(
-        decs[0].dist, hi - lo, [d.n for d in decs], seed, lo // CHUNK_REPLICATES
-    )
-    for n, first, rows in blocks:
-        part = slice(first, first + rows.shape[0])
-        if studentized:
-            u[n][part], var_hat[n][part] = _row_jackknife_stats(kernel, rows)
-        else:
-            u[n][part] = kernel.rows.u(rows)
-    return [_statistic_values(d, u[d.n], var_hat[d.n]) for d in decs]
+    at = {d.n: d for d in decs}
+    parts = {n: [] for n in at}
+    blocks = model.row_blocks(decs[0].dist, hi - lo, list(at), seed, lo // CHUNK_REPLICATES)
+    for n, rows in blocks:
+        parts[n].append(_statistic_values(at[n], rows, estimator))
+    # joined per chunk: holding every block's values to the end of the
+    # experiment fragments the heap and raises the peak resident set
+    return [(np.concatenate([v for v, _ in p]), sum(k for _, k in p)) for p in parts.values()]
 
 
 def _statistic_values(
-    d: hoeffding.DecomposedStatistic, u: np.ndarray, var_hat: Optional[np.ndarray]
+    d: hoeffding.DecomposedStatistic, rows: np.ndarray, estimator: str
 ) -> tuple[np.ndarray, int]:
-    """(statistic values, rows dropped) from the rows' U-statistics at ``d.n``."""
+    """(statistic values, rows dropped) of a block of rows at ``d.n``; ``rows`` is scratch."""
     n = d.n
-    if var_hat is None:
+    if estimator == "standardized":
+        u = d.kernel.rows.u(rows)
         return math.sqrt(n) * (u - d.theta) / (d.kernel.order * d.sigma_g), 0
+    u, var_hat = studentize.jackknife_rows(d.kernel, rows)
     keep = var_hat > 0.0
     dropped = int(var_hat.size - np.count_nonzero(keep))
     s = math.sqrt(n) * (u[keep] - d.theta) / (2.0 * np.sqrt(var_hat[keep]))

@@ -1102,23 +1102,6 @@ def order2_edgeworth_inputs(d: DecomposedStatistic) -> tuple[float, float, float
     return e_gg_eta, e_g3, d.sigma_g
 
 
-def cross_moment_mc(d: DecomposedStatistic, p: int, reps: int, seed: int) -> tuple[float, float]:
-    """Direct Monte Carlo estimate of E[L^p T] over full-sample replicates.
-
-    This is the O(n^k)-per-replicate cross-check path for :func:`kappa`;
-    unlike the aligned formula it also picks up repeated-index terms, e.g.
-    E[L^2 T] = 2 kappa_2 when the remainder is a pure order-2 sum.  The
-    ``reps`` rows of n are the draws of stream 0, taken in row blocks.
-    """
-    if reps < 2:
-        raise ValidationError("reps must be at least 2")
-    blocks = model.row_blocks(d.dist, reps, (d.n,), seed)
-    vals = np.array(
-        [d.linear_part(x) ** p * d.remainder(x) for _, _, rows in blocks for x in rows]
-    )
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(reps))
-
-
 # ---------------------------------------------------------------------------
 # Moment summary and inequality checks
 # ---------------------------------------------------------------------------

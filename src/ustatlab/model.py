@@ -13,8 +13,9 @@ Design notes
   The rows of a chunk at size n are the stream's first rows * n draws, so
   the rows of every smaller n are a prefix of those of the largest n.
   ``row_blocks`` draws the chunk's stream once, to the largest n of a grid,
-  in turn into one reused buffer, and hands every n its rows in row blocks
-  read from that one pass, so a chunk never holds all of its draws at once.
+  in turn into one reused buffer that keeps one row of the second-largest n
+  ahead of each fill, and hands every n its rows in row blocks read from
+  that one pass, so a chunk never holds all of its draws at once.
   Streams from ``1 << 40`` upward are reserved for the inner draws and
   moment estimates of ``hoeffding``.
 * Built-in kernels are written so that evaluation is exactly (bit-for-bit)
@@ -51,7 +52,7 @@ DEFAULT_SUBSET_BUDGET = 10**8
 # index subsets per block of subset_blocks: a block of order-k index columns
 # and the kernel values on it stay a few MB
 SUBSET_BLOCK = 32768
-# draws per block of row_blocks: a 1 MiB budget of float64, split between
+# draws per fill of row_blocks: a 1 MiB budget of float64, split between
 # the stream buffer and the scratch that smaller n are copied into, so each
 # block stays in cache while the row forms make their passes over it
 ROW_BLOCK_CELLS = 131072
@@ -162,55 +163,49 @@ def sample(dist: Distribution, n: int, seed: int, stream: int = 0) -> np.ndarray
 
 def row_blocks(
     dist: Distribution, rows: int, ns: Sequence[int], seed: int, stream: int = 0
-) -> Iterator[tuple[int, int, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """``rows`` rows of each n of ``ns`` from one pass over stream ``stream``.
 
     Row j at size n is draws ``j*n`` to ``(j+1)*n`` of the stream, so the
     rows of every n are a prefix of the rows of the largest n, and the
     stream is drawn once, ``rows * max(ns)`` draws, into one buffer of
     whole rows of the largest n, refilled block by block.  Yields
-    ``(n, first_row, block)``, where ``block`` is an ``(m, n)`` view that
-    the caller uses, may overwrite, and keeps none of: each smaller n's
-    rows are copied out of the buffer into one scratch buffer (a row that
-    straddles two buffer fills is carried over), and the largest n is
-    yielded last, in place.  The buffer and the scratch share
-    ``ROW_BLOCK_CELLS`` cells, half each (the buffer takes them all for a
-    one-element grid); either holds one row if a row is longer.  For each
-    n, the blocks join to exactly
-    ``sample(dist, rows * n, seed, stream).reshape(rows, n)``.
+    ``(n, block)``, where ``block`` is an ``(m, n)`` array that the caller
+    uses, may overwrite, and keeps none of.  The buffer keeps the last
+    ``head`` draws of each fill, the grid's second-largest n (0 for a
+    one-element grid), in front of the next, so each smaller n copies its
+    whole rows of a fill into one scratch buffer as one slice; the largest
+    n is yielded last, in place.  A fill is half of ``ROW_BLOCK_CELLS`` (all
+    of it for a one-element grid), or one row if a row is longer, and the
+    buffer and the scratch each hold a fill and the head.  For each n, the
+    blocks join to ``sample(dist, rows * n, seed, stream).reshape(rows, n)``.
     """
     ns = tuple(int(n) for n in ns)
     if rows < 0 or not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValidationError("row_blocks needs rows >= 0 and increasing sizes n >= 1")
     *smaller, top = ns
+    head = smaller[-1] if smaller else 0
     cells = ROW_BLOCK_CELLS // 2 if smaller else ROW_BLOCK_CELLS
-    caps = {n: max(1, min(rows, cells // n)) for n in smaller}
-    scratch = np.empty(max((caps[n] * n for n in smaller), default=0))
-    carry = {n: np.empty(n) for n in smaller}
-    gen = stream_generator(seed, stream)
     step = max(1, min(rows, cells // top))
-    buf = np.empty((step, top))
-    flat = buf.reshape(-1)
+    buf = np.empty(head + step * top)
+    scratch = np.empty(buf.size if smaller else 0)
+    gen = stream_generator(seed, stream)
     for first in range(0, rows, step):
         m = min(step, rows - first)
-        _fill(dist, gen, flat[: m * top])
-        lo, hi = first * top, (first + m) * top  # the draws in the buffer
+        fill = buf[head : head + m * top]
+        _fill(dist, gen, fill)
+        lo, hi = first * top, (first + m) * top  # the draws in the fill
         for n in smaller:
-            end = min(hi, rows * n)
-            pos = lo - lo % n  # where the row under way at lo began
-            while pos < end:
-                # the first k draws of the row at pos came in the last fill
-                k = max(0, lo - pos)
-                take = min(caps[n], (end - pos) // n) * n
-                if take == 0:  # part of a row: carry it to the next fill
-                    carry[n][k : end - pos] = flat[pos + k - lo : end - lo]
-                    break
-                out = scratch[:take]
-                out[:k] = carry[n][:k]
-                out[k:] = flat[pos + k - lo : pos + take - lo]
-                yield n, pos // n, out.reshape(-1, n)
-                pos += take
-        yield top, first, buf[:m]
+            start = lo - lo % n  # where the row under way at lo began
+            stop = min(hi, rows * n)
+            stop -= (stop - start) % n  # the end of the last whole row
+            if start < stop:
+                out = scratch[: stop - start]
+                out[:] = buf[head + start - lo : head + stop - lo]
+                yield n, out.reshape(-1, n)
+        # the head is kept before the caller overwrites the largest n's block
+        buf[:head] = fill[m * top - head :]
+        yield top, fill.reshape(m, top)
 
 
 def mean(dist: Distribution) -> float:

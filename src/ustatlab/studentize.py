@@ -9,6 +9,9 @@ projection scale ``sigma_g``.  The jackknife plug-in replaces it with
 which is scale-equivariant and consistent.  The studentized statistic is
 ``sqrt(n) (U_n - theta) / (2 sigma_hat)`` with ``theta`` supplied by the
 caller (analytic in every built-in configuration).
+
+``jackknife_rows`` is the one block jackknife: Monte Carlo experiments score
+their replicate blocks with it, and the one-sample functions a one-row block.
 """
 
 from __future__ import annotations
@@ -51,18 +54,23 @@ def _leave_one_out_means(kernel: Kernel, x: np.ndarray) -> tuple[np.ndarray, flo
     return q, float(np.mean(q))
 
 
-def _jackknife_sums(kernel: Kernel, x: np.ndarray) -> tuple[float, float]:
-    """(U_n, sum_i (q_i - U_n)^2) of one sample; ``x`` is left as it was.
+def jackknife_rows(kernel: Kernel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U_n, sigma_hat^2) of each row of an ``(m, n)`` block of samples.
 
-    A kernel with row forms scores a copy of the sample as a one-row block,
-    since ``kernel.rows.jackknife`` overwrites its block.
+    A kernel with row forms scores the block at once and overwrites it (see
+    ``model.RowForms``); a kernel without them sums each row over its pairs.
     """
+    n = rows.shape[1]
+    if n < 3:
+        raise InsufficientSample("the jackknife variance needs n >= 3")
     if kernel.rows is not None:
-        u, ss = kernel.rows.jackknife(x[None, :].copy())
-        return float(u[0]), float(ss[0])
-    q, u = _leave_one_out_means(kernel, x)
-    q -= u
-    return u, float(np.sum(np.square(q)))
+        u, ss = kernel.rows.jackknife(rows)
+    else:
+        u, ss = np.empty(len(rows)), np.empty(len(rows))
+        for r, x in enumerate(rows):
+            q, u[r] = _leave_one_out_means(kernel, x)
+            ss[r] = np.sum(np.square(q - u[r]))
+    return u, jackknife_from_means(u, ss, n)
 
 
 def jackknife_from_means(u, ss, n: int) -> np.ndarray:
@@ -70,30 +78,27 @@ def jackknife_from_means(u, ss, n: int) -> np.ndarray:
 
     A deviation of RMS at most n * eps * max|q| is rounding, so there the
     estimate is exactly 0: a sample whose exact estimate is 0 gets 0 on
-    every path.  max|q| is bounded by |u| plus the root of ss.
+    every path.  max|q| is bounded by |u| plus the root of ss; an ss that
+    overflowed meets its infinite floor, but stays infinite, not 0.
     """
     u, ss = np.asarray(u), np.asarray(ss)
     floor = n * np.square(n * np.finfo(float).eps * (np.abs(u) + np.sqrt(ss)))
-    return np.where(ss <= floor, 0.0, (n - 1) / (n - 2) ** 2 * ss)
+    return np.where((ss <= floor) & np.isfinite(ss), 0.0, (n - 1) / (n - 2) ** 2 * ss)
 
 
 def _jackknife(kernel: Kernel, data: np.ndarray) -> tuple[int, float, float]:
-    """(n, U_n, sigma_hat^2) of a validated sample."""
+    """(n, U_n, sigma_hat^2) of a validated sample, scored as a one-row block."""
     if kernel.order != 2:
         raise ValidationError("the jackknife variance is defined for order-2 kernels")
     x = model.check_sample(data)
-    n = x.size
-    if n < 3:
-        raise InsufficientSample("the jackknife variance needs n >= 3")
     with np.errstate(over="ignore", invalid="ignore"):
-        u, ss = _jackknife_sums(kernel, x)
-        var_hat = float(jackknife_from_means(u, ss, n))
-    if not (math.isfinite(u) and math.isfinite(ss) and math.isfinite(var_hat)):
+        u, var_hat = (float(v[0]) for v in jackknife_rows(kernel, x[None, :].copy()))
+    if not (math.isfinite(u) and math.isfinite(var_hat)):
         raise ValidationError(
-            f"overflow: U = {u}, sigma_hat^2 = {var_hat} from squared deviations "
-            f"summing to {ss}, on a sample with largest |x| = {np.max(np.abs(x)):.6g}"
+            f"overflow: U = {u}, sigma_hat^2 = {var_hat}, on a sample with "
+            f"largest |x| = {np.max(np.abs(x)):.6g}"
         )
-    return n, u, var_hat
+    return x.size, u, var_hat
 
 
 def jackknife_variance(kernel: Kernel, data: np.ndarray) -> float:

@@ -47,10 +47,10 @@ def test_pair_sums_match_row_forms():
     x = rng.exponential(size=40)
     for kernel in (model.variance_kernel(), model.gini_kernel()):
         bare = model.Kernel("bare", 2, kernel.fn)
-        u, ss = studentize._jackknife_sums(kernel, x)
-        want_u, want_ss = studentize._jackknife_sums(bare, x)
-        assert u == pytest.approx(want_u, rel=1e-13, abs=0)
-        assert ss == pytest.approx(want_ss, rel=1e-12, abs=0)
+        u, var_hat = studentize.jackknife_rows(kernel, x[None, :].copy())
+        want_u, want_var = studentize.jackknife_rows(bare, x[None, :].copy())
+        assert u[0] == pytest.approx(want_u[0], rel=1e-13, abs=0)
+        assert var_hat[0] == pytest.approx(want_var[0], rel=1e-12, abs=0)
 
 
 def test_pair_sums_are_budgeted(monkeypatch):
@@ -73,13 +73,26 @@ def test_one_sample_calls_leave_the_data_untouched(ident):
     before = x.copy()
     calls = [
         lambda: studentize._leave_one_out_means(kernel, x),
-        lambda: studentize._jackknife_sums(kernel, x),
+        lambda: studentize._jackknife(kernel, x),
         lambda: studentize.jackknife_variance(kernel, x),
         lambda: studentize.studentized_ustat(kernel, x, theta=0.0),
     ]
     for call in calls:
         call()
         assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("ident", ["variance", "gini", "product", "quadratic:0.3"])
+def test_experiment_and_one_sample_jackknives_agree(ident):
+    # an experiment scores a block of rows, the one-sample command each row
+    # as a one-row block: the statistics agree bit for bit
+    cfg = exper.ExperimentConfig(ident, "exponential", (9,), estimator="studentized")
+    d = exper._resolve(cfg)[9]
+    rows = np.random.default_rng(6).exponential(size=(20, 9))
+    values, dropped = exper._statistic_values(d, rows.copy(), "studentized")
+    assert dropped == 0
+    want = [studentize.studentized_ustat(d.kernel, row, d.theta).value for row in rows]
+    assert values.tobytes() == np.array(want).tobytes()
 
 
 def test_value_is_zero_at_the_true_mean():
@@ -139,7 +152,7 @@ def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
     ]
     for kernel, rows in cases:
         rows = rows + shift
-        _, var_hat = exper._row_jackknife_stats(kernel, rows.copy())
+        _, var_hat = studentize.jackknife_rows(kernel, rows.copy())
         assert np.all(var_hat == 0.0)
         for row in rows[:20]:
             with pytest.raises(ZeroVarianceEstimate):
@@ -147,7 +160,7 @@ def test_exact_zero_jackknife_variance_on_both_paths(n, shift):
         # one point moved by 1e-6 of the gap of its pair is kept on both paths
         moved = rows[:20].copy()
         moved[:, 0] += 1e-6 * (np.abs(ab[:20, 0] - ab[:20, 1]) + 1.0)
-        _, var_hat = exper._row_jackknife_stats(kernel, moved.copy())
+        _, var_hat = studentize.jackknife_rows(kernel, moved.copy())
         assert np.all(var_hat > 0.0)
         for row in moved:
             assert studentize.studentized_ustat(kernel, row, theta=0.0).sigma_hat_g > 0.0
@@ -162,7 +175,7 @@ def test_gini_constant_rows_are_dropped(value):
     u, ss = kernel.rows.jackknife(rows.copy())
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(ss, 0.0)
-    u, var_hat = exper._row_jackknife_stats(kernel, rows.copy())
+    u, var_hat = studentize.jackknife_rows(kernel, rows.copy())
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(var_hat, 0.0)
     with pytest.raises(ZeroVarianceEstimate):
@@ -190,6 +203,18 @@ def test_statistic_overflow_is_refused():
     # U and sigma_hat are finite, but U - theta overflows
     with pytest.raises(ValidationError, match="overflow"):
         studentize.studentized_ustat(model.product_kernel(), [1.0, 2.0, 3.0], theta=-1.7e308)
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_overflowing_squared_deviations_are_refused(bare):
+    # U is finite, but the squared deviations sum to inf, and so does their
+    # rounding floor: the estimate must be refused, not read as 0
+    kernel = model.gini_kernel()
+    if bare:
+        kernel = model.Kernel("bare", 2, kernel.fn)
+    x = np.array([0.0, 1e154, 2e154, 3e154, 4e154, 9e154])
+    with pytest.raises(ValidationError, match=r"^overflow: .*largest \|x\| = 9e\+154$"):
+        studentize.studentized_ustat(kernel, x, theta=0.0)
 
 
 def test_large_n_consistency_variance_exponential():
